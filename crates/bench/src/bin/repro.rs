@@ -98,12 +98,10 @@ fn main() {
         cli.opts.root_seed,
         match cli.opts.slice_workers {
             None => String::new(),
-            Some(0) => ", serial oracle".to_owned(),
             Some(n) => format!(", {n} slice worker(s)"),
         },
         match cli.opts.gen_workers {
-            None => String::new(),
-            Some(0) => ", serial front end".to_owned(),
+            None | Some(0) => String::new(),
             Some(n) => format!(", {n} gen worker(s)"),
         },
         cli.corpus

@@ -1,8 +1,8 @@
 //! Reporting helpers: aligned console tables plus JSON dumps under
 //! `results/`, all routed through the runner's [`JobCtx`] so that
 //! console text and result files are staged per job and emitted
-//! deterministically — the per-figure binaries and the `repro` sweep
-//! share one code path.
+//! deterministically — a single figure (`repro --only`) and the full
+//! `repro` sweep share one code path.
 
 use iat_runner::JobCtx;
 use iat_telemetry::{Event, JsonlRecorder, MetricsSnapshot, Recorder as _};

@@ -50,15 +50,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// Same corpus seed ⇒ byte-identical scenario list and summary
-    /// across `--jobs {1,4}` × `--slice-workers {0, auto}`.
+    /// across `--jobs {1,4}` × `--slice-workers {1, auto}`.
     #[test]
     fn corpus_is_byte_identical_across_engine_settings(seed in 0u64..1000) {
-        let baseline = run_corpus(seed, 1, Some(0));
+        let baseline = run_corpus(seed, 1, Some(1));
         let doc = summary_doc(&baseline);
         let ran = validate_corpus_summary(&doc).expect("summary validates");
         prop_assert_eq!(ran, 4);
 
-        for (jobs, slice) in [(4, Some(0)), (1, None), (4, None)] {
+        for (jobs, slice) in [(4, Some(1)), (1, None), (4, None)] {
             let other = run_corpus(seed, jobs, slice);
             prop_assert_eq!(
                 &baseline.stdout, &other.stdout,
@@ -76,8 +76,8 @@ proptest! {
 fn corpus_seeds_are_distinguishable() {
     // Different seeds must actually change the generated scenarios —
     // otherwise the determinism property above would pass vacuously.
-    let a = summary_doc(&run_corpus(11, 1, Some(0)));
-    let b = summary_doc(&run_corpus(12, 1, Some(0)));
+    let a = summary_doc(&run_corpus(11, 1, Some(1)));
+    let b = summary_doc(&run_corpus(12, 1, Some(1)));
     assert_ne!(a["scenarios"], b["scenarios"]);
 }
 

@@ -1,16 +1,15 @@
-//! Process-wide knobs for the batched, slice-parallel LLC pipeline.
+//! Process-wide knobs for the batched, slice-parallel LLC pipeline and the
+//! tenant front end.
 //!
-//! Two independent decisions live here:
+//! Three settings live here:
 //!
-//! * **Mode** — whether callers should use the batched pipeline at all
-//!   ([`batching_enabled`]), and with how many slice workers a flush may
-//!   resolve ([`flush_workers`]). `--slice-workers 0` selects the serial
-//!   reference oracle (no batching anywhere); an explicit `N >= 1` pins the
-//!   flush worker count; the default (*auto*) batches and sizes the worker
-//!   count from whatever the slot budget has left over — a one-worker
-//!   flush resolves inline in the calling thread, which still beats the
-//!   serial path (the tight per-bucket resolution loop amortizes dispatch
-//!   that the access-at-a-time path pays per access).
+//! * **Flush workers** — how many slice workers a batch flush may resolve
+//!   with ([`flush_workers`]). An explicit `N >= 1` pins the count; the
+//!   default (*auto*) sizes it from whatever the slot budget has left over
+//!   — a one-worker flush resolves inline in the calling thread.
+//! * **Generation workers** — how many threads shard the tenant front end
+//!   ([`gen_workers`]). Zero, the default, runs it inline on the calling
+//!   thread; only an explicit `N >= 1` spawns generation workers.
 //! * **Worker-slot budget** — a process-wide core budget shared between the
 //!   sweep runner's *inter-job* workers and the LLC's *intra-job* slice
 //!   workers so the two layers of parallelism do not oversubscribe the
@@ -24,17 +23,12 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-/// Auto mode: batching on, flush workers sized from the slot budget.
+/// Auto mode: flush workers sized from the slot budget.
 const MODE_AUTO: u32 = u32::MAX;
-/// Serial oracle: batching off everywhere; every access resolves one at a
-/// time exactly as the pre-batching code did.
-const MODE_SERIAL: u32 = 0;
 
 static MODE: AtomicU32 = AtomicU32::new(MODE_AUTO);
-/// Generation-worker policy: `MODE_AUTO` sizes the pool from the leftover
-/// slot budget, `MODE_SERIAL` keeps the serial front end, `n` pins the
-/// pool at `n` workers.
-static MODE_GEN: AtomicU32 = AtomicU32::new(MODE_AUTO);
+/// Generation workers per epoch; zero runs the front end inline.
+static GEN_WORKERS: AtomicU32 = AtomicU32::new(0);
 /// Total worker slots (0 = derive from `available_parallelism` on first use).
 static SLOTS_TOTAL: AtomicU32 = AtomicU32::new(0);
 /// Memoized `available_parallelism` (0 = not yet queried). Auto-mode
@@ -49,65 +43,35 @@ static SLOTS_USED: AtomicU32 = AtomicU32::new(0);
 /// merged serially, so returns diminish quickly.
 const AUTO_EXTRA_CAP: u32 = 3;
 
-/// Sets the slice-worker policy for the whole process.
+/// Sets the slice-worker policy for the whole process
+/// (`--slice-workers`).
 ///
-/// * `None` — auto (the default): batch, and size flush worker counts from
-///   the leftover slot budget.
-/// * `Some(0)` — serial reference oracle: disable batching entirely.
-/// * `Some(n)` — batch and resolve flushes with exactly `n` workers
-///   (`n = 1` resolves in the calling thread).
+/// * `None` — auto (the default): size flush worker counts from the
+///   leftover slot budget.
+/// * `Some(n)` — resolve flushes with exactly `n` workers (`n = 1`
+///   resolves in the calling thread; `Some(0)` behaves as `Some(1)`).
 pub fn set_slice_workers(workers: Option<u32>) {
     MODE.store(workers.unwrap_or(MODE_AUTO), Ordering::Relaxed);
 }
 
-/// Returns `true` when callers should route accesses through the batched
-/// pipeline.
-///
-/// Only `--slice-workers 0` (the serial oracle) answers `false`; auto and
-/// explicit `N >= 1` both batch. A one-worker flush spawns no threads —
-/// it resolves the buckets inline — and measures faster than the serial
-/// path even so, because the per-bucket resolution loop amortizes probe
-/// dispatch that the access-at-a-time path pays per access. Both paths
-/// produce bit-identical results, so the knob only moves wall clock.
-#[inline]
-pub fn batching_enabled() -> bool {
-    MODE.load(Ordering::Relaxed) != MODE_SERIAL
-}
-
-/// Upper bound on the generation workers an auto-mode epoch will spawn.
-/// A generation worker earns its keep only when whole cores are idle —
-/// it ping-pongs with the merge thread per window — so auto never
-/// oversubscribes: it spends only *leftover* slots, and resolves to the
-/// serial front end when none are free.
-const AUTO_GEN_CAP: u32 = 4;
-
 /// Sets the generation-worker policy for the whole process
 /// (`--gen-workers`).
 ///
-/// * `None` — auto (the default): spawn up to [`AUTO_GEN_CAP`] workers
-///   from the leftover slot budget; zero leftover keeps the serial path.
-/// * `Some(0)` — serial front end: the epoch loop generates and resolves
-///   every access on the calling thread, exactly as before.
-/// * `Some(n)` — pin the pool at `n` workers (capped by the shard count
-///   at dispatch time).
+/// * `None` or `Some(0)` — the default: every platform runs its tenant
+///   front end inline on the calling thread.
+/// * `Some(n)` — shard the front end across `n` generation workers per
+///   epoch (capped by the shard count at dispatch time).
 pub fn set_gen_workers(workers: Option<u32>) {
-    MODE_GEN.store(workers.unwrap_or(MODE_AUTO), Ordering::Relaxed);
+    GEN_WORKERS.store(workers.unwrap_or(0), Ordering::Relaxed);
 }
 
-/// Number of tenant-generation workers the next epoch may spawn; zero
-/// selects the serial front end. Results are bit-identical for every
-/// answer by construction (the merge thread replays windows in canonical
-/// order), so — like [`flush_workers`] — this knob only moves wall clock.
+/// Number of tenant-generation workers the next epoch spawns; zero runs
+/// the front end inline. Results are bit-identical for every answer by
+/// construction (the merge thread replays windows in canonical order), so
+/// — like [`flush_workers`] — this knob only moves wall clock.
 #[inline]
 pub fn gen_workers() -> usize {
-    match MODE_GEN.load(Ordering::Relaxed) {
-        MODE_AUTO => {
-            let total = total_slots();
-            let used = SLOTS_USED.load(Ordering::Relaxed).max(1);
-            total.saturating_sub(used).min(AUTO_GEN_CAP) as usize
-        }
-        n => n as usize,
-    }
+    GEN_WORKERS.load(Ordering::Relaxed) as usize
 }
 
 /// Declares the process-wide worker-slot total shared by inter-job and
@@ -289,35 +253,32 @@ mod tests {
     // before returning; other tests in this crate rely on the default.
     #[test]
     fn modes_round_trip() {
-        set_slice_workers(Some(0));
-        assert!(!batching_enabled());
         set_slice_workers(Some(4));
-        assert!(batching_enabled());
         assert_eq!(flush_workers(), 4);
         set_slice_workers(Some(1));
         assert_eq!(flush_workers(), 1);
+        set_slice_workers(Some(0));
+        assert_eq!(flush_workers(), 1, "zero workers still resolve inline");
         set_slice_workers(None);
         assert!(flush_workers() >= 1);
-        // Auto always batches; only the worker count adapts to the budget.
-        assert!(batching_enabled());
     }
 
     #[test]
     fn gen_modes_round_trip() {
-        set_gen_workers(Some(0));
-        assert_eq!(gen_workers(), 0);
         set_gen_workers(Some(3));
         assert_eq!(gen_workers(), 3);
-        set_gen_workers(None);
-        // Auto spends only leftover slots; with the whole budget claimed
-        // it falls back to the serial front end.
-        set_worker_slots(2);
-        acquire_slot();
-        acquire_slot();
+        set_gen_workers(Some(0));
         assert_eq!(gen_workers(), 0);
-        release_slot();
-        assert_eq!(gen_workers(), 1);
-        release_slot();
+        // The default runs the front end inline whatever the slot budget
+        // holds: spare cores never switch on generation workers.
+        set_gen_workers(None);
+        for total in [0, 1, 2, 8] {
+            set_worker_slots(total);
+            assert_eq!(gen_workers(), 0, "{total} slots, none claimed");
+            acquire_slot();
+            assert_eq!(gen_workers(), 0, "{total} slots, one claimed");
+            release_slot();
+        }
         set_worker_slots(0);
     }
 

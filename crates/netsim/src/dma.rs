@@ -3,19 +3,22 @@
 
 use crate::ring::{PacketSlot, RxRing, TxRing};
 use crate::traffic::PacketBatch;
-use iat_cachesim::{MemoryHierarchy, WayMask, LINE_BYTES};
+use iat_cachesim::LINE_BYTES;
 
 /// Per-device DMA statistics and transfer logic.
 ///
 /// Receive: for each inbound packet the engine claims a ring slot and
-/// DMA-writes the descriptor line plus every payload line through
-/// [`MemoryHierarchy::io_write`] — i.e. through DDIO, performing write
-/// update or write allocate exactly as the paper describes. A full ring
-/// drops the packet *without* touching the cache (the NIC discards it at
-/// the MAC).
+/// DMA-writes the descriptor line plus every payload line through DDIO,
+/// where the LLC performs write update or write allocate exactly as the
+/// paper describes. A full ring drops the packet *without* touching the
+/// cache (the NIC discards it at the MAC).
 ///
-/// Transmit: the device pops the Tx ring and reads descriptor + payload
-/// through [`MemoryHierarchy::io_read`], which never allocates.
+/// Transmit: the device pops the Tx ring and reads descriptor + payload,
+/// which never allocates.
+///
+/// The engine is cache-agnostic: it owns ring bookkeeping and counters
+/// and hands every line address to a caller-supplied sink, so one routine
+/// per direction serves every way of resolving the accesses.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DmaEngine {
     /// Packets successfully DMA-written into an Rx ring.
@@ -36,88 +39,21 @@ impl DmaEngine {
         Self::default()
     }
 
-    /// Receives one packet: claims a slot in `ring` and writes it through
-    /// DDIO with the current `ddio` way mask. Returns `false` on drop.
-    pub fn rx_one(
-        &mut self,
-        hierarchy: &mut MemoryHierarchy,
-        ddio: WayMask,
-        ring: &mut RxRing,
-        slot: PacketSlot,
-    ) -> bool {
-        let Some(idx) = ring.push(slot) else {
-            self.rx_dropped += 1;
-            return false;
-        };
-        // Descriptor write-back (one line) ...
-        hierarchy.io_write(ddio, ring.desc_addr(idx));
-        self.lines_written += 1;
-        // ... then the payload, line by line.
-        let base = ring.buf_addr(idx);
-        for l in 0..slot.payload_lines() {
-            hierarchy.io_write(ddio, base + l * LINE_BYTES);
-            self.lines_written += 1;
-        }
-        self.rx_packets += 1;
-        true
-    }
-
-    /// Receives a whole generated batch into `ring`; returns how many
-    /// packets were accepted (the rest were dropped).
+    /// Receives a generated batch into `ring`: claims one slot per packet
+    /// and emits its DDIO line writes (the descriptor line, then every
+    /// payload line) to `write`, in delivery order. A dropped packet emits
+    /// nothing. Returns how many packets were accepted.
+    ///
+    /// Ring claims and drop decisions depend only on ring occupancy, never
+    /// on cache outcomes, so the caller decides how the writes resolve:
+    /// the epoch loop enqueues them into the hierarchy's batched pipeline,
+    /// a generation worker collects them for the merge thread, and tests
+    /// apply them one at a time through `MemoryHierarchy::io_write`.
     pub fn rx_batch(
         &mut self,
-        hierarchy: &mut MemoryHierarchy,
-        ddio: WayMask,
         ring: &mut RxRing,
         batch: &PacketBatch,
-    ) -> usize {
-        if !iat_cachesim::config::batching_enabled() {
-            let mut accepted = 0;
-            for &flow in &batch.flows {
-                if self.rx_one(hierarchy, ddio, ring, PacketSlot::new(flow, batch.size)) {
-                    accepted += 1;
-                }
-            }
-            return accepted;
-        }
-        // Batched path: ring claims and drop decisions depend only on ring
-        // occupancy, never on cache outcomes, so the whole burst's DDIO
-        // line writes enqueue up front and resolve in one slice-bucketed
-        // flush — bit-identical to line-at-a-time delivery.
-        let mut accepted = 0;
-        for &flow in &batch.flows {
-            let slot = PacketSlot::new(flow, batch.size);
-            let Some(idx) = ring.push(slot) else {
-                self.rx_dropped += 1;
-                continue;
-            };
-            hierarchy.batch_io_write(ddio, ring.desc_addr(idx));
-            self.lines_written += 1;
-            let base = ring.buf_addr(idx);
-            for l in 0..slot.payload_lines() {
-                hierarchy.batch_io_write(ddio, base + l * LINE_BYTES);
-                self.lines_written += 1;
-            }
-            self.rx_packets += 1;
-            accepted += 1;
-        }
-        hierarchy.batch_flush();
-        accepted
-    }
-
-    /// Plan-building variant of [`DmaEngine::rx_batch`] for the sharded
-    /// front end: performs the same ring claims, drop decisions and
-    /// counter updates — all of which depend only on ring occupancy,
-    /// never on cache outcomes — but appends the DDIO line addresses to
-    /// `writes` (descriptor first, then payload lines, per packet)
-    /// instead of touching the hierarchy. The merge thread replays the
-    /// plan through `batch_io_write` in this exact order, so the cache
-    /// sees the identical access stream.
-    pub fn rx_batch_plan(
-        &mut self,
-        ring: &mut RxRing,
-        batch: &PacketBatch,
-        writes: &mut Vec<u64>,
+        mut write: impl FnMut(u64),
     ) -> usize {
         let mut accepted = 0;
         for &flow in &batch.flows {
@@ -126,74 +62,32 @@ impl DmaEngine {
                 self.rx_dropped += 1;
                 continue;
             };
-            writes.push(ring.desc_addr(idx));
-            self.lines_written += 1;
+            write(ring.desc_addr(idx));
             let base = ring.buf_addr(idx);
             for l in 0..slot.payload_lines() {
-                writes.push(base + l * LINE_BYTES);
-                self.lines_written += 1;
+                write(base + l * LINE_BYTES);
             }
+            self.lines_written += 1 + slot.payload_lines();
             self.rx_packets += 1;
             accepted += 1;
         }
         accepted
     }
 
-    /// Plan-building variant of [`DmaEngine::tx_drain`]: pops the ring
-    /// and updates counters exactly as the direct path, appending the
-    /// descriptor/payload line addresses to `reads` for the merge thread
-    /// to replay through `batch_io_read`.
-    pub fn tx_drain_plan(&mut self, ring: &mut TxRing, max: usize, reads: &mut Vec<u64>) -> usize {
-        let mut sent = 0;
-        while sent < max {
-            let Some((idx, slot)) = ring.pop() else { break };
-            reads.push(ring.desc_addr(idx));
-            self.lines_read += 1;
-            let base = slot.ext_buf.unwrap_or_else(|| ring.buf_addr(idx));
-            for l in 0..slot.payload_lines() {
-                reads.push(base + l * LINE_BYTES);
-                self.lines_read += 1;
-            }
-            self.tx_packets += 1;
-            sent += 1;
-        }
-        sent
-    }
-
-    /// Device side of transmit: drains up to `max` packets from `ring`,
-    /// reading each descriptor and payload line (no allocation).
+    /// Device side of transmit: drains `ring`, emitting each packet's
+    /// descriptor and payload line reads to `read` in drain order.
     /// Returns the number of packets sent.
-    pub fn tx_drain(
-        &mut self,
-        hierarchy: &mut MemoryHierarchy,
-        ring: &mut TxRing,
-        max: usize,
-    ) -> usize {
-        let batching = iat_cachesim::config::batching_enabled();
+    pub fn tx_drain(&mut self, ring: &mut TxRing, mut read: impl FnMut(u64)) -> usize {
         let mut sent = 0;
-        while sent < max {
-            let Some((idx, slot)) = ring.pop() else { break };
-            let desc = ring.desc_addr(idx);
-            if batching {
-                hierarchy.batch_io_read(desc);
-            } else {
-                hierarchy.io_read(desc);
-            }
-            self.lines_read += 1;
+        while let Some((idx, slot)) = ring.pop() {
+            read(ring.desc_addr(idx));
             let base = slot.ext_buf.unwrap_or_else(|| ring.buf_addr(idx));
             for l in 0..slot.payload_lines() {
-                if batching {
-                    hierarchy.batch_io_read(base + l * LINE_BYTES);
-                } else {
-                    hierarchy.io_read(base + l * LINE_BYTES);
-                }
-                self.lines_read += 1;
+                read(base + l * LINE_BYTES);
             }
+            self.lines_read += 1 + slot.payload_lines();
             self.tx_packets += 1;
             sent += 1;
-        }
-        if batching {
-            hierarchy.batch_flush();
         }
         sent
     }
@@ -203,6 +97,21 @@ impl DmaEngine {
 mod tests {
     use super::*;
     use crate::FlowId;
+    use iat_cachesim::{MemoryHierarchy, WayMask};
+
+    /// Delivers one packet, applying its line writes access-at-a-time.
+    fn deliver_one(
+        dma: &mut DmaEngine,
+        h: &mut MemoryHierarchy,
+        ddio: WayMask,
+        ring: &mut RxRing,
+        size: u32,
+    ) -> bool {
+        let batch = PacketBatch { flows: vec![FlowId(0)], size };
+        dma.rx_batch(ring, &batch, |a| {
+            h.io_write(ddio, a);
+        }) == 1
+    }
 
     #[test]
     fn rx_writes_descriptor_and_payload_lines() {
@@ -210,7 +119,7 @@ mod tests {
         let mut ring = RxRing::new(0x10_0000, 8, 2048);
         let mut dma = DmaEngine::new();
         let ddio = WayMask::contiguous(2, 2).unwrap();
-        assert!(dma.rx_one(&mut h, ddio, &mut ring, PacketSlot::new(FlowId(0), 1500)));
+        assert!(deliver_one(&mut dma, &mut h, ddio, &mut ring, 1500));
         // 1 descriptor + 24 payload lines.
         assert_eq!(dma.lines_written, 25);
         let st = h.llc().stats();
@@ -223,9 +132,9 @@ mod tests {
         let mut ring = RxRing::new(0x10_0000, 1, 2048);
         let mut dma = DmaEngine::new();
         let ddio = WayMask::single(3);
-        assert!(dma.rx_one(&mut h, ddio, &mut ring, PacketSlot::new(FlowId(0), 64)));
+        assert!(deliver_one(&mut dma, &mut h, ddio, &mut ring, 64));
         let lines_before = dma.lines_written;
-        assert!(!dma.rx_one(&mut h, ddio, &mut ring, PacketSlot::new(FlowId(0), 64)));
+        assert!(!deliver_one(&mut dma, &mut h, ddio, &mut ring, 64));
         assert_eq!(dma.lines_written, lines_before);
         assert_eq!(dma.rx_dropped, 1);
         assert_eq!(ring.drops(), 1);
@@ -240,12 +149,12 @@ mod tests {
         // Fill, drain, refill: the second round reuses the same buffer
         // addresses, so (with an undisturbed cache) it write-updates.
         for _ in 0..2 {
-            dma.rx_one(&mut h, ddio, &mut ring, PacketSlot::new(FlowId(0), 64));
+            deliver_one(&mut dma, &mut h, ddio, &mut ring, 64);
         }
         ring.pop();
         ring.pop();
         let hits_before = h.llc().stats().ddio_hits();
-        dma.rx_one(&mut h, ddio, &mut ring, PacketSlot::new(FlowId(0), 64));
+        deliver_one(&mut dma, &mut h, ddio, &mut ring, 64);
         assert!(h.llc().stats().ddio_hits() > hits_before);
     }
 
@@ -256,7 +165,9 @@ mod tests {
         let mut dma = DmaEngine::new();
         tx.push(PacketSlot::new(FlowId(1), 128)).unwrap();
         tx.push(PacketSlot::new(FlowId(2), 128)).unwrap();
-        let sent = dma.tx_drain(&mut h, &mut tx, 10);
+        let sent = dma.tx_drain(&mut tx, |a| {
+            h.io_read(a);
+        });
         assert_eq!(sent, 2);
         assert_eq!(dma.tx_packets, 2);
         // 2 packets x (1 desc + 2 payload lines).
@@ -267,12 +178,16 @@ mod tests {
 
     #[test]
     fn batch_rx_counts_accepted() {
-        let mut h = MemoryHierarchy::tiny(1);
         let mut ring = RxRing::new(0, 4, 2048);
         let mut dma = DmaEngine::new();
         let batch = PacketBatch { flows: vec![FlowId(0); 6], size: 64 };
-        let accepted = dma.rx_batch(&mut h, WayMask::single(0), &mut ring, &batch);
+        let mut writes = Vec::new();
+        let accepted = dma.rx_batch(&mut ring, &batch, |a| writes.push(a));
         assert_eq!(accepted, 4);
         assert_eq!(dma.rx_dropped, 2);
+        // Descriptor then payload per accepted packet, nothing for drops.
+        assert_eq!(writes.len(), 8);
+        assert_eq!(writes[0], ring.desc_addr(0));
+        assert_eq!(writes[1], ring.buf_addr(0));
     }
 }

@@ -161,12 +161,12 @@ mod tests {
         let mut nic = Nic::new(0, 2, 1, 2048);
         let mut h = iat_cachesim::MemoryHierarchy::tiny(1);
         let ddio = iat_cachesim::WayMask::single(0);
-        let vf0 = VfId(0);
-        let slot = crate::PacketSlot::new(crate::FlowId(0), 64);
-        let vf = nic.vf_mut(vf0);
-        vf.dma.rx_one(&mut h, ddio, &mut vf.rx, slot);
-        let vf = nic.vf_mut(vf0);
-        vf.dma.rx_one(&mut h, ddio, &mut vf.rx, slot); // full -> drop
+        // Two packets into a one-slot ring: the second drops.
+        let batch = crate::PacketBatch { flows: vec![crate::FlowId(0); 2], size: 64 };
+        let vf = nic.vf_mut(VfId(0));
+        vf.dma.rx_batch(&mut vf.rx, &batch, |a| {
+            h.io_write(ddio, a);
+        });
         assert_eq!(nic.total_rx_drops(), 1);
         assert_eq!(nic.total_rx_packets(), 1);
         assert_eq!(nic.vf(VfId(1)).dma.rx_packets, 0);

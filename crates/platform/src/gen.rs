@@ -1,61 +1,66 @@
-//! Tenant-parallel front end: deterministic agent-sharded access
-//! generation.
+//! The tenant front end: per chunk, every tenant's traffic is delivered
+//! into its Rx rings, its cores execute, and its Tx rings drain.
 //!
-//! The serial epoch body interleaves, per chunk, three phases in
-//! canonical tenant order: inbound DMA (phase 1), core execution
-//! (phase 2), Tx drain (phase 3). Everything a tenant *generates* in
-//! those phases — traffic batches, ring claims, workload address
-//! streams, window boundaries — depends only on that tenant's private
-//! state plus the cycle costs of its own earlier windows; only the
-//! *resolution* of accesses against the shared hierarchy couples
-//! tenants. So the front end shards: tenants are grouped into
-//! contiguous *shards* (tenants sharing an inter-workload channel never
-//! split), a pool of generation workers runs the shards' front ends,
-//! and the calling thread becomes the *merge* thread, owning the
-//! hierarchy and replaying every shard's plans and windows strictly in
-//! canonical tenant order.
+//! The front end is written once, as three phases in canonical tenant
+//! order — [`deliver`] (traffic generation and Rx ring claims),
+//! [`execute`] (core slices through [`ExecCtx`]) and [`drain`] (Tx
+//! pops) — generic over a [`FrontPort`] that decides where the hierarchy
+//! traffic they generate goes. Two adapters exist:
+//!
+//! * **Inline** (the default, and the reference): DDIO writes and device
+//!   reads enqueue straight into the hierarchy's batched pipeline, core
+//!   windows resolve through [`CacheBackend::Direct`], and finished
+//!   slices retire into the counter bank, all on the calling thread.
+//! * **Lane** (an explicit `--gen-workers N >= 1`): tenants are grouped
+//!   into contiguous *shards* (tenants sharing an inter-workload channel
+//!   never split), a pool of generation workers runs the shards' front
+//!   ends, and the calling thread becomes the *merge* thread, owning the
+//!   hierarchy and replaying every shard's plans and windows strictly in
+//!   canonical tenant order.
+//!
+//! Sharding is sound because everything a tenant *generates* — traffic
+//! batches, ring claims, workload address streams, window boundaries —
+//! depends only on that tenant's private state plus the cycle costs of
+//! its own earlier windows; only the *resolution* of accesses against
+//! the shared hierarchy couples tenants.
 //!
 //! ## The interleave-order contract (bit-identity by construction)
 //!
-//! The merge thread issues hierarchy operations in exactly the order
-//! the serial body would have:
+//! Both adapters issue hierarchy operations in the same order:
 //!
-//! 1. Per chunk, each shard's phase-1 DDIO writes apply in shard order
-//!    (ring decisions were taken worker-side and depend only on ring
-//!    occupancy, never on cache outcomes), then one flush — the
-//!    re-grouping of the serial per-port flushes is covered by the
-//!    batch pipeline's flush-boundary invariance.
-//! 2. Phase-2 windows resolve shard by shard; within a shard the
-//!    worker emits them in canonical (tenant, core, window) order, and
-//!    blocks on each window's costs before cutting the next — the
+//! 1. Per chunk, every tenant's DDIO line writes in tenant order (ring
+//!    decisions depend only on ring occupancy, never on cache
+//!    outcomes), then one flush.
+//! 2. Core windows in canonical (tenant, core, window) order. A lane
+//!    worker blocks on each window's costs before cutting the next — the
 //!    certain-bound-or-flush contract makes window content independent
 //!    of other tenants, while boundaries wait for costs. Phase
-//!    observation replays here, on the merge thread, in the same
-//!    order, so sampled-mode schedules are unchanged.
-//! 3. Phase-3 device reads apply in shard order, then one flush.
+//!    observation follows the same order (inline in `Direct`, replayed
+//!    on the merge thread for lanes), so sampled-mode schedules agree.
+//! 3. Every tenant's device reads in tenant order, then one flush.
 //!
-//! A worker sends the phase-1 plans of *all* its shards before running
-//! any phase 2 (a shard's phase-1 state is private and independent of
-//! phase 2), so the merge thread can always collect every phase-1 plan
-//! without deadlock; a shard's phase-3 plan is sent right after its own
-//! phase 2 (its Tx rings are final then — later shards cannot touch
-//! them), though the merge thread applies it only after every shard's
-//! windows resolved.
+//! A lane worker sends the phase-1 plans of *all* its shards before
+//! running any phase 2 (a shard's phase-1 state is private and
+//! independent of phase 2), so the merge thread can always collect every
+//! phase-1 plan without deadlock; a shard's phase-3 plan is sent right
+//! after its own phase 2 (its Tx rings are final then — later shards
+//! cannot touch them), though the merge thread applies it only after
+//! every shard's windows resolved.
 //!
-//! Workers are spawned per epoch from [`iat_cachesim::config::gen_workers`]'s
-//! answer and hold worker-budget slots for the epoch, so auto-mode
-//! flush workers on the merge thread never oversubscribe the machine
-//! (DESIGN.md §6.4).
+//! Lane workers are spawned per epoch from
+//! [`iat_cachesim::config::gen_workers`]'s answer and hold worker-budget
+//! slots for the epoch, so auto-mode flush workers on the merge thread
+//! never oversubscribe the machine (DESIGN.md §6.4).
 
 use crate::tenant::Tenant;
 use iat_cachesim::{config, LatencyModel, MemoryHierarchy, WayMask};
 use iat_perf::CounterBank;
 use iat_workloads::gen::{GenLane, GenMsg, GenReply};
-use iat_workloads::{phase, CacheBackend, Channels, ExecCtx};
+use iat_workloads::{phase, CacheBackend, ChannelId, Channels, ExecCtx, ExecResult};
 use std::ops::Range;
 use std::sync::mpsc::{channel, Receiver, Sender};
 
-/// Per-epoch constants the workers and the merge loop share.
+/// Per-epoch constants the front end shares.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct EpochParams {
     /// Sub-slices of the epoch.
@@ -69,6 +74,176 @@ pub(crate) struct EpochParams {
     pub measured: bool,
     /// The DDIO way mask (constant within an epoch).
     pub ddio: WayMask,
+}
+
+/// Where the front end sends what it generates.
+trait FrontPort {
+    /// One inbound DDIO line write ([`deliver`]).
+    fn io_write(&mut self, addr: u64);
+    /// One device line read ([`drain`]).
+    fn io_read(&mut self, addr: u64);
+    /// The backend a core slice resolves its accesses through
+    /// ([`execute`]).
+    fn cache(&mut self) -> CacheBackend<'_>;
+    /// Retires one finished core slice.
+    fn retire(&mut self, core: usize, result: ExecResult);
+}
+
+/// Delivers one chunk of every tenant's traffic: generates it, claims Rx
+/// ring slots and emits the DDIO line writes to `port`. Returns
+/// `(packets_delivered, packets_dropped)`.
+fn deliver(tenants: &mut [Tenant], p: &EpochParams, port: &mut impl FrontPort) -> (u64, u64) {
+    let mut delivered = 0u64;
+    let mut dropped = 0u64;
+    for t in tenants.iter_mut() {
+        for b in &mut t.bindings {
+            let batch = b.gen.generate(p.dt);
+            let vfs = t.workload.ports_mut();
+            assert!(b.port < vfs.len(), "binding port out of range");
+            let vf = &mut vfs[b.port];
+            let before_drops = vf.dma.rx_dropped;
+            delivered += vf.dma.rx_batch(&mut vf.rx, &batch, |a| port.io_write(a)) as u64;
+            dropped += vf.dma.rx_dropped - before_drops;
+            if !p.measured {
+                // Warmup delivery must not inflate cumulative drop
+                // counters (they extrapolate from measured epochs only);
+                // the ring state itself keeps the warmed backlog.
+                vf.dma.rx_dropped = before_drops;
+            }
+        }
+    }
+    (delivered, dropped)
+}
+
+/// Runs every core of every tenant for one chunk's budget, in canonical
+/// (tenant, core) order. Cores never halt (busy polling / continuous
+/// compute), so the full budget elapses as cycles.
+fn execute(
+    tenants: &mut [Tenant],
+    masks: &[WayMask],
+    channels: &mut Channels,
+    budget: u64,
+    port: &mut impl FrontPort,
+) {
+    for (t, &mask) in tenants.iter_mut().zip(masks) {
+        for &core in &t.cores {
+            let mut ctx = ExecCtx {
+                cache: port.cache(),
+                channels: &mut *channels,
+                core,
+                agent: t.agent,
+                mask,
+                cycle_budget: budget,
+            };
+            let result = t.workload.run(&mut ctx);
+            port.retire(core, result);
+        }
+    }
+}
+
+/// Drains every tenant's Tx rings, emitting the device reads to `port`.
+fn drain(tenants: &mut [Tenant], port: &mut impl FrontPort) {
+    for t in tenants.iter_mut() {
+        for vf in t.workload.ports_mut() {
+            vf.dma.tx_drain(&mut vf.tx, |a| port.io_read(a));
+        }
+    }
+}
+
+/// The inline adapter: every phase resolves on the calling thread.
+struct Inline<'a> {
+    hierarchy: &'a mut MemoryHierarchy,
+    bank: &'a mut CounterBank,
+    p: EpochParams,
+}
+
+impl FrontPort for Inline<'_> {
+    fn io_write(&mut self, addr: u64) {
+        self.hierarchy.batch_io_write(self.p.ddio, addr);
+    }
+
+    fn io_read(&mut self, addr: u64) {
+        self.hierarchy.batch_io_read(addr);
+    }
+
+    fn cache(&mut self) -> CacheBackend<'_> {
+        CacheBackend::Direct(self.hierarchy)
+    }
+
+    fn retire(&mut self, core: usize, result: ExecResult) {
+        if self.p.measured {
+            self.bank.retire(core, result.instructions, self.p.budget);
+        }
+    }
+}
+
+/// The lane adapter's worker side: DDIO writes and device reads collect
+/// into the chunk's plans, windows and finished slices travel to the
+/// merge thread over the lane.
+struct LanePort {
+    lane: GenLane,
+    writes: Vec<u64>,
+    reads: Vec<u64>,
+}
+
+impl FrontPort for LanePort {
+    fn io_write(&mut self, addr: u64) {
+        self.writes.push(addr);
+    }
+
+    fn io_read(&mut self, addr: u64) {
+        self.reads.push(addr);
+    }
+
+    fn cache(&mut self) -> CacheBackend<'_> {
+        CacheBackend::Sharded(&mut self.lane)
+    }
+
+    fn retire(&mut self, core: usize, result: ExecResult) {
+        self.lane.send(GenMsg::SliceDone { core, result });
+    }
+}
+
+/// Executes one epoch's tenant front end: inline unless generation
+/// workers were granted. Returns `(packets_delivered, packets_dropped)`.
+pub(crate) fn exec_epoch(
+    p: EpochParams,
+    hierarchy: &mut MemoryHierarchy,
+    bank: &mut CounterBank,
+    channels: &mut Channels,
+    tenants: &mut [Tenant],
+    masks: &[WayMask],
+) -> (u64, u64) {
+    let workers = config::gen_workers();
+    if workers == 0 || tenants.is_empty() {
+        return exec_inline(p, hierarchy, bank, channels, tenants, masks);
+    }
+    exec_sharded(workers, p, hierarchy, bank, channels, tenants, masks)
+}
+
+/// Executes one epoch through the inline adapter; one flush closes each
+/// of the deliver and drain phases (windows flush themselves).
+fn exec_inline(
+    p: EpochParams,
+    hierarchy: &mut MemoryHierarchy,
+    bank: &mut CounterBank,
+    channels: &mut Channels,
+    tenants: &mut [Tenant],
+    masks: &[WayMask],
+) -> (u64, u64) {
+    let mut port = Inline { hierarchy, bank, p };
+    let mut delivered = 0u64;
+    let mut dropped = 0u64;
+    for _ in 0..p.chunks {
+        let (d, dr) = deliver(tenants, &p, &mut port);
+        delivered += d;
+        dropped += dr;
+        port.hierarchy.batch_flush();
+        execute(tenants, masks, channels, p.budget, &mut port);
+        drain(tenants, &mut port);
+        port.hierarchy.batch_flush();
+    }
+    (delivered, dropped)
 }
 
 /// Splits `tenants` into maximal contiguous ranges that never separate
@@ -100,94 +275,46 @@ pub(crate) fn shard_ranges(tenants: &[Tenant]) -> Vec<Range<usize>> {
 }
 
 /// One shard's worker-side state: the tenants (moved in by mutable
-/// borrow), their CAT masks, the lent channel subset, and the lane to
-/// the merge thread.
+/// borrow), their CAT masks, and the lent channel subset.
 struct Shard<'a> {
     tenants: &'a mut [Tenant],
     masks: &'a [WayMask],
     channels: Channels,
-    chan_ids: Vec<iat_workloads::ChannelId>,
+    chan_ids: Vec<ChannelId>,
 }
 
-/// Builds the phase-1 DMA plan for one shard chunk: generates traffic,
-/// claims ring slots, restores warm-mode drop counters — everything the
-/// serial body did except touching the hierarchy, whose line writes are
-/// collected into `writes` in delivery order.
-fn phase1_plan(shard: &mut Shard<'_>, p: &EpochParams, writes: &mut Vec<u64>) -> (u64, u64) {
-    let mut delivered = 0u64;
-    let mut dropped = 0u64;
-    for t in shard.tenants.iter_mut() {
-        for b in &mut t.bindings {
-            let batch = b.gen.generate(p.dt);
-            let ports = t.workload.ports_mut();
-            assert!(b.port < ports.len(), "binding port out of range");
-            let port = &mut ports[b.port];
-            let before_drops = port.dma.rx_dropped;
-            let accepted = port.dma.rx_batch_plan(&mut port.rx, &batch, writes) as u64;
-            delivered += accepted;
-            dropped += port.dma.rx_dropped - before_drops;
-            if !p.measured {
-                // Warmup delivery must not inflate cumulative drop
-                // counters (mirrors the serial body).
-                port.dma.rx_dropped = before_drops;
-            }
-        }
-    }
-    (delivered, dropped)
-}
-
-/// Runs one worker: the front ends of `shards`, each wired to the merge
-/// thread through its own lane. Returns the lent channel subsets for
-/// the caller to restore.
-fn run_worker(mut shards: Vec<(Shard<'_>, GenLane)>, p: EpochParams) -> Vec<(Vec<iat_workloads::ChannelId>, Channels)> {
+/// Runs one lane worker: the front ends of `shards`, each wired to the
+/// merge thread through its own lane. Returns the lent channel subsets
+/// for the caller to restore.
+fn run_worker(mut shards: Vec<(Shard<'_>, LanePort)>, p: EpochParams) -> Vec<(Vec<ChannelId>, Channels)> {
     for _ in 0..p.chunks {
         // Phase-1 plans for *every* owned shard go out before any
         // phase 2, so the merge thread can collect all plans while this
         // worker ping-pongs windows of an earlier shard.
-        for (shard, lane) in shards.iter_mut() {
-            let mut writes = Vec::new();
-            let (delivered, dropped) = phase1_plan(shard, &p, &mut writes);
-            lane.send(GenMsg::Phase1 { writes, delivered, dropped });
+        for (shard, port) in shards.iter_mut() {
+            let (delivered, dropped) = deliver(shard.tenants, &p, port);
+            let writes = std::mem::take(&mut port.writes);
+            port.lane.send(GenMsg::Phase1 { writes, delivered, dropped });
         }
-        for (shard, lane) in shards.iter_mut() {
-            for ti in 0..shard.tenants.len() {
-                let t = &mut shard.tenants[ti];
-                let mask = shard.masks[ti];
-                for &core in &t.cores {
-                    let mut ctx = ExecCtx {
-                        cache: CacheBackend::Sharded(lane),
-                        channels: &mut shard.channels,
-                        core,
-                        agent: t.agent,
-                        mask,
-                        cycle_budget: p.budget,
-                    };
-                    let result = t.workload.run(&mut ctx);
-                    lane.send(GenMsg::SliceDone { core, result });
-                }
-            }
-            lane.send(GenMsg::Phase2Done);
+        for (shard, port) in shards.iter_mut() {
+            execute(shard.tenants, shard.masks, &mut shard.channels, p.budget, port);
+            port.lane.send(GenMsg::Phase2Done);
             // This shard's Tx rings are final: later shards cannot
             // touch them (channel co-sharding), so the phase-3 plan can
             // be cut now and applied by the merge thread after all
             // shards' windows.
-            let mut reads = Vec::new();
-            for t in shard.tenants.iter_mut() {
-                for port in t.workload.ports_mut() {
-                    port.dma.tx_drain_plan(&mut port.tx, usize::MAX, &mut reads);
-                }
-            }
-            lane.send(GenMsg::Phase3 { reads });
+            drain(shard.tenants, port);
+            let reads = std::mem::take(&mut port.reads);
+            port.lane.send(GenMsg::Phase3 { reads });
         }
     }
     shards.into_iter().map(|(s, _)| (s.chan_ids, s.channels)).collect()
 }
 
-/// Executes one epoch with `workers` generation workers, bit-identical
-/// to the serial epoch body. Returns `(packets_delivered,
-/// packets_dropped)`.
+/// Executes one epoch with `workers` lane workers, bit-identical to the
+/// inline front end. Returns `(packets_delivered, packets_dropped)`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_epoch_sharded(
+fn exec_sharded(
     workers: usize,
     p: EpochParams,
     hierarchy: &mut MemoryHierarchy,
@@ -216,7 +343,7 @@ pub(crate) fn exec_epoch_sharded(
 
     // Carve the tenant and mask slices into per-shard pieces (ranges
     // are contiguous and in order) and group shards per worker.
-    let mut shards: Vec<(Shard<'_>, GenLane)> = Vec::with_capacity(ranges.len());
+    let mut shards: Vec<(Shard<'_>, LanePort)> = Vec::with_capacity(ranges.len());
     let mut rest_t = tenants;
     let mut rest_m = masks;
     let mut cursor = 0;
@@ -226,7 +353,7 @@ pub(crate) fn exec_epoch_sharded(
         rest_t = tail_t;
         rest_m = tail_m;
         cursor = range.end;
-        let mut chan_ids: Vec<iat_workloads::ChannelId> = Vec::new();
+        let mut chan_ids: Vec<ChannelId> = Vec::new();
         for t in head_t.iter() {
             chan_ids.extend(t.workload.channel_ids());
         }
@@ -235,14 +362,18 @@ pub(crate) fn exec_epoch_sharded(
         let shadow = channels.lend(&chan_ids);
         shards.push((
             Shard { tenants: head_t, masks: head_m, channels: shadow, chan_ids },
-            GenLane::new(mtx, rrx, accrue, latency),
+            LanePort {
+                lane: GenLane::new(mtx, rrx, accrue, latency),
+                writes: Vec::new(),
+                reads: Vec::new(),
+            },
         ));
     }
 
     // Deal shards to workers in contiguous runs so worker order equals
     // shard order (the merge loop's serving order).
     let per = shards.len().div_ceil(nworkers);
-    let mut worker_loads: Vec<Vec<(Shard<'_>, GenLane)>> = Vec::with_capacity(nworkers);
+    let mut worker_loads: Vec<Vec<(Shard<'_>, LanePort)>> = Vec::with_capacity(nworkers);
     let mut it = shards.into_iter();
     for _ in 0..nworkers {
         worker_loads.push(it.by_ref().take(per).collect());

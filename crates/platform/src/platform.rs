@@ -13,7 +13,7 @@ use iat_workloads::phase;
 use serde_json::json;
 use std::time::Instant;
 use iat_workloads::phase::PhaseBoundary;
-use iat_workloads::{Channels, ExecCtx, WorkloadMetrics};
+use iat_workloads::{Channels, WorkloadMetrics};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 
@@ -532,10 +532,11 @@ impl Platform {
 
     /// The epoch body: runs in [`PlatformConfig::chunks`] sub-slices, each
     /// delivering a fraction of the epoch's traffic, running every tenant
-    /// core for a fraction of its budget, then draining Tx rings. The
-    /// chunking interleaves producer (DMA) and consumer (core) at finer
-    /// than epoch granularity, so ring-depth effects (drops, backlog) are
-    /// governed by sustained rates rather than epoch-sized bursts.
+    /// core for a fraction of its budget, then draining Tx rings (the
+    /// tenant front end in the `gen` module). The chunking interleaves
+    /// producer (DMA) and consumer (core) at finer than epoch
+    /// granularity, so ring-depth effects (drops, backlog) are governed by
+    /// sustained rates rather than epoch-sized bursts.
     ///
     /// With `measured` false (a warmup epoch) the hardware counter bank
     /// does not retire, NIC drop counters are restored after delivery
@@ -543,101 +544,22 @@ impl Platform {
     /// advance.
     fn exec_epoch(&mut self, measured: bool) -> EpochReport {
         let chunks = self.config.chunks.max(1) as u64;
-        let dt = self.config.scaled_epoch_ns() / chunks;
-        let budget = self.config.cycle_budget() / chunks;
-
-        // Tenant-parallel front end: with generation workers granted,
-        // shard the per-tenant generation onto a worker pool and merge
-        // the resulting plans/windows here in canonical order —
-        // bit-identical to the serial body below by construction (see
-        // the `gen` module and DESIGN.md §6.4).
-        let workers = iat_cachesim::config::gen_workers();
-        if workers >= 1 && !self.tenants.is_empty() {
-            let params = crate::gen::EpochParams {
-                chunks,
-                dt,
-                budget,
-                measured,
-                ddio: self.rdt.ddio_mask(),
-            };
-            let masks: Vec<_> =
-                self.tenants.iter().map(|t| self.rdt.clos_mask(t.clos)).collect();
-            let (delivered, dropped) = crate::gen::exec_epoch_sharded(
-                workers,
-                params,
-                &mut self.hierarchy,
-                &mut self.bank,
-                &mut self.channels,
-                &mut self.tenants,
-                &masks,
-            );
-            if measured {
-                self.time_ns += self.config.epoch_ns;
-            }
-            return EpochReport {
-                time_ns: self.time_ns,
-                packets_delivered: delivered,
-                packets_dropped: dropped,
-            };
-        }
-
-        let mut delivered = 0u64;
-        let mut dropped = 0u64;
-
-        for _ in 0..chunks {
-            let ddio = self.rdt.ddio_mask();
-
-            // Phase 1: inbound DMA through DDIO.
-            for t in &mut self.tenants {
-                for b in &mut t.bindings {
-                    let batch = b.gen.generate(dt);
-                    let ports = t.workload.ports_mut();
-                    assert!(b.port < ports.len(), "binding port out of range");
-                    let port = &mut ports[b.port];
-                    let before_drops = port.dma.rx_dropped;
-                    let accepted =
-                        port.dma.rx_batch(&mut self.hierarchy, ddio, &mut port.rx, &batch) as u64;
-                    delivered += accepted;
-                    dropped += port.dma.rx_dropped - before_drops;
-                    if !measured {
-                        // Warmup delivery must not inflate cumulative
-                        // drop counters (they extrapolate from measured
-                        // epochs only); the ring state itself keeps the
-                        // warmed backlog.
-                        port.dma.rx_dropped = before_drops;
-                    }
-                }
-            }
-
-            // Phase 2: tenant cores execute.
-            for t in &mut self.tenants {
-                let mask = self.rdt.clos_mask(t.clos);
-                for &core in &t.cores {
-                    let mut ctx = ExecCtx {
-                        cache: (&mut self.hierarchy).into(),
-                        channels: &mut self.channels,
-                        core,
-                        agent: t.agent,
-                        mask,
-                        cycle_budget: budget,
-                    };
-                    let r = t.workload.run(&mut ctx);
-                    // Cores never halt (busy polling / continuous
-                    // compute): the full budget elapses as cycles.
-                    if measured {
-                        self.bank.retire(core, r.instructions, budget);
-                    }
-                }
-            }
-
-            // Phase 3: devices drain Tx rings.
-            for t in &mut self.tenants {
-                for port in t.workload.ports_mut() {
-                    port.dma.tx_drain(&mut self.hierarchy, &mut port.tx, usize::MAX);
-                }
-            }
-        }
-
+        let params = crate::gen::EpochParams {
+            chunks,
+            dt: self.config.scaled_epoch_ns() / chunks,
+            budget: self.config.cycle_budget() / chunks,
+            measured,
+            ddio: self.rdt.ddio_mask(),
+        };
+        let masks: Vec<_> = self.tenants.iter().map(|t| self.rdt.clos_mask(t.clos)).collect();
+        let (delivered, dropped) = crate::gen::exec_epoch(
+            params,
+            &mut self.hierarchy,
+            &mut self.bank,
+            &mut self.channels,
+            &mut self.tenants,
+            &masks,
+        );
         if measured {
             self.time_ns += self.config.epoch_ns;
         }

@@ -1,6 +1,6 @@
-//! Sharded front-end determinism: the tenant-parallel generation path
-//! (`--gen-workers N`) must be **bit-identical** to the serial oracle
-//! (`--gen-workers 0`) — same LLC state digest, same per-agent counters,
+//! Sharded front-end determinism: the lane adapter (`--gen-workers N`)
+//! must be **bit-identical** to the inline front end (the default,
+//! `--gen-workers 0`) — same LLC state digest, same per-agent counters,
 //! same memory traffic, same workload metrics, same epoch report — for
 //! any worker count, in both exact and sampled (warm→measure,
 //! checkpoint/repair) modes.

@@ -500,7 +500,7 @@ pub fn validate(doc: &Value) -> Result<(), String> {
         return Err("slice_workers must be null (auto) or a non-negative integer".into());
     }
     if !doc["gen_workers"].is_null() && doc["gen_workers"].as_u64().is_none() {
-        return Err("gen_workers must be null (auto) or a non-negative integer".into());
+        return Err("gen_workers must be null (inline) or a non-negative integer".into());
     }
     for key in ["jobs", "root_seed", "accesses", "skipped_epochs"] {
         if doc[key].as_u64().is_none() {
@@ -780,8 +780,8 @@ mod tests {
         let line = history_record(&doc);
         validate_history(&line).expect("history line with gen_workers must validate");
         assert_eq!(line["gen_workers"], 2);
-        let auto = bench_report(&out, &RunOptions::default(), "release");
-        assert!(auto["gen_workers"].is_null(), "auto policy records null");
+        let inline = bench_report(&out, &RunOptions::default(), "release");
+        assert!(inline["gen_workers"].is_null(), "default policy records null");
         assert!(validate(&with_field(&doc, "gen_workers", serde_json::json!(-1))).is_err());
         assert!(
             validate_history(&with_field(&line, "gen_workers", serde_json::json!("many")))

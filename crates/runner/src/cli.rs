@@ -1,5 +1,4 @@
-//! Argument parsing for the `repro` binary (and the per-figure alias
-//! binaries, which reuse the same engine with a fixed filter).
+//! Argument parsing for the `repro` binary.
 
 use crate::RunOptions;
 
@@ -54,17 +53,15 @@ OPTIONS:
     --jobs N     worker threads (default: min(cores, 8)); output is
                  byte-identical for every N
     --slice-workers N
-                 LLC batch pipeline policy: 0 = serial reference oracle,
-                 N >= 1 = batched with N slice workers per flush
-                 (default: auto — sized from the spare core budget);
-                 output is byte-identical for every setting
+                 slice workers per batched LLC flush, N >= 1 (default:
+                 auto — sized from the spare core budget); output is
+                 byte-identical for every setting
     --gen-workers N
-                 tenant-parallel front end: 0 = serial generation (the
-                 oracle), N >= 1 = shard tenants across N generation
-                 workers that pre-build traffic plans and access windows
-                 merged in canonical order (default: auto — sized from
-                 the spare core budget, 0 when --jobs consumes it);
-                 output is byte-identical for every setting
+                 tenant front end: 0 = inline on the job's thread (the
+                 default), N >= 1 = shard tenants across N generation
+                 workers whose traffic plans and access windows the
+                 job's thread merges in canonical order; output is
+                 byte-identical for every setting
     --only NAME  run one figure group (e.g. fig12) or a single job
                  (e.g. fig12/rocksdb); repeatable
     --sampled    phase-aware interval sampling: jobs that declared
@@ -113,21 +110,21 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String
             }
             "--slice-workers" => {
                 let v = it.next().ok_or("--slice-workers needs a value")?;
-                cli.opts.slice_workers = Some(
-                    v.parse::<u32>()
-                        .map_err(|_| format!("bad --slice-workers value {v:?}"))?,
-                );
+                cli.opts.slice_workers = Some(parse_workers(
+                    "--slice-workers",
+                    &v,
+                    1,
+                    "N >= 1 slice workers per flush; omit the flag for auto",
+                )?);
             }
             "--gen-workers" => {
                 let v = it.next().ok_or("--gen-workers needs a value")?;
-                cli.opts.gen_workers = if v == "auto" {
-                    None
-                } else {
-                    Some(
-                        v.parse::<u32>()
-                            .map_err(|_| format!("bad --gen-workers value {v:?}"))?,
-                    )
-                };
+                cli.opts.gen_workers = Some(parse_workers(
+                    "--gen-workers",
+                    &v,
+                    0,
+                    "0 = inline front end (the default), N >= 1 = N generation workers",
+                )?);
             }
             "--only" => {
                 cli.opts.only.push(it.next().ok_or("--only needs a value")?);
@@ -166,6 +163,16 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String
     Ok(cli)
 }
 
+/// Parses a worker-count value of `flag`, rejecting anything that is not
+/// an integer of at least `min` with a message naming the `accepted`
+/// values.
+fn parse_workers(flag: &str, v: &str, min: u32, accepted: &str) -> Result<u32, String> {
+    match v.parse::<u32>() {
+        Ok(n) if n >= min => Ok(n),
+        _ => Err(format!("bad {flag} value {v:?} (accepted: {accepted})")),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,15 +194,21 @@ mod tests {
         assert_eq!(cli.opts.root_seed, 7);
         assert!(cli.check && !cli.opts.smoke && !cli.list);
         assert_eq!(cli.opts.slice_workers, None, "default is auto");
+        assert_eq!(cli.opts.gen_workers, None, "default is inline");
     }
 
     #[test]
     fn parses_slice_workers() {
-        let cli = parse_args(["--slice-workers".to_owned(), "0".to_owned()]).unwrap();
-        assert_eq!(cli.opts.slice_workers, Some(0));
+        let cli = parse_args(["--slice-workers".to_owned(), "1".to_owned()]).unwrap();
+        assert_eq!(cli.opts.slice_workers, Some(1));
         let cli = parse_args(["--slice-workers".to_owned(), "4".to_owned()]).unwrap();
         assert_eq!(cli.opts.slice_workers, Some(4));
-        assert!(parse_args(["--slice-workers".to_owned(), "-1".to_owned()]).is_err());
+        // Out-of-range values are rejected with the accepted ones, never
+        // clamped.
+        for bad in ["0", "auto", "-1"] {
+            let err = parse_args(["--slice-workers".to_owned(), bad.to_owned()]).unwrap_err();
+            assert!(err.contains("N >= 1") && err.contains("auto"), "{bad}: {err}");
+        }
         assert!(parse_args(["--slice-workers".to_owned()]).is_err());
     }
 
@@ -205,10 +218,12 @@ mod tests {
         assert_eq!(cli.opts.gen_workers, Some(0));
         let cli = parse_args(["--gen-workers".to_owned(), "4".to_owned()]).unwrap();
         assert_eq!(cli.opts.gen_workers, Some(4));
-        let cli = parse_args(["--gen-workers".to_owned(), "auto".to_owned()]).unwrap();
-        assert_eq!(cli.opts.gen_workers, None);
-        assert_eq!(parse_args(Vec::new()).unwrap().opts.gen_workers, None, "default is auto");
-        assert!(parse_args(["--gen-workers".to_owned(), "-1".to_owned()]).is_err());
+        assert_eq!(parse_args(Vec::new()).unwrap().opts.gen_workers, None, "default is inline");
+        // There is no auto mode: `auto` is rejected with the accepted values.
+        for bad in ["auto", "-1", "two"] {
+            let err = parse_args(["--gen-workers".to_owned(), bad.to_owned()]).unwrap_err();
+            assert!(err.contains("0 = inline") && err.contains("N >= 1"), "{bad}: {err}");
+        }
         assert!(parse_args(["--gen-workers".to_owned()]).is_err());
     }
 

@@ -23,16 +23,15 @@ pub struct RunOptions {
     /// Root of the per-job seed derivation.
     pub root_seed: u64,
     /// LLC slice-worker policy forwarded to `iat_cachesim::config`:
-    /// `None` = auto, `Some(0)` = serial reference oracle, `Some(n)` =
-    /// batch with exactly `n` flush workers. Results are byte-identical
-    /// for every setting.
+    /// `None` = auto (sized from the spare worker-slot budget),
+    /// `Some(n)` = exactly `n` flush workers (`repro` accepts `n >= 1`;
+    /// `Some(0)` behaves as `Some(1)`). Results are byte-identical for
+    /// every setting.
     pub slice_workers: Option<u32>,
-    /// Tenant-parallel front-end policy forwarded to
-    /// `iat_cachesim::config`: `None` = auto (sized from the spare
-    /// worker-slot budget, 0 when `--jobs` consumes it), `Some(0)` =
-    /// serial generation (the oracle), `Some(n)` = shard tenants across
-    /// `n` generation workers per platform. Results are byte-identical
-    /// for every setting.
+    /// Tenant front-end policy forwarded to `iat_cachesim::config`:
+    /// `None` and `Some(0)` run the front end inline on the job's thread,
+    /// `Some(n)` shards tenants across `n` generation workers per
+    /// platform. Results are byte-identical for every setting.
     pub gen_workers: Option<u32>,
     /// Phase-aware interval sampling: jobs that declared eligibility
     /// ([`crate::JobSpec::sampled`]) run the sampled execution path.

@@ -1,9 +1,8 @@
 //! Prometheus text-exposition rendering for [`MetricsSnapshot`].
 //!
-//! This is the wire format a future long-running IAT daemon service
-//! (ROADMAP item 4) will serve from a `/metrics` endpoint; today the
-//! sweep writes it next to `BENCH_repro.json` so the same snapshot is
-//! scrapable offline.
+//! This is the wire format a long-running IAT daemon service would serve
+//! from a `/metrics` endpoint; today the sweep writes it next to
+//! `BENCH_repro.json` so the same snapshot is scrapable offline.
 //!
 //! Mapping from the registry's `subsystem.metric` names:
 //!

@@ -103,9 +103,8 @@ impl Channels {
 }
 
 /// Where a workload's accesses resolve: either the memory hierarchy
-/// itself (the serial front end and the merge thread) or a
-/// generation-worker lane that proxies windows to the merge thread and
-/// blocks for their costs.
+/// itself (the inline front end) or a generation-worker lane that
+/// proxies windows to the merge thread and blocks for their costs.
 ///
 /// Workloads are oblivious to the variant — both return the identical
 /// per-access cycle costs, and phase observation happens exactly once
@@ -248,14 +247,6 @@ impl ExecCtx<'_> {
     #[inline]
     pub fn accrue(&self) -> bool {
         !self.cache.stats_frozen()
-    }
-
-    /// Whether workloads should issue windows of accesses through the
-    /// batched slice pipeline (`--slice-workers 0` disables it, keeping the
-    /// access-at-a-time reference path).
-    #[inline]
-    pub fn batching(&self) -> bool {
-        iat_cachesim::config::batching_enabled()
     }
 
     /// Upper bound on the cycle cost of a single core access — the window

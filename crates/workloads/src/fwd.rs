@@ -80,51 +80,11 @@ impl Workload for TestPmd {
         let mut used = 0u64;
         let mut instructions = 0u64;
         let accrue = ctx.accrue();
-        if !ctx.batching() {
-            // Serial reference oracle (`--slice-workers 0`).
-            while used < ctx.cycle_budget {
-                let mut progress = false;
-                for p in 0..self.ports.len() {
-                    if used >= ctx.cycle_budget {
-                        break;
-                    }
-                    let port = &mut self.ports[p];
-                    let Some((idx, slot)) = port.rx.pop() else { continue };
-                    progress = true;
-                    let mut cost = TESTPMD_PKT_CYCLES;
-                    // Read the Rx descriptor and the packet header line.
-                    cost += ctx.read(port.rx.desc_addr(idx)) as u64;
-                    let buf = port.rx.buf_addr(idx);
-                    cost += ctx.read(buf) as u64;
-                    // Re-post zero-copy for Tx: write the Tx descriptor.
-                    let tx_slot = PacketSlot::with_ext_buf(slot.flow, slot.size, buf);
-                    let port = &mut self.ports[p];
-                    if let Some(tx_idx) = port.tx.push(tx_slot) {
-                        cost += ctx.write(port.tx.desc_addr(tx_idx)) as u64;
-                        if accrue {
-                            self.forwarded += 1;
-                        }
-                    }
-                    used += cost;
-                    instructions += TESTPMD_PKT_INSTR;
-                    if accrue {
-                        self.latency.record(cost);
-                    }
-                }
-                if !progress {
-                    let (i, c) = busy_poll(ctx.cycle_budget - used);
-                    instructions += i;
-                    used += c;
-                    break;
-                }
-            }
-            return ExecResult { instructions, cycles_used: used.min(ctx.cycle_budget) };
-        }
-        // Batched path: ring pops, Tx pushes and forward counts do not
-        // depend on access costs, so packets enqueue into the window until
-        // a budget decision is no longer certain from the upper bound; the
-        // flush then resolves pending accesses in one slice-bucketed batch
-        // and the exact (serial-identical) decision is taken. See
+        // Ring pops, Tx pushes and forward counts do not depend on access
+        // costs, so packets enqueue into the window until a budget
+        // decision is no longer certain from the upper bound; the flush
+        // then resolves pending accesses in one slice-bucketed batch and
+        // the exact decision of the access-at-a-time loop is taken. See
         // `window.rs` for the argument.
         let budget = ctx.cycle_budget;
         let max_access = ctx.max_access_cycles() as u64;
@@ -141,9 +101,10 @@ impl Workload for TestPmd {
                 if win.upper_bound(used, max_access) >= budget {
                     win.flush(ctx, &mut used, &mut self.latency);
                     if used >= budget {
-                        // The serial loop breaks the port scan here and its
-                        // outer `while` then exits (a mid-scan stop implies
-                        // a packet was processed, so `progress` was true).
+                        // The access-at-a-time loop breaks the port scan
+                        // here and its outer `while` then exits (a mid-scan
+                        // stop implies a packet was processed, so
+                        // `progress` was true).
                         break 'outer;
                     }
                 }
@@ -252,38 +213,9 @@ impl Workload for L3Fwd {
         let mut used = 0u64;
         let mut instructions = 0u64;
         let accrue = ctx.accrue();
-        if !ctx.batching() {
-            // Serial reference oracle (`--slice-workers 0`).
-            while used < ctx.cycle_budget {
-                let Some((idx, slot)) = self.vf.rx.pop() else {
-                    let (i, c) = busy_poll(ctx.cycle_budget - used);
-                    instructions += i;
-                    used += c;
-                    break;
-                };
-                let mut cost = L3FWD_PKT_CYCLES;
-                cost += ctx.read(self.vf.rx.desc_addr(idx)) as u64;
-                let buf = self.vf.rx.buf_addr(idx);
-                // Parse the header, look the flow up, rewrite the header.
-                cost += ctx.read(buf) as u64;
-                cost += ctx.read(self.table.entry_line(slot.flow.0 as u64, 0)) as u64;
-                cost += ctx.write(buf) as u64;
-                let tx_slot = PacketSlot::with_ext_buf(slot.flow, slot.size, buf);
-                if let Some(tx_idx) = self.vf.tx.push(tx_slot) {
-                    cost += ctx.write(self.vf.tx.desc_addr(tx_idx)) as u64;
-                    if accrue {
-                        self.forwarded += 1;
-                    }
-                }
-                used += cost;
-                instructions += L3FWD_PKT_INSTR;
-                if accrue {
-                    self.latency.record(cost);
-                }
-            }
-            return ExecResult { instructions, cycles_used: used.min(ctx.cycle_budget) };
-        }
-        // Batched path — same certain-bound-or-flush protocol as TestPmd.
+        // Same certain-bound-or-flush protocol as TestPmd: read the Rx
+        // descriptor and header, look the flow up, rewrite the header and
+        // post the Tx descriptor.
         let budget = ctx.cycle_budget;
         let max_access = ctx.max_access_cycles() as u64;
         let mut win = std::mem::take(&mut self.win);
@@ -353,7 +285,13 @@ mod tests {
         nic.vf_mut(VfId(0)).clone()
     }
 
-    fn run<W: Workload>(h: &mut MemoryHierarchy, w: &mut W, budget: u64) -> ExecResult {
+    /// Runs one slice of `step` on core 0 with a full mask.
+    fn run_with<W>(
+        h: &mut MemoryHierarchy,
+        w: &mut W,
+        budget: u64,
+        step: fn(&mut W, &mut ExecCtx<'_>) -> ExecResult,
+    ) -> ExecResult {
         let mut ch = Channels::new();
         let mut ctx = ExecCtx {
             cache: h.into(),
@@ -363,15 +301,95 @@ mod tests {
             mask: WayMask::all(4),
             cycle_budget: budget,
         };
-        w.run(&mut ctx)
+        step(w, &mut ctx)
+    }
+
+    fn run<W: Workload>(h: &mut MemoryHierarchy, w: &mut W, budget: u64) -> ExecResult {
+        run_with(h, w, budget, W::run)
     }
 
     fn deliver(h: &mut MemoryHierarchy, w: &mut dyn Workload, n: usize, size: u32) {
         let ddio = WayMask::contiguous(2, 2).unwrap();
-        let port = &mut w.ports_mut()[0];
-        for i in 0..n {
-            port.dma.rx_one(h, ddio, &mut port.rx, PacketSlot::new(FlowId(i as u32), size));
+        crate::deliver(h, ddio, &mut w.ports_mut()[0], (0..n as u32).map(FlowId), size);
+    }
+
+    /// Access-at-a-time reference loop of [`TestPmd::run`]: every access
+    /// resolves as it is issued, so each budget decision sees exact costs.
+    fn testpmd_reference(pmd: &mut TestPmd, ctx: &mut ExecCtx<'_>) -> ExecResult {
+        let mut used = 0u64;
+        let mut instructions = 0u64;
+        let accrue = ctx.accrue();
+        while used < ctx.cycle_budget {
+            let mut progress = false;
+            for p in 0..pmd.ports.len() {
+                if used >= ctx.cycle_budget {
+                    break;
+                }
+                let port = &mut pmd.ports[p];
+                let Some((idx, slot)) = port.rx.pop() else { continue };
+                progress = true;
+                let mut cost = TESTPMD_PKT_CYCLES;
+                // Read the Rx descriptor and the packet header line.
+                cost += ctx.read(port.rx.desc_addr(idx)) as u64;
+                let buf = port.rx.buf_addr(idx);
+                cost += ctx.read(buf) as u64;
+                // Re-post zero-copy for Tx: write the Tx descriptor.
+                let tx_slot = PacketSlot::with_ext_buf(slot.flow, slot.size, buf);
+                if let Some(tx_idx) = port.tx.push(tx_slot) {
+                    cost += ctx.write(port.tx.desc_addr(tx_idx)) as u64;
+                    if accrue {
+                        pmd.forwarded += 1;
+                    }
+                }
+                used += cost;
+                instructions += TESTPMD_PKT_INSTR;
+                if accrue {
+                    pmd.latency.record(cost);
+                }
+            }
+            if !progress {
+                let (i, c) = busy_poll(ctx.cycle_budget - used);
+                instructions += i;
+                used += c;
+                break;
+            }
         }
+        ExecResult { instructions, cycles_used: used.min(ctx.cycle_budget) }
+    }
+
+    /// Access-at-a-time reference loop of [`L3Fwd::run`].
+    fn l3fwd_reference(fwd: &mut L3Fwd, ctx: &mut ExecCtx<'_>) -> ExecResult {
+        let mut used = 0u64;
+        let mut instructions = 0u64;
+        let accrue = ctx.accrue();
+        while used < ctx.cycle_budget {
+            let Some((idx, slot)) = fwd.vf.rx.pop() else {
+                let (i, c) = busy_poll(ctx.cycle_budget - used);
+                instructions += i;
+                used += c;
+                break;
+            };
+            let mut cost = L3FWD_PKT_CYCLES;
+            cost += ctx.read(fwd.vf.rx.desc_addr(idx)) as u64;
+            let buf = fwd.vf.rx.buf_addr(idx);
+            // Parse the header, look the flow up, rewrite the header.
+            cost += ctx.read(buf) as u64;
+            cost += ctx.read(fwd.table.entry_line(slot.flow.0 as u64, 0)) as u64;
+            cost += ctx.write(buf) as u64;
+            let tx_slot = PacketSlot::with_ext_buf(slot.flow, slot.size, buf);
+            if let Some(tx_idx) = fwd.vf.tx.push(tx_slot) {
+                cost += ctx.write(fwd.vf.tx.desc_addr(tx_idx)) as u64;
+                if accrue {
+                    fwd.forwarded += 1;
+                }
+            }
+            used += cost;
+            instructions += L3FWD_PKT_INSTR;
+            if accrue {
+                fwd.latency.record(cost);
+            }
+        }
+        ExecResult { instructions, cycles_used: used.min(ctx.cycle_budget) }
     }
 
     #[test]
@@ -422,15 +440,17 @@ mod tests {
         assert!(h.llc().contains(table.entry_line(0, 0)) || h.core(0).l2().hits() > 0);
     }
 
-    /// The windowed batched paths must match the access-at-a-time oracle
-    /// bit-for-bit: forwarded counts, instructions, cycles, the
-    /// order-sensitive latency reservoir, and the full cache state digest.
+    /// The windowed batched loops must match the access-at-a-time
+    /// reference loops bit-for-bit: forwarded counts, instructions,
+    /// cycles, the order-sensitive latency reservoir, and the full cache
+    /// state digest.
     #[test]
     fn batched_matches_serial() {
         use iat_cachesim::config::set_slice_workers;
 
-        fn testpmd_trace(workers: Option<u32>) -> (u64, WorkloadMetrics, Vec<ExecResult>, u64, u64) {
-            set_slice_workers(workers);
+        type Trace = (u64, WorkloadMetrics, Vec<ExecResult>, u64, u64);
+
+        fn testpmd_trace(step: fn(&mut TestPmd, &mut ExecCtx<'_>) -> ExecResult) -> Trace {
             let mut nic = Nic::new(0x4000_0000, 2, 32, 2048);
             let ports = vec![nic.vf_mut(VfId(0)).clone(), nic.vf_mut(VfId(1)).clone()];
             let mut h = MemoryHierarchy::tiny(1);
@@ -443,19 +463,15 @@ mod tests {
                 let ddio = WayMask::contiguous(2, 2).unwrap();
                 for p in 0..2usize {
                     let n = (round as usize * 7 + p * 3) % 11;
-                    let port = &mut pmd.ports_mut()[p];
-                    for i in 0..n {
-                        let f = FlowId((round * 31 + i as u64) as u32 % 5);
-                        port.dma.rx_one(&mut h, ddio, &mut port.rx, PacketSlot::new(f, 64));
-                    }
+                    let flows = (0..n as u64).map(|i| FlowId((round * 31 + i) as u32 % 5));
+                    crate::deliver(&mut h, ddio, &mut pmd.ports_mut()[p], flows, 64);
                 }
-                results.push(run(&mut h, &mut pmd, 900 + round * 517));
+                results.push(run_with(&mut h, &mut pmd, 900 + round * 517, step));
             }
             (pmd.forwarded(), pmd.metrics(), results, h.accesses(), h.llc().state_digest())
         }
 
-        fn l3fwd_trace(workers: Option<u32>) -> (u64, WorkloadMetrics, Vec<ExecResult>, u64, u64) {
-            set_slice_workers(workers);
+        fn l3fwd_trace(step: fn(&mut L3Fwd, &mut ExecCtx<'_>) -> ExecResult) -> Trace {
             let mut h = MemoryHierarchy::tiny(1);
             let table = HashRegion::new(0x9000_0000, 4096, 1);
             let mut fwd = L3Fwd::new(vf(), table);
@@ -463,23 +479,22 @@ mod tests {
             for round in 0..12u64 {
                 let ddio = WayMask::contiguous(2, 2).unwrap();
                 let n = (round as usize * 5) % 9;
-                let port = &mut fwd.ports_mut()[0];
-                for i in 0..n {
-                    let f = FlowId((round * 17 + i as u64) as u32 % 7);
-                    port.dma.rx_one(&mut h, ddio, &mut port.rx, PacketSlot::new(f, 64));
-                }
-                results.push(run(&mut h, &mut fwd, 1_100 + round * 431));
+                let flows = (0..n as u64).map(|i| FlowId((round * 17 + i) as u32 % 7));
+                crate::deliver(&mut h, ddio, &mut fwd.ports_mut()[0], flows, 64);
+                results.push(run_with(&mut h, &mut fwd, 1_100 + round * 431, step));
             }
             (fwd.forwarded, fwd.metrics(), results, h.accesses(), h.llc().state_digest())
         }
 
-        let serial = testpmd_trace(Some(0));
+        let reference = testpmd_trace(testpmd_reference);
         for w in [Some(1), Some(4), None] {
-            assert_eq!(testpmd_trace(w), serial, "testpmd diverged with workers={w:?}");
+            set_slice_workers(w);
+            assert_eq!(testpmd_trace(TestPmd::run), reference, "testpmd diverged with workers={w:?}");
         }
-        let serial = l3fwd_trace(Some(0));
+        let reference = l3fwd_trace(l3fwd_reference);
         for w in [Some(1), Some(4), None] {
-            assert_eq!(l3fwd_trace(w), serial, "l3fwd diverged with workers={w:?}");
+            set_slice_workers(w);
+            assert_eq!(l3fwd_trace(L3Fwd::run), reference, "l3fwd diverged with workers={w:?}");
         }
         set_slice_workers(None);
     }
@@ -497,11 +512,8 @@ mod tests {
             let ddio = WayMask::contiguous(2, 2).unwrap();
             // Alternate delivery and draining so the ring never overflows.
             for round in 0..20 {
-                let port = &mut fwd.ports_mut()[0];
-                for i in 0..50u32 {
-                    let f = FlowId((round * 50 + i) % flows);
-                    port.dma.rx_one(&mut h, ddio, &mut port.rx, PacketSlot::new(f, 64));
-                }
+                let batch = (0..50u32).map(|i| FlowId((round * 50 + i) % flows));
+                crate::deliver(&mut h, ddio, &mut fwd.ports_mut()[0], batch, 64);
                 run(&mut h, &mut fwd, budget / 20);
             }
             costs.push(fwd.metrics().avg_op_cycles);

@@ -24,10 +24,10 @@
 //!
 //! The merge thread serves shards strictly in canonical tenant order
 //! and replays every plan and window against the hierarchy exactly as
-//! the serial epoch loop would have issued it, so results are
-//! bit-identical to `--gen-workers 0` by construction. See
-//! `iat-platform`'s `gen` module for the dispatch/merge loops and
-//! DESIGN.md §6.4 for the interleave-order contract.
+//! the inline front end issues it, so results are bit-identical to the
+//! default (inline) run by construction. See `iat-platform`'s `gen`
+//! module for the shared front end and the merge loop, and DESIGN.md
+//! §6.4 for the interleave-order contract.
 
 use crate::ctx::ExecResult;
 use iat_cachesim::{AgentId, CoreOp, LatencyModel, WayMask};
@@ -56,7 +56,7 @@ pub enum GenMsg {
         agent: AgentId,
         /// CAT allocation mask in effect.
         mask: WayMask,
-        /// Whether the serial path would have fed these ops to the
+        /// Whether the inline path would have fed these ops to the
         /// phase observer (`ExecCtx::read/write/access_batch` do;
         /// direct per-packet accesses do not). The merge thread replays
         /// observation in canonical order so sampled-mode phase
@@ -91,7 +91,7 @@ pub struct GenReply {
     /// The window's ops, returned for reuse.
     pub ops: Vec<(u64, CoreOp)>,
     /// Per-op cycle costs, in op order — bit-identical to what the
-    /// serial path's `core_access_cycles` calls would have returned.
+    /// inline path's hierarchy calls would have returned.
     pub costs: Vec<u32>,
 }
 

@@ -56,3 +56,19 @@ pub use rocks::{RocksConfig, RocksLike};
 pub use spec::{SpecProfile, SpecWorkload};
 pub use xmem::XMem;
 pub use ycsb::{OpKind, YcsbMix};
+
+/// Test support: DMA-delivers one `size`-byte packet per flow into `vf`'s
+/// Rx ring, applying the DDIO line writes one access at a time.
+#[cfg(test)]
+pub(crate) fn deliver(
+    h: &mut iat_cachesim::MemoryHierarchy,
+    ddio: iat_cachesim::WayMask,
+    vf: &mut iat_netsim::VirtualFunction,
+    flows: impl IntoIterator<Item = iat_netsim::FlowId>,
+    size: u32,
+) {
+    let batch = iat_netsim::PacketBatch { flows: flows.into_iter().collect(), size };
+    vf.dma.rx_batch(&mut vf.rx, &batch, |a| {
+        h.io_write(ddio, a);
+    });
+}

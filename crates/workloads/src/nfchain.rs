@@ -197,10 +197,7 @@ mod tests {
         let mut h = MemoryHierarchy::tiny(1);
         let mut nf = chain();
         let ddio = WayMask::contiguous(2, 2).unwrap();
-        let port = &mut nf.ports_mut()[0];
-        for i in 0..8u32 {
-            port.dma.rx_one(&mut h, ddio, &mut port.rx, PacketSlot::new(FlowId(i), 1500));
-        }
+        crate::deliver(&mut h, ddio, &mut nf.ports_mut()[0], (0..8u32).map(FlowId), 1500);
         run(&mut h, &mut nf, 10_000_000);
         assert_eq!(nf.processed(), 8);
         assert_eq!(nf.ports_mut()[0].tx.len(), 8);
@@ -214,10 +211,7 @@ mod tests {
         let ddio = WayMask::contiguous(2, 2).unwrap();
         let mut cold = 0.0;
         for round in 0..4 {
-            let port = &mut nf.ports_mut()[0];
-            for _ in 0..4 {
-                port.dma.rx_one(&mut h, ddio, &mut port.rx, PacketSlot::new(FlowId(1), 64));
-            }
+            crate::deliver(&mut h, ddio, &mut nf.ports_mut()[0], [FlowId(1); 4], 64);
             run(&mut h, &mut nf, 10_000_000);
             if round == 0 {
                 cold = nf.metrics().avg_op_cycles;

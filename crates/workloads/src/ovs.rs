@@ -376,15 +376,7 @@ mod tests {
 
     fn deliver(h: &mut MemoryHierarchy, ovs: &mut OvsSwitch, n: u32, flows: u32) {
         let ddio = WayMask::contiguous(2, 2).unwrap();
-        let port = &mut ovs.ports_mut()[0];
-        for i in 0..n {
-            port.dma.rx_one(
-                h,
-                ddio,
-                &mut port.rx,
-                PacketSlot::new(FlowId(i % flows), 64),
-            );
-        }
+        crate::deliver(h, ddio, &mut ovs.ports_mut()[0], (0..n).map(|i| FlowId(i % flows)), 64);
     }
 
     fn run(h: &mut MemoryHierarchy, ovs: &mut OvsSwitch, ch: &mut Channels, budget: u64) {

@@ -349,7 +349,8 @@ pub fn reset_thread() {
     });
 }
 
-/// Observes one access (called by [`crate::ExecCtx`] on the serial path).
+/// Observes one access (called by [`crate::ExecCtx::read`] and
+/// [`crate::ExecCtx::write`]).
 #[inline]
 pub fn observe(addr: u64) {
     OBSERVER.with(|o| {

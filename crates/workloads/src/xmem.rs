@@ -100,26 +100,12 @@ impl Workload for XMem {
         let mut used = 0u64;
         let mut instructions = 0u64;
         let accrue = ctx.accrue();
-        if !ctx.batching() {
-            // Serial reference oracle (`--slice-workers 0`).
-            while used < ctx.cycle_budget {
-                let line = self.next_rand() % lines;
-                let cost = ctx.read(self.base + line * LINE_BYTES) as u64 + COMPUTE_CYCLES;
-                used += cost;
-                instructions += INSTR_PER_OP;
-                if accrue {
-                    self.ops += 1;
-                    self.latency.record(cost);
-                }
-            }
-            return ExecResult { instructions, cycles_used: used.min(ctx.cycle_budget) };
-        }
-        // Batched windows. With `left` budget remaining, the serial loop is
-        // guaranteed to run at least `ceil(left / max_cost)` more
-        // iterations (each costs at most `max_cost`), and the addresses do
-        // not depend on access outcomes — so that window can be generated
-        // up front and resolved in one slice-bucketed flush, bit-identical
-        // to the serial schedule.
+        // Batched windows. With `left` budget remaining, an
+        // access-at-a-time loop is guaranteed to run at least
+        // `ceil(left / max_cost)` more iterations (each costs at most
+        // `max_cost`), and the addresses do not depend on access outcomes
+        // — so that window can be generated up front and resolved in one
+        // slice-bucketed flush, bit-identical to the one-by-one schedule.
         let max_cost = ctx.max_access_cycles() as u64 + COMPUTE_CYCLES;
         let mut ops_buf = std::mem::take(&mut self.ops_buf);
         let mut costs = std::mem::take(&mut self.costs_buf);
@@ -168,7 +154,13 @@ mod tests {
     use crate::ctx::Channels;
     use iat_cachesim::{AgentId, MemoryHierarchy, WayMask};
 
-    fn run_once(h: &mut MemoryHierarchy, xmem: &mut XMem, mask: WayMask, budget: u64) -> ExecResult {
+    fn run_with(
+        h: &mut MemoryHierarchy,
+        xmem: &mut XMem,
+        mask: WayMask,
+        budget: u64,
+        step: fn(&mut XMem, &mut ExecCtx<'_>) -> ExecResult,
+    ) -> ExecResult {
         let mut ch = Channels::new();
         let mut ctx = ExecCtx {
             cache: h.into(),
@@ -178,7 +170,49 @@ mod tests {
             mask,
             cycle_budget: budget,
         };
-        xmem.run(&mut ctx)
+        step(xmem, &mut ctx)
+    }
+
+    fn run_once(h: &mut MemoryHierarchy, xmem: &mut XMem, mask: WayMask, budget: u64) -> ExecResult {
+        run_with(h, xmem, mask, budget, XMem::run)
+    }
+
+    /// Access-at-a-time reference loop of [`XMem::run`]: one dependent
+    /// read per iteration, each resolved as it is issued.
+    fn reference(x: &mut XMem, ctx: &mut ExecCtx<'_>) -> ExecResult {
+        let lines = x.working_set / LINE_BYTES;
+        let mut used = 0u64;
+        let mut instructions = 0u64;
+        let accrue = ctx.accrue();
+        while used < ctx.cycle_budget {
+            let line = x.next_rand() % lines;
+            let cost = ctx.read(x.base + line * LINE_BYTES) as u64 + COMPUTE_CYCLES;
+            used += cost;
+            instructions += INSTR_PER_OP;
+            if accrue {
+                x.ops += 1;
+                x.latency.record(cost);
+            }
+        }
+        ExecResult { instructions, cycles_used: used.min(ctx.cycle_budget) }
+    }
+
+    /// The batched windows must match the reference loop bit-for-bit:
+    /// per-slice results, the order-sensitive latency reservoir, and the
+    /// cache state digest, across mask changes and uneven budgets.
+    #[test]
+    fn batched_matches_serial() {
+        let trace = |step: fn(&mut XMem, &mut ExecCtx<'_>) -> ExecResult| {
+            let mut h = MemoryHierarchy::tiny(1);
+            let mut x = XMem::new(0x100000, 16 * 1024, 5);
+            let mut results = Vec::new();
+            for round in 0..8u64 {
+                let mask = if round % 2 == 0 { WayMask::all(4) } else { WayMask::single(1) };
+                results.push(run_with(&mut h, &mut x, mask, 3_000 + round * 1_777, step));
+            }
+            (results, x.metrics(), h.accesses(), h.llc().state_digest())
+        };
+        assert_eq!(trace(XMem::run), trace(reference));
     }
 
     #[test]
