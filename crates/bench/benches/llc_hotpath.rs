@@ -14,12 +14,12 @@
 //!   extra worker; informational, for comparing batching overhead and
 //!   multi-worker scaling against the serial calls above (results are
 //!   bit-identical either way).
-//! * `gen_window/{1,8}agent` — the merge-side replay shape of the
-//!   tenant-sharded front end: a 1024-access miss-heavy window issued
-//!   either as one agent's window or as eight consecutive per-agent
-//!   subwindows (eight shards' windows merged in canonical order, each
-//!   with its own attribution agent and address stream). The gap is the
-//!   per-window attribution/mask switch cost the generation merge pays
+//! * `gen_window/{1,8}agent` — the shape of the inline tenant front
+//!   end's execute phase: a 1024-access miss-heavy window issued either
+//!   as one agent's window or as eight consecutive per-agent subwindows
+//!   (eight tenants' windows in canonical tenant order, each with its
+//!   own attribution agent and address stream). The gap is the
+//!   per-window attribution/mask switch cost consecutive tenants pay
 //!   over a monolithic window.
 //! * `warmup_window/frozen_1w` — the same batched window with
 //!   statistics frozen but the frozen fast body disabled: the full
@@ -151,12 +151,12 @@ fn bench_hotpath(c: &mut Criterion) {
     iat_cachesim::config::set_slice_workers(None);
     group.finish();
 
-    // The tenant-sharded front end's merge replay: per-agent windows
-    // arrive in canonical shard order and are fed to the batch pipeline
-    // back to back. `1agent` is the monolithic window; `8agent` splits
-    // the same access count into eight consecutive per-agent subwindows
-    // with distinct attribution agents and address streams — the shape
-    // an 8-shard generation pool hands the merge thread.
+    // The inline front end's execute phase: consecutive tenants'
+    // windows reach the batch pipeline back to back in canonical tenant
+    // order. `1agent` is the monolithic window; `8agent` splits the same
+    // access count into eight consecutive per-agent subwindows with
+    // distinct attribution agents and address streams — the shape of
+    // eight tenants sharing one chunk.
     let mut group = c.benchmark_group("llc_hotpath_frontend");
     group.throughput(Throughput::Elements(WINDOW));
     for agents in [1u64, 8] {

@@ -93,16 +93,12 @@ fn main() {
     }
 
     progress(&format!(
-        "repro: {} worker(s), seed {}{}{}{}{}{}{}",
+        "repro: {} worker(s), seed {}{}{}{}{}{}",
         cli.opts.jobs,
         cli.opts.root_seed,
         match cli.opts.slice_workers {
             None => String::new(),
             Some(n) => format!(", {n} slice worker(s)"),
-        },
-        match cli.opts.gen_workers {
-            None | Some(0) => String::new(),
-            Some(n) => format!(", {n} gen worker(s)"),
         },
         cli.corpus
             .map_or(String::new(), |n| format!(", corpus of {n}")),

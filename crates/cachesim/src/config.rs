@@ -1,15 +1,11 @@
-//! Process-wide knobs for the batched, slice-parallel LLC pipeline and the
-//! tenant front end.
+//! Process-wide knobs for the batched, slice-parallel LLC pipeline.
 //!
-//! Three settings live here:
+//! Two settings live here:
 //!
 //! * **Flush workers** — how many slice workers a batch flush may resolve
 //!   with ([`flush_workers`]). An explicit `N >= 1` pins the count; the
 //!   default (*auto*) sizes it from whatever the slot budget has left over
 //!   — a one-worker flush resolves inline in the calling thread.
-//! * **Generation workers** — how many threads shard the tenant front end
-//!   ([`gen_workers`]). Zero, the default, runs it inline on the calling
-//!   thread; only an explicit `N >= 1` spawns generation workers.
 //! * **Worker-slot budget** — a process-wide core budget shared between the
 //!   sweep runner's *inter-job* workers and the LLC's *intra-job* slice
 //!   workers so the two layers of parallelism do not oversubscribe the
@@ -27,8 +23,6 @@ use std::sync::atomic::{AtomicU32, Ordering};
 const MODE_AUTO: u32 = u32::MAX;
 
 static MODE: AtomicU32 = AtomicU32::new(MODE_AUTO);
-/// Generation workers per epoch; zero runs the front end inline.
-static GEN_WORKERS: AtomicU32 = AtomicU32::new(0);
 /// Total worker slots (0 = derive from `available_parallelism` on first use).
 static SLOTS_TOTAL: AtomicU32 = AtomicU32::new(0);
 /// Memoized `available_parallelism` (0 = not yet queried). Auto-mode
@@ -54,24 +48,23 @@ pub fn set_slice_workers(workers: Option<u32>) {
     MODE.store(workers.unwrap_or(MODE_AUTO), Ordering::Relaxed);
 }
 
-/// Sets the generation-worker policy for the whole process
-/// (`--gen-workers`).
+/// Compatibility stub for callers written against the removed
+/// generation-worker lane: the tenant front end always runs inline on
+/// the calling thread, so only `None` and `Some(0)` are accepted, and
+/// they do nothing. Kept only because the benchmark package still calls
+/// it; the next benchmark change deletes it.
 ///
-/// * `None` or `Some(0)` — the default: every platform runs its tenant
-///   front end inline on the calling thread.
-/// * `Some(n)` — shard the front end across `n` generation workers per
-///   epoch (capped by the shard count at dispatch time).
+/// # Panics
+///
+/// Panics on `Some(n)` with `n >= 1`, so a stale caller fails loudly
+/// instead of silently measuring the inline front end.
 pub fn set_gen_workers(workers: Option<u32>) {
-    GEN_WORKERS.store(workers.unwrap_or(0), Ordering::Relaxed);
-}
-
-/// Number of tenant-generation workers the next epoch spawns; zero runs
-/// the front end inline. Results are bit-identical for every answer by
-/// construction (the merge thread replays windows in canonical order), so
-/// — like [`flush_workers`] — this knob only moves wall clock.
-#[inline]
-pub fn gen_workers() -> usize {
-    GEN_WORKERS.load(Ordering::Relaxed) as usize
+    assert!(
+        matches!(workers, None | Some(0)),
+        "generation workers were removed: the tenant front end always runs inline \
+         (got Some({}), accepted: None or Some(0))",
+        workers.unwrap_or(0)
+    );
 }
 
 /// Declares the process-wide worker-slot total shared by inter-job and
@@ -264,22 +257,9 @@ mod tests {
     }
 
     #[test]
-    fn gen_modes_round_trip() {
-        set_gen_workers(Some(3));
-        assert_eq!(gen_workers(), 3);
-        set_gen_workers(Some(0));
-        assert_eq!(gen_workers(), 0);
-        // The default runs the front end inline whatever the slot budget
-        // holds: spare cores never switch on generation workers.
-        set_gen_workers(None);
-        for total in [0, 1, 2, 8] {
-            set_worker_slots(total);
-            assert_eq!(gen_workers(), 0, "{total} slots, none claimed");
-            acquire_slot();
-            assert_eq!(gen_workers(), 0, "{total} slots, one claimed");
-            release_slot();
-        }
-        set_worker_slots(0);
+    #[should_panic(expected = "generation workers were removed")]
+    fn gen_workers_are_refused() {
+        set_gen_workers(Some(2));
     }
 
     #[test]

@@ -47,8 +47,8 @@ impl DmaEngine {
     /// Ring claims and drop decisions depend only on ring occupancy, never
     /// on cache outcomes, so the caller decides how the writes resolve:
     /// the epoch loop enqueues them into the hierarchy's batched pipeline,
-    /// a generation worker collects them for the merge thread, and tests
-    /// apply them one at a time through `MemoryHierarchy::io_write`.
+    /// and tests apply them one at a time through
+    /// `MemoryHierarchy::io_write`.
     pub fn rx_batch(
         &mut self,
         ring: &mut RxRing,

@@ -815,6 +815,84 @@ mod tests {
         assert!(trace.contains("vt_end_ns"), "segment spans must carry virtual time");
     }
 
+    /// An OVS switch and a guest echoing packets back through a shared
+    /// channel pair, next to an X-Mem tenant on the same LLC: `epochs`
+    /// epochs through [`Platform::run_epochs`], reduced to everything
+    /// observable that must be reproducible.
+    fn channel_scenario(sampled: Option<iat_cachesim::config::SamplingSpec>, epochs: usize)
+        -> (u64, u64, Vec<WorkloadMetrics>, EpochReport, u64) {
+        use iat_netsim::RxRing;
+        use iat_workloads::{Attachment, ChannelEcho, OvsConfig, OvsSwitch};
+        let config = if sampled.is_some() {
+            // Long epochs → 10-epoch sampling intervals, so a short run
+            // crosses several skip→warm→measure cycles.
+            PlatformConfig { epoch_ns: 100_000_000, time_scale: 20_000, ..PlatformConfig::tiny() }
+        } else {
+            PlatformConfig::tiny()
+        };
+        iat_cachesim::config::set_thread_sampling(sampled);
+        let mut p = Platform::new(config);
+        iat_cachesim::config::set_thread_sampling(None);
+        let c0 = p.channels_mut().add(RxRing::new(1 << 30, 256, 2112));
+        let c1 = p.channels_mut().add(RxRing::new((1 << 30) + (1 << 20), 256, 2112));
+        let mut nic = Nic::with_pool(64 << 30, 1, 256, 2112, 512);
+        let ovs = OvsSwitch::new(
+            vec![nic.vf_mut(VfId(0)).clone()],
+            vec![Attachment { to_tenant: c0, from_tenant: c1 }],
+            2 << 30,
+            3 << 30,
+            OvsConfig::default(),
+        );
+        let gen = TrafficGen::new(
+            2_000_000_000,
+            256,
+            FlowDist::Uniform { count: 1 << 10 },
+            TrafficPattern::Constant,
+            11,
+        );
+        p.add_tenant(Tenant {
+            id: TenantId(0),
+            name: "ovs".into(),
+            agent: AgentId::new(0),
+            cores: vec![0],
+            clos: ClosId::new(1),
+            workload: Box::new(ovs),
+            bindings: vec![crate::TrafficBinding { port: 0, gen }],
+        });
+        p.add_tenant(Tenant {
+            id: TenantId(1),
+            name: "echo".into(),
+            agent: AgentId::new(1),
+            cores: vec![1],
+            clos: ClosId::new(1),
+            workload: Box::new(ChannelEcho::new(c0, c1)),
+            bindings: vec![],
+        });
+        p.add_tenant(xmem_tenant(2, 2, 2));
+        let report = p.run_epochs(epochs);
+        let metrics = (0..3).map(|i| p.metrics_of(TenantId(i))).collect();
+        (p.llc().state_digest(), p.hierarchy().accesses(), metrics, report, p.skipped_epochs())
+    }
+
+    #[test]
+    fn channel_scenario_is_reproducible() {
+        let exact = channel_scenario(None, 10);
+        assert!(exact.3.packets_delivered > 0, "traffic must flow");
+        assert!(exact.2[1].ops > 0, "packets must cross the OVS-echo channel pair");
+        assert_eq!(channel_scenario(None, 10), exact);
+
+        // Sampled mode adds cold start, frozen-stats warm epochs and
+        // warm→measure hand-offs to the same front end.
+        let spec = iat_cachesim::config::SamplingSpec {
+            cold_start_epochs: 4,
+            reconverge_epochs: 6,
+            ..iat_cachesim::config::SamplingLevel::Standard.spec()
+        };
+        let sampled = channel_scenario(Some(spec), 40);
+        assert!(sampled.4 > 0, "sampled run must fast-forward");
+        assert_eq!(channel_scenario(Some(spec), 40), sampled);
+    }
+
     #[test]
     fn monitor_spec_covers_tenants() {
         let mut p = Platform::new(PlatformConfig::tiny());

@@ -36,12 +36,14 @@ use serde_json::{json, Value};
 /// fast-forward) and `restore` (convergence-checkpoint restores) for a
 /// seven-key breakdown.
 ///
-/// v6: the `gen_workers` front-end policy the sweep ran under is
-/// recorded (null = auto), and every figure carries a `job_wall_s`
-/// object mapping each of its job names to that job's wall seconds —
-/// the per-job scheduling hint that keeps split sweeps (per-point
-/// leaves vs. cheap merge jobs) ordered longest-first.
-pub const BENCH_SCHEMA: &str = "iat-bench-repro/v6";
+/// v6: every figure carries a `job_wall_s` object mapping each of its
+/// job names to that job's wall seconds — the per-job scheduling hint
+/// that keeps split sweeps (per-point leaves vs. cheap merge jobs)
+/// ordered longest-first.
+///
+/// v7: the `gen_workers` field v6 added is gone with the
+/// generation-worker lane (the tenant front end always runs inline).
+pub const BENCH_SCHEMA: &str = "iat-bench-repro/v7";
 
 /// Schema tag for one `BENCH_history.jsonl` line (see [`history_record`]).
 ///
@@ -148,7 +150,6 @@ pub fn bench_report(out: &RunOutput, opts: &RunOptions, profile: &str) -> Value 
         "sampled": opts.sampled,
         "jobs": opts.jobs,
         "slice_workers": opts.slice_workers,
-        "gen_workers": opts.gen_workers,
         "root_seed": opts.root_seed,
         "wall_s": out.wall.as_secs_f64(),
         "aggregate_job_cost_s": busy,
@@ -206,7 +207,7 @@ pub fn expected_costs(doc: &Value) -> Vec<(String, f64)> {
         .unwrap_or_default()
 }
 
-/// Extracts the previous per-*job* wall costs from a v6 bench report
+/// Extracts the previous per-*job* wall costs from a v6+ bench report
 /// (every figure's `job_wall_s` object flattened), for
 /// [`RunOptions::expected_job_costs`]. Pre-v6 reports carry no
 /// `job_wall_s` and yield an empty list — scheduling then falls back to
@@ -242,7 +243,6 @@ pub fn history_record(report: &Value) -> Value {
         "mode": if report["sampled"] == json!(true) { "sampled" } else { "exact" },
         "jobs": report["jobs"],
         "slice_workers": report["slice_workers"],
-        "gen_workers": report["gen_workers"],
         "root_seed": report["root_seed"],
         "wall_s": report["wall_s"],
         "aggregate_job_cost_s": report["aggregate_job_cost_s"],
@@ -326,11 +326,6 @@ pub fn validate_history(line: &Value) -> Result<(), String> {
     }
     if !line["slice_workers"].is_null() && line["slice_workers"].as_u64().is_none() {
         return Err("slice_workers must be null or a non-negative integer".into());
-    }
-    // `gen_workers` arrived with repro schema v6; tolerate its absence
-    // so pre-existing history files still validate line by line.
-    if !line["gen_workers"].is_null() && line["gen_workers"].as_u64().is_none() {
-        return Err("gen_workers must be null or a non-negative integer".into());
     }
     // Corpus-class lines (see [`corpus_history_records`]) additionally
     // carry the class name and scenario count.
@@ -498,9 +493,6 @@ pub fn validate(doc: &Value) -> Result<(), String> {
     }
     if !doc["slice_workers"].is_null() && doc["slice_workers"].as_u64().is_none() {
         return Err("slice_workers must be null (auto) or a non-negative integer".into());
-    }
-    if !doc["gen_workers"].is_null() && doc["gen_workers"].as_u64().is_none() {
-        return Err("gen_workers must be null (inline) or a non-negative integer".into());
     }
     for key in ["jobs", "root_seed", "accesses", "skipped_epochs"] {
         if doc[key].as_u64().is_none() {
@@ -771,22 +763,18 @@ mod tests {
     }
 
     #[test]
-    fn gen_workers_is_recorded_and_validated() {
-        let out = fake_output();
-        let opts = RunOptions { gen_workers: Some(2), ..RunOptions::default() };
-        let doc = bench_report(&out, &opts, "release");
-        validate(&doc).expect("report with gen_workers must validate");
-        assert_eq!(doc["gen_workers"], 2);
-        let line = history_record(&doc);
-        validate_history(&line).expect("history line with gen_workers must validate");
-        assert_eq!(line["gen_workers"], 2);
-        let inline = bench_report(&out, &RunOptions::default(), "release");
-        assert!(inline["gen_workers"].is_null(), "default policy records null");
-        assert!(validate(&with_field(&doc, "gen_workers", serde_json::json!(-1))).is_err());
-        assert!(
-            validate_history(&with_field(&line, "gen_workers", serde_json::json!("many")))
-                .is_err()
-        );
+    fn v7_rejects_a_v6_document() {
+        let doc = bench_report(&fake_output(), &RunOptions::default(), "release");
+        validate(&doc).expect("self-emitted report must validate");
+        assert_eq!(doc["schema"], "iat-bench-repro/v7");
+        assert!(doc.get("gen_workers").is_none(), "v7 records no front-end policy");
+        assert!(history_record(&doc).get("gen_workers").is_none());
+        // A v6 document (tag plus the lane's `gen_workers` field) is
+        // refused outright rather than read through a compat path.
+        let mut v6 = with_field(&doc, "schema", serde_json::json!("iat-bench-repro/v6"));
+        v6["gen_workers"] = serde_json::json!(null);
+        let err = validate(&v6).unwrap_err();
+        assert!(err.contains("unknown schema"), "{err}");
     }
 
     #[test]

@@ -45,22 +45,16 @@ pub const USAGE: &str = "\
 repro — regenerate every figure/table capture under results/
 
 USAGE:
-    repro [--jobs N] [--slice-workers N] [--gen-workers N] [--only NAME]...
+    repro [--jobs N] [--slice-workers N] [--only NAME]...
           [--sampled] [--smoke] [--check] [--seed N] [--corpus N]
           [--trace-out PATH] [--list]
 
 OPTIONS:
-    --jobs N     worker threads (default: min(cores, 8)); output is
-                 byte-identical for every N
+    --jobs N     worker threads, N >= 1 (default: min(cores, 8));
+                 output is byte-identical for every N
     --slice-workers N
                  slice workers per batched LLC flush, N >= 1 (default:
                  auto — sized from the spare core budget); output is
-                 byte-identical for every setting
-    --gen-workers N
-                 tenant front end: 0 = inline on the job's thread (the
-                 default), N >= 1 = shard tenants across N generation
-                 workers whose traffic plans and access windows the
-                 job's thread merges in canonical order; output is
                  byte-identical for every setting
     --only NAME  run one figure group (e.g. fig12) or a single job
                  (e.g. fig12/rocksdb); repeatable
@@ -103,27 +97,18 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String
         match arg.as_str() {
             "--jobs" | "-j" => {
                 let v = it.next().ok_or("--jobs needs a value")?;
-                cli.opts.jobs = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("bad --jobs value {v:?}"))?
-                    .max(1);
+                cli.opts.jobs = parse_workers(
+                    "--jobs",
+                    &v,
+                    "N >= 1 worker threads; omit the flag for min(cores, 8)",
+                )? as usize;
             }
             "--slice-workers" => {
                 let v = it.next().ok_or("--slice-workers needs a value")?;
                 cli.opts.slice_workers = Some(parse_workers(
                     "--slice-workers",
                     &v,
-                    1,
                     "N >= 1 slice workers per flush; omit the flag for auto",
-                )?);
-            }
-            "--gen-workers" => {
-                let v = it.next().ok_or("--gen-workers needs a value")?;
-                cli.opts.gen_workers = Some(parse_workers(
-                    "--gen-workers",
-                    &v,
-                    0,
-                    "0 = inline front end (the default), N >= 1 = N generation workers",
                 )?);
             }
             "--only" => {
@@ -164,11 +149,11 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String
 }
 
 /// Parses a worker-count value of `flag`, rejecting anything that is not
-/// an integer of at least `min` with a message naming the `accepted`
-/// values.
-fn parse_workers(flag: &str, v: &str, min: u32, accepted: &str) -> Result<u32, String> {
+/// a positive integer — never clamping — with a message naming the
+/// `accepted` values.
+fn parse_workers(flag: &str, v: &str, accepted: &str) -> Result<u32, String> {
     match v.parse::<u32>() {
-        Ok(n) if n >= min => Ok(n),
+        Ok(n) if n >= 1 => Ok(n),
         _ => Err(format!("bad {flag} value {v:?} (accepted: {accepted})")),
     }
 }
@@ -194,7 +179,6 @@ mod tests {
         assert_eq!(cli.opts.root_seed, 7);
         assert!(cli.check && !cli.opts.smoke && !cli.list);
         assert_eq!(cli.opts.slice_workers, None, "default is auto");
-        assert_eq!(cli.opts.gen_workers, None, "default is inline");
     }
 
     #[test]
@@ -213,18 +197,11 @@ mod tests {
     }
 
     #[test]
-    fn parses_gen_workers() {
-        let cli = parse_args(["--gen-workers".to_owned(), "0".to_owned()]).unwrap();
-        assert_eq!(cli.opts.gen_workers, Some(0));
-        let cli = parse_args(["--gen-workers".to_owned(), "4".to_owned()]).unwrap();
-        assert_eq!(cli.opts.gen_workers, Some(4));
-        assert_eq!(parse_args(Vec::new()).unwrap().opts.gen_workers, None, "default is inline");
-        // There is no auto mode: `auto` is rejected with the accepted values.
-        for bad in ["auto", "-1", "two"] {
-            let err = parse_args(["--gen-workers".to_owned(), bad.to_owned()]).unwrap_err();
-            assert!(err.contains("0 = inline") && err.contains("N >= 1"), "{bad}: {err}");
-        }
-        assert!(parse_args(["--gen-workers".to_owned()]).is_err());
+    fn rejects_gen_workers() {
+        // The generation-worker lane is gone; its flag is an unknown
+        // argument like any other.
+        let err = parse_args(["--gen-workers".to_owned(), "2".to_owned()]).unwrap_err();
+        assert!(err.contains("unknown argument"), "{err}");
     }
 
     #[test]
@@ -265,5 +242,8 @@ mod tests {
     fn rejects_unknown() {
         assert!(parse_args(["--frobnicate".to_owned()]).is_err());
         assert!(parse_args(["--jobs".to_owned(), "zero?".to_owned()]).is_err());
+        // Worker counts are rejected, never clamped.
+        let err = parse_args(["--jobs".to_owned(), "0".to_owned()]).unwrap_err();
+        assert!(err.contains("N >= 1"), "{err}");
     }
 }

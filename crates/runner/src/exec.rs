@@ -28,10 +28,12 @@ pub struct RunOptions {
     /// `Some(0)` behaves as `Some(1)`). Results are byte-identical for
     /// every setting.
     pub slice_workers: Option<u32>,
-    /// Tenant front-end policy forwarded to `iat_cachesim::config`:
-    /// `None` and `Some(0)` run the front end inline on the job's thread,
-    /// `Some(n)` shards tenants across `n` generation workers per
-    /// platform. Results are byte-identical for every setting.
+    /// Compatibility stub for the removed generation-worker lane: the
+    /// tenant front end always runs inline on the job's thread. Only
+    /// `None` and `Some(0)` are accepted ([`run`] panics on `Some(n)`,
+    /// `n >= 1`, through `iat_cachesim::config::set_gen_workers`). Kept
+    /// only because the benchmark package still sets it; the next
+    /// benchmark change deletes it.
     pub gen_workers: Option<u32>,
     /// Phase-aware interval sampling: jobs that declared eligibility
     /// ([`crate::JobSpec::sampled`]) run the sampled execution path.
@@ -45,7 +47,7 @@ pub struct RunOptions {
     /// the tail of the sweep. Purely a scheduling hint: output order and
     /// bytes are unaffected.
     pub expected_costs: Vec<(String, f64)>,
-    /// Previous per-*job* wall costs in seconds (schema v6 bench
+    /// Previous per-*job* wall costs in seconds (schema v6+ bench
     /// reports carry them as `job_wall_s`). More precise than the
     /// per-group spread of `expected_costs`: once the big figures are
     /// split into per-sweep-point leaves, the merge job and the point
@@ -645,10 +647,10 @@ pub fn print_summary(out: &RunOutput, expected: &[(String, f64)]) {
                 format!("{:.1}x", prev / wall.as_secs_f64().max(1e-9))
             });
         let s = |ns: u64| format!("{:.1}", ns as f64 / 1e9);
-        // Front end = epoch time the generation side spent (traffic,
-        // workload access streams, window resolution); flush nests
-        // inside the epoch buckets, so the difference is the
-        // generation-vs-writeback split the sharded front end targets.
+        // Front end = epoch time outside the LLC flush (traffic,
+        // workload access streams, window cutting); flush nests inside
+        // the epoch buckets, so the difference is the front-end-vs-flush
+        // split.
         let epoch_ns = phases.warmup_ns
             + phases.fast_warm_ns
             + phases.restore_ns

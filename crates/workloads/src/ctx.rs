@@ -1,8 +1,7 @@
 //! The workload execution contract: contexts, results, and the
 //! [`Workload`] trait.
 
-use crate::gen::GenLane;
-use iat_cachesim::{AgentId, CoreOp, LatencyModel, MemoryHierarchy, WayMask};
+use iat_cachesim::{AgentId, CoreOp, MemoryHierarchy, WayMask};
 use iat_netsim::{RxRing, VirtualFunction};
 use std::fmt;
 
@@ -75,144 +74,15 @@ impl Channels {
     pub fn get_mut(&mut self, id: ChannelId) -> &mut Channel {
         &mut self.channels[id.0]
     }
-
-    /// Moves the listed channels out into a same-length shadow set for
-    /// lending to a generation worker; every other slot of the shadow
-    /// (and the vacated slots here) holds a cheap placeholder so global
-    /// [`ChannelId`] indices keep working on both sides. Channel
-    /// co-sharding guarantees no worker touches a placeholder. Undo
-    /// with [`Channels::restore`].
-    pub fn lend(&mut self, ids: &[ChannelId]) -> Channels {
-        let mut shadow = Channels {
-            channels: (0..self.channels.len())
-                .map(|_| Channel { ring: RxRing::new(0, 1, 64) })
-                .collect(),
-        };
-        for &id in ids {
-            std::mem::swap(&mut self.channels[id.0], &mut shadow.channels[id.0]);
-        }
-        shadow
-    }
-
-    /// Moves channels lent with [`Channels::lend`] back into place.
-    pub fn restore(&mut self, ids: &[ChannelId], mut shadow: Channels) {
-        for &id in ids {
-            std::mem::swap(&mut self.channels[id.0], &mut shadow.channels[id.0]);
-        }
-    }
-}
-
-/// Where a workload's accesses resolve: either the memory hierarchy
-/// itself (the inline front end) or a generation-worker lane that
-/// proxies windows to the merge thread and blocks for their costs.
-///
-/// Workloads are oblivious to the variant — both return the identical
-/// per-access cycle costs, and phase observation happens exactly once
-/// in canonical order either way (inline for `Direct`, replayed by the
-/// merge thread for `Sharded`).
-#[derive(Debug)]
-pub enum CacheBackend<'a> {
-    /// Resolve against the hierarchy in the calling thread.
-    Direct(&'a mut MemoryHierarchy),
-    /// Proxy windows to the merge thread through a generation lane.
-    Sharded(&'a mut GenLane),
-}
-
-impl<'a> From<&'a mut MemoryHierarchy> for CacheBackend<'a> {
-    fn from(h: &'a mut MemoryHierarchy) -> Self {
-        CacheBackend::Direct(h)
-    }
-}
-
-impl<'a> From<&'a mut GenLane> for CacheBackend<'a> {
-    fn from(lane: &'a mut GenLane) -> Self {
-        CacheBackend::Sharded(lane)
-    }
-}
-
-impl CacheBackend<'_> {
-    /// Performs one core access *without* phase observation — the
-    /// per-packet path of the networking workloads, which never fed the
-    /// observer.
-    #[inline]
-    pub fn access_cycles(
-        &mut self,
-        core: usize,
-        agent: AgentId,
-        mask: WayMask,
-        addr: u64,
-        op: CoreOp,
-    ) -> u32 {
-        match self {
-            CacheBackend::Direct(h) => h.core_access_cycles(core, agent, mask, addr, op),
-            CacheBackend::Sharded(lane) => lane.access(core, agent, mask, addr, op, false),
-        }
-    }
-
-    /// Performs one observed core access (the [`ExecCtx::read`] /
-    /// [`ExecCtx::write`] path).
-    #[inline]
-    fn observed_access(
-        &mut self,
-        core: usize,
-        agent: AgentId,
-        mask: WayMask,
-        addr: u64,
-        op: CoreOp,
-    ) -> u32 {
-        match self {
-            CacheBackend::Direct(h) => {
-                crate::phase::observe(addr);
-                h.core_access_cycles(core, agent, mask, addr, op)
-            }
-            CacheBackend::Sharded(lane) => lane.access(core, agent, mask, addr, op, true),
-        }
-    }
-
-    /// Resolves an observed window of accesses (the
-    /// [`ExecCtx::access_batch`] path).
-    #[inline]
-    fn observed_batch(
-        &mut self,
-        core: usize,
-        agent: AgentId,
-        mask: WayMask,
-        ops: &[(u64, CoreOp)],
-        costs: &mut Vec<u32>,
-    ) {
-        match self {
-            CacheBackend::Direct(h) => {
-                crate::phase::observe_ops(ops);
-                h.core_access_cycles_batch(core, agent, mask, ops, costs);
-            }
-            CacheBackend::Sharded(lane) => lane.access_batch(core, agent, mask, ops, costs, true),
-        }
-    }
-
-    /// Whether the hierarchy's statistics are frozen (functional warmup).
-    #[inline]
-    pub fn stats_frozen(&self) -> bool {
-        match self {
-            CacheBackend::Direct(h) => h.stats_frozen(),
-            CacheBackend::Sharded(lane) => !lane.accrue(),
-        }
-    }
-
-    /// The hierarchy's latency model.
-    #[inline]
-    pub fn latency(&self) -> LatencyModel {
-        match self {
-            CacheBackend::Direct(h) => *h.latency(),
-            CacheBackend::Sharded(lane) => lane.latency(),
-        }
-    }
 }
 
 /// Everything a workload may touch during one scheduling slice.
 #[derive(Debug)]
 pub struct ExecCtx<'a> {
-    /// Where accesses resolve (the hierarchy, or a generation lane).
-    pub cache: CacheBackend<'a>,
+    /// The memory hierarchy every access resolves against. Direct use
+    /// (`core_access_cycles`) skips phase observation — the per-packet
+    /// path of the networking workloads, which never fed the observer.
+    pub cache: &'a mut MemoryHierarchy,
     /// Inter-workload channels.
     pub channels: &'a mut Channels,
     /// The core this slice runs on.
@@ -228,12 +98,14 @@ pub struct ExecCtx<'a> {
 impl ExecCtx<'_> {
     /// Convenience: performs a core read and returns its cycle cost.
     pub fn read(&mut self, addr: u64) -> u32 {
-        self.cache.observed_access(self.core, self.agent, self.mask, addr, CoreOp::Read)
+        crate::phase::observe(addr);
+        self.cache.core_access_cycles(self.core, self.agent, self.mask, addr, CoreOp::Read)
     }
 
     /// Convenience: performs a core write and returns its cycle cost.
     pub fn write(&mut self, addr: u64) -> u32 {
-        self.cache.observed_access(self.core, self.agent, self.mask, addr, CoreOp::Write)
+        crate::phase::observe(addr);
+        self.cache.core_access_cycles(self.core, self.agent, self.mask, addr, CoreOp::Write)
     }
 
     /// Whether application-level metrics (op counts, latency samples, drop
@@ -262,8 +134,9 @@ impl ExecCtx<'_> {
     /// Bit-identical to issuing [`ExecCtx::read`]/[`ExecCtx::write`] per
     /// element.
     #[inline]
-    pub fn access_batch(&mut self, ops: &[(u64, iat_cachesim::CoreOp)], costs: &mut Vec<u32>) {
-        self.cache.observed_batch(self.core, self.agent, self.mask, ops, costs);
+    pub fn access_batch(&mut self, ops: &[(u64, CoreOp)], costs: &mut Vec<u32>) {
+        crate::phase::observe_ops(ops);
+        self.cache.core_access_cycles_batch(self.core, self.agent, self.mask, ops, costs);
     }
 }
 
@@ -304,10 +177,8 @@ pub struct WorkloadMetrics {
 /// A runnable workload model.
 ///
 /// Implementations must be deterministic given their construction seed and
-/// must never consume more than `ctx.cycle_budget` cycles. `Send` because
-/// the tenant-parallel front end moves whole tenants (workload included)
-/// into scoped generation workers; workload state is plain data.
-pub trait Workload: Send {
+/// must never consume more than `ctx.cycle_budget` cycles.
+pub trait Workload {
     /// Short human-readable name (e.g. `"x-mem"`, `"ovs"`).
     fn name(&self) -> &str;
 
@@ -327,14 +198,6 @@ pub trait Workload: Send {
     /// delivery and Tx drain. Compute workloads return an empty slice.
     fn ports_mut(&mut self) -> &mut [VirtualFunction] {
         &mut []
-    }
-
-    /// The inter-workload channels this workload touches during `run`.
-    /// The sharded front end co-shards tenants that share a channel so a
-    /// channel is only ever owned by one generation worker; workloads
-    /// that use no channels keep the empty default.
-    fn channel_ids(&self) -> Vec<ChannelId> {
-        Vec::new()
     }
 
     /// Downcasting hook so experiments can drive phase changes on concrete
@@ -362,7 +225,7 @@ mod tests {
         let mut h = MemoryHierarchy::tiny(1);
         let mut ch = Channels::new();
         let mut ctx = ExecCtx {
-            cache: (&mut h).into(),
+            cache: &mut h,
             channels: &mut ch,
             core: 0,
             agent: AgentId::new(0),

@@ -137,10 +137,6 @@ impl Workload for KvStore {
         WorkloadKind::Network
     }
 
-    fn channel_ids(&self) -> Vec<ChannelId> {
-        vec![self.rx, self.tx]
-    }
-
     fn run(&mut self, ctx: &mut ExecCtx<'_>) -> ExecResult {
         let core = ctx.core;
         let agent = ctx.agent;
@@ -149,7 +145,7 @@ impl Workload for KvStore {
         let mut instructions = 0u64;
         let accrue = ctx.accrue();
         while used < ctx.cycle_budget {
-            let cache = &mut ctx.cache;
+            let cache = &mut *ctx.cache;
             let channels = &mut *ctx.channels;
             let rx = &mut channels.get_mut(self.rx).ring;
             let Some((ridx, req)) = rx.pop() else {
@@ -161,9 +157,9 @@ impl Workload for KvStore {
             let key = req.flow.0 as u64 % self.config.records;
             let mut cost = REQ_CYCLES;
             // Parse the request (header line of the channel buffer).
-            cost += cache.access_cycles(core, agent, mask, rx.buf_addr(ridx), CoreOp::Read) as u64;
+            cost += cache.core_access_cycles(core, agent, mask, rx.buf_addr(ridx), CoreOp::Read) as u64;
             // Hash-bucket probe.
-            cost += cache.access_cycles(
+            cost += cache.core_access_cycles(
                 core,
                 agent,
                 mask,
@@ -188,7 +184,7 @@ impl Workload for KvStore {
             for &k in &touch_keys {
                 let vaddr = self.value_addr(k);
                 for l in 0..vlines {
-                    cost += cache.access_cycles(
+                    cost += cache.core_access_cycles(
                         core,
                         agent,
                         mask,
@@ -198,7 +194,7 @@ impl Workload for KvStore {
                 }
                 if writes {
                     for l in 0..vlines {
-                        cost += cache.access_cycles(
+                        cost += cache.core_access_cycles(
                             core,
                             agent,
                             mask,
@@ -212,7 +208,7 @@ impl Workload for KvStore {
             }
             // RMW reads back what it wrote before responding.
             if op == OpKind::ReadModifyWrite {
-                cost += cache.access_cycles(core, agent, mask, self.value_addr(key), CoreOp::Read)
+                cost += cache.core_access_cycles(core, agent, mask, self.value_addr(key), CoreOp::Read)
                     as u64;
             }
             // Build and enqueue the response.
@@ -221,7 +217,7 @@ impl Workload for KvStore {
                 let dst = txc.buf_addr(tidx);
                 for l in 0..iat_cachesim::lines_for(resp_bytes.min(1500) as u64) {
                     cost +=
-                        cache.access_cycles(core, agent, mask, dst + l * LINE_BYTES, CoreOp::Write)
+                        cache.core_access_cycles(core, agent, mask, dst + l * LINE_BYTES, CoreOp::Write)
                             as u64;
                 }
             }
@@ -293,7 +289,7 @@ mod tests {
 
     fn run(h: &mut MemoryHierarchy, ch: &mut Channels, kv: &mut KvStore, budget: u64) {
         let mut ctx = ExecCtx {
-            cache: h.into(),
+            cache: h,
             channels: ch,
             core: 0,
             agent: AgentId::new(0),

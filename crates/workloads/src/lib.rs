@@ -30,7 +30,6 @@
 mod ctx;
 mod echo;
 mod fwd;
-pub mod gen;
 mod kvs;
 mod latency;
 mod nfchain;
@@ -43,7 +42,7 @@ mod window;
 mod xmem;
 mod ycsb;
 
-pub use ctx::{CacheBackend, Channel, ChannelId, Channels, ExecCtx, ExecResult, Workload,
+pub use ctx::{Channel, ChannelId, Channels, ExecCtx, ExecResult, Workload,
               WorkloadKind, WorkloadMetrics};
 pub use echo::ChannelEcho;
 pub use fwd::{L3Fwd, TestPmd};

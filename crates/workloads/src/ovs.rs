@@ -9,11 +9,11 @@
 //! *copied* into the destination tenant's virtio-style channel (one copy
 //! per direction, as vhost does).
 
-use crate::ctx::{CacheBackend, ChannelId, ExecCtx, ExecResult, Workload, WorkloadKind,
+use crate::ctx::{ChannelId, ExecCtx, ExecResult, Workload, WorkloadKind,
                  WorkloadMetrics};
 use crate::latency::LatencySampler;
 use crate::region::HashRegion;
-use iat_cachesim::{AgentId, CoreOp, WayMask, LINE_BYTES};
+use iat_cachesim::{AgentId, CoreOp, MemoryHierarchy, WayMask, LINE_BYTES};
 use iat_netsim::{PacketSlot, VirtualFunction};
 
 /// Cycles per empty poll iteration.
@@ -123,7 +123,7 @@ impl OvsSwitch {
     #[allow(clippy::too_many_arguments)]
     fn lookup(
         &mut self,
-        cache: &mut CacheBackend<'_>,
+        cache: &mut MemoryHierarchy,
         core: usize,
         agent: AgentId,
         mask: WayMask,
@@ -133,7 +133,7 @@ impl OvsSwitch {
         let key = flow as u64;
         let slot = self.emc.slot_of_key(key) as usize;
         let mut cost = EMC_HIT_CYCLES
-            + cache.access_cycles(core, agent, mask, self.emc.entry_line(key, 0), CoreOp::Read)
+            + cache.core_access_cycles(core, agent, mask, self.emc.entry_line(key, 0), CoreOp::Read)
                 as u64;
         let mut instr = PKT_INSTR;
         if self.emc_tags[slot] == flow {
@@ -148,21 +148,21 @@ impl OvsSwitch {
             instr += MEGAFLOW_INSTR;
             // Wildcard lookup walks the megaflow table, then installs the
             // EMC entry.
-            cost += cache.access_cycles(
+            cost += cache.core_access_cycles(
                 core,
                 agent,
                 mask,
                 self.megaflow.entry_line(key, 0),
                 CoreOp::Read,
             ) as u64;
-            cost += cache.access_cycles(
+            cost += cache.core_access_cycles(
                 core,
                 agent,
                 mask,
                 self.megaflow.entry_line(key.rotate_left(17), 0),
                 CoreOp::Read,
             ) as u64;
-            cost += cache.access_cycles(
+            cost += cache.core_access_cycles(
                 core,
                 agent,
                 mask,
@@ -177,7 +177,7 @@ impl OvsSwitch {
 
 /// Copies `lines` payload lines from `src` to `dst`, returning cycles.
 fn copy_lines(
-    cache: &mut CacheBackend<'_>,
+    cache: &mut MemoryHierarchy,
     core: usize,
     agent: AgentId,
     mask: WayMask,
@@ -187,8 +187,8 @@ fn copy_lines(
 ) -> u64 {
     let mut cost = 0u64;
     for l in 0..lines {
-        cost += cache.access_cycles(core, agent, mask, src + l * LINE_BYTES, CoreOp::Read) as u64;
-        cost += cache.access_cycles(core, agent, mask, dst + l * LINE_BYTES, CoreOp::Write) as u64;
+        cost += cache.core_access_cycles(core, agent, mask, src + l * LINE_BYTES, CoreOp::Read) as u64;
+        cost += cache.core_access_cycles(core, agent, mask, dst + l * LINE_BYTES, CoreOp::Write) as u64;
     }
     cost
 }
@@ -206,10 +206,6 @@ impl Workload for OvsSwitch {
         WorkloadKind::Network
     }
 
-    fn channel_ids(&self) -> Vec<ChannelId> {
-        self.attachments.iter().flat_map(|a| [a.to_tenant, a.from_tenant]).collect()
-    }
-
     fn run(&mut self, ctx: &mut ExecCtx<'_>) -> ExecResult {
         let core = ctx.core;
         let agent = ctx.agent;
@@ -220,7 +216,7 @@ impl Workload for OvsSwitch {
 
         while used < ctx.cycle_budget {
             let mut progress = false;
-            let cache = &mut ctx.cache;
+            let cache = &mut *ctx.cache;
             let channels = &mut *ctx.channels;
 
             // Inbound: port -> tenant channel.
@@ -232,7 +228,7 @@ impl Workload for OvsSwitch {
                     continue;
                 };
                 progress = true;
-                let mut cost = cache.access_cycles(
+                let mut cost = cache.core_access_cycles(
                     core,
                     agent,
                     mask,
@@ -280,7 +276,7 @@ impl Workload for OvsSwitch {
                 if let Some(tidx) = port.tx.push(PacketSlot::new(slot.flow, slot.size)) {
                     let dst = port.tx.buf_addr(tidx);
                     cost += copy_lines(cache, core, agent, mask, src, dst, slot.payload_lines());
-                    cost += cache.access_cycles(
+                    cost += cache.core_access_cycles(
                         core,
                         agent,
                         mask,
@@ -347,7 +343,6 @@ impl Workload for OvsSwitch {
 mod tests {
     use super::*;
     use crate::ctx::Channels;
-    use iat_cachesim::MemoryHierarchy;
     use iat_netsim::{FlowId, Nic, RxRing, VfId};
 
     fn setup(flows: u32) -> (MemoryHierarchy, OvsSwitch, Channels, ChannelId, ChannelId) {
@@ -381,7 +376,7 @@ mod tests {
 
     fn run(h: &mut MemoryHierarchy, ovs: &mut OvsSwitch, ch: &mut Channels, budget: u64) {
         let mut ctx = ExecCtx {
-            cache: h.into(),
+            cache: h,
             channels: ch,
             core: 0,
             agent: AgentId::new(0),

@@ -364,7 +364,7 @@ pub fn observe(addr: u64) {
 /// Observes a window of accesses in op order (called by
 /// [`crate::ExecCtx::access_batch`] at enqueue time, before resolution).
 #[inline]
-pub fn observe_ops(ops: &[(u64, iat_cachesim::CoreOp)]) {
+pub(crate) fn observe_ops(ops: &[(u64, iat_cachesim::CoreOp)]) {
     OBSERVER.with(|o| {
         let mut o = o.borrow_mut();
         if o.active {

@@ -163,7 +163,7 @@ mod tests {
     ) -> ExecResult {
         let mut ch = Channels::new();
         let mut ctx = ExecCtx {
-            cache: h.into(),
+            cache: h,
             channels: &mut ch,
             core: 0,
             agent: AgentId::new(0),
