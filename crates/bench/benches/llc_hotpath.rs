@@ -9,11 +9,10 @@
 //! * `ddio_write_allocate` — the paper's inbound-DMA pattern: a device
 //!   ring buffer cycling through the 2-way DDIO mask, write-allocating
 //!   and evicting dirty lines (writebacks) at steady state.
-//! * `batched_window/{1,2}w` — the slice-parallel batch pipeline over
-//!   1024-access windows, resolved in the calling thread and with one
-//!   extra worker; informational, for comparing batching overhead and
-//!   multi-worker scaling against the serial calls above (results are
-//!   bit-identical either way).
+//! * `batched_window/1w` — the batch pipeline over 1024-access windows,
+//!   resolved slice bucket by slice bucket in the calling thread;
+//!   informational, for comparing batching overhead against the serial
+//!   calls above (results are bit-identical either way).
 //! * `gen_window/{1,8}agent` — the shape of the inline tenant front
 //!   end's execute phase: a 1024-access miss-heavy window issued either
 //!   as one agent's window or as eight consecutive per-agent subwindows
@@ -93,30 +92,27 @@ fn bench_hotpath(c: &mut Criterion) {
     group.finish();
 
     // The batch pipeline over the same miss-heavy mix: enqueue a window,
-    // flush, read outcomes. Worker counts only move wall clock, never
-    // results, so the bench restores auto mode when it finishes.
+    // flush, read outcomes. The `1w` name predates the removal of slice
+    // workers and is kept so recorded numbers stay comparable.
     const WINDOW: u64 = 1024;
     let mut group = c.benchmark_group("llc_hotpath_batched");
     group.throughput(Throughput::Elements(WINDOW));
-    for workers in [1u32, 2] {
-        group.bench_function(format!("batched_window/{workers}w"), |b| {
-            iat_cachesim::config::set_slice_workers(Some(workers));
-            let geom = CacheGeometry::xeon_6140_llc();
-            let mut llc = Llc::new(geom);
-            let agent = AgentId::new(0);
-            let mask = WayMask::contiguous(0, 2).expect("mask");
-            let span = geom.total_lines() * 8;
-            let mut i = 0u64;
-            b.iter(|| {
-                for _ in 0..WINDOW {
-                    i = (i + 1) % span;
-                    llc.batch_core_access(agent, mask, i * LINE, CoreOp::Read);
-                }
-                llc.batch_flush();
-                black_box(llc.accesses())
-            });
+    group.bench_function("batched_window/1w", |b| {
+        let geom = CacheGeometry::xeon_6140_llc();
+        let mut llc = Llc::new(geom);
+        let agent = AgentId::new(0);
+        let mask = WayMask::contiguous(0, 2).expect("mask");
+        let span = geom.total_lines() * 8;
+        let mut i = 0u64;
+        b.iter(|| {
+            for _ in 0..WINDOW {
+                i = (i + 1) % span;
+                llc.batch_core_access(agent, mask, i * LINE, CoreOp::Read);
+            }
+            llc.batch_flush();
+            black_box(llc.accesses())
         });
-    }
+    });
 
     // The same miss-heavy window with statistics frozen — the
     // functional-warmup configuration the sampled execution path runs
@@ -129,7 +125,6 @@ fn bench_hotpath(c: &mut Criterion) {
     // access differs.
     for (name, fast) in [("frozen_1w", false), ("warm_frozen_fast", true)] {
         group.bench_function(format!("warmup_window/{name}"), |b| {
-            iat_cachesim::config::set_slice_workers(Some(1));
             let geom = CacheGeometry::xeon_6140_llc();
             let mut llc = Llc::new(geom);
             llc.set_stats_frozen(true);
@@ -148,7 +143,6 @@ fn bench_hotpath(c: &mut Criterion) {
             });
         });
     }
-    iat_cachesim::config::set_slice_workers(None);
     group.finish();
 
     // The inline front end's execute phase: consecutive tenants'
@@ -161,7 +155,6 @@ fn bench_hotpath(c: &mut Criterion) {
     group.throughput(Throughput::Elements(WINDOW));
     for agents in [1u64, 8] {
         group.bench_function(format!("gen_window/{agents}agent"), |b| {
-            iat_cachesim::config::set_slice_workers(Some(1));
             let geom = CacheGeometry::xeon_6140_llc();
             let mut llc = Llc::new(geom);
             let mask = WayMask::contiguous(0, 2).expect("mask");
@@ -184,7 +177,6 @@ fn bench_hotpath(c: &mut Criterion) {
             });
         });
     }
-    iat_cachesim::config::set_slice_workers(None);
     group.finish();
 }
 

@@ -93,13 +93,9 @@ fn main() {
     }
 
     progress(&format!(
-        "repro: {} worker(s), seed {}{}{}{}{}{}",
+        "repro: {} worker(s), seed {}{}{}{}{}",
         cli.opts.jobs,
         cli.opts.root_seed,
-        match cli.opts.slice_workers {
-            None => String::new(),
-            Some(n) => format!(", {n} slice worker(s)"),
-        },
         cli.corpus
             .map_or(String::new(), |n| format!(", corpus of {n}")),
         if cli.opts.sampled { ", sampled" } else { "" },

@@ -9,7 +9,7 @@
 //! Everything a scenario is — tenants, traffic shapes, policy, events —
 //! comes out of a [`Dice`] stream seeded from `(root seed, job name)`,
 //! so the corpus is a pure function of `--corpus`/`--seed` and is
-//! byte-identical across `--jobs` and `--slice-workers` settings.
+//! byte-identical across `--jobs` settings.
 
 use crate::builder::{apply_action, compile, NicDesc, ScenarioAction, ScenarioBuilder, ScenarioDesc, TenantDesc, TrafficDesc, WorkloadDesc};
 use crate::figures::{rows_artifact, rows_from};

@@ -202,13 +202,6 @@ impl Managed {
         }
     }
 
-    /// Runs `n` intervals with a structured trace.
-    pub fn run_intervals_traced(&mut self, n: usize, rec: &mut dyn Recorder) {
-        for _ in 0..n {
-            self.step_interval_traced(rec);
-        }
-    }
-
     /// Intervals executed so far.
     pub fn intervals(&self) -> u64 {
         self.intervals

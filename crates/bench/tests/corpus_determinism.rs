@@ -4,7 +4,7 @@
 //! The corpus rides on the runner's byte-identity contract: every
 //! random choice derives from `(root seed, job name, tag)`, so the same
 //! `--corpus` seed must yield a byte-identical scenario list and
-//! summary for any `--jobs` count and any `--slice-workers` policy.
+//! summary for any `--jobs` count.
 //! The registry migration must keep regenerating the committed captures
 //! byte-for-byte — the cheap deterministic groups are pinned here, the
 //! full set in the `#[ignore]`d sweep (CI runs `repro --check`).
@@ -14,7 +14,7 @@ use iat_runner::{run, RunOptions, RunOutput};
 use proptest::prelude::*;
 use std::path::Path;
 
-fn corpus_opts(seed: u64, jobs: usize, slice_workers: Option<u32>) -> RunOptions {
+fn corpus_opts(seed: u64, jobs: usize) -> RunOptions {
     // Exact execution: the quick spec's short intervals are below the
     // sampler's fixed one-second planning window, so a sampled quick run
     // would fast-forward everything. The sampled corpus path runs at
@@ -22,17 +22,16 @@ fn corpus_opts(seed: u64, jobs: usize, slice_workers: Option<u32>) -> RunOptions
     RunOptions {
         jobs,
         root_seed: seed,
-        slice_workers,
         ..RunOptions::default()
     }
 }
 
-fn run_corpus(seed: u64, jobs: usize, slice_workers: Option<u32>) -> RunOutput {
+fn run_corpus(seed: u64, jobs: usize) -> RunOutput {
     let spec = CorpusSpec {
         count: 4,
         quick: true,
     };
-    let out = run(registry(spec), &corpus_opts(seed, jobs, slice_workers));
+    let out = run(registry(spec), &corpus_opts(seed, jobs));
     assert!(!out.failed(), "corpus jobs failed: {:?}", out.reports);
     out
 }
@@ -50,25 +49,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// Same corpus seed ⇒ byte-identical scenario list and summary
-    /// across `--jobs {1,4}` × `--slice-workers {1, auto}`.
+    /// across `--jobs {1,4}`.
     #[test]
     fn corpus_is_byte_identical_across_engine_settings(seed in 0u64..1000) {
-        let baseline = run_corpus(seed, 1, Some(1));
+        let baseline = run_corpus(seed, 1);
         let doc = summary_doc(&baseline);
         let ran = validate_corpus_summary(&doc).expect("summary validates");
         prop_assert_eq!(ran, 4);
 
-        for (jobs, slice) in [(4, Some(1)), (1, None), (4, None)] {
-            let other = run_corpus(seed, jobs, slice);
-            prop_assert_eq!(
-                &baseline.stdout, &other.stdout,
-                "scenario list/console differs at jobs={} slice={:?}", jobs, slice
-            );
-            prop_assert_eq!(
-                &baseline.files, &other.files,
-                "staged artifacts differ at jobs={} slice={:?}", jobs, slice
-            );
-        }
+        let other = run_corpus(seed, 4);
+        prop_assert_eq!(&baseline.stdout, &other.stdout, "scenario list/console differs at jobs=4");
+        prop_assert_eq!(&baseline.files, &other.files, "staged artifacts differ at jobs=4");
     }
 }
 
@@ -76,8 +67,8 @@ proptest! {
 fn corpus_seeds_are_distinguishable() {
     // Different seeds must actually change the generated scenarios —
     // otherwise the determinism property above would pass vacuously.
-    let a = summary_doc(&run_corpus(11, 1, Some(1)));
-    let b = summary_doc(&run_corpus(12, 1, Some(1)));
+    let a = summary_doc(&run_corpus(11, 1));
+    let b = summary_doc(&run_corpus(12, 1));
     assert_ne!(a["scenarios"], b["scenarios"]);
 }
 

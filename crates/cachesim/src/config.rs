@@ -1,51 +1,33 @@
-//! Process-wide knobs for the batched, slice-parallel LLC pipeline.
+//! The per-thread sampling knob, plus two compatibility stubs.
 //!
-//! Two settings live here:
+//! Phase-aware interval sampling (`repro --sampled`) is a per-job decision:
+//! the runner enables it on the worker thread before a sampling-eligible job
+//! body runs and disables it afterwards, so parallel jobs with different
+//! eligibility never interfere. The knob lives here — the lowest crate in the
+//! dependency graph — because both the runner (which sets it) and the
+//! platform (which reads it when constructing a simulation) already depend on
+//! `iat-cachesim`, while neither depends on the other.
 //!
-//! * **Flush workers** — how many slice workers a batch flush may resolve
-//!   with ([`flush_workers`]). An explicit `N >= 1` pins the count; the
-//!   default (*auto*) sizes it from whatever the slot budget has left over
-//!   — a one-worker flush resolves inline in the calling thread.
-//! * **Worker-slot budget** — a process-wide core budget shared between the
-//!   sweep runner's *inter-job* workers and the LLC's *intra-job* slice
-//!   workers so the two layers of parallelism do not oversubscribe the
-//!   machine. The runner declares the total ([`set_worker_slots`]) and
-//!   holds one slot per running job ([`acquire_slot`]/[`release_slot`]);
-//!   auto-mode flushes spend only what is left.
-//!
-//! All state is atomic and the settings only steer *scheduling*: results are
-//! bit-identical for every worker count by construction (see the shard
-//! module), so a data race on a knob could at worst change timing.
+//! [`set_slice_workers`] and [`set_gen_workers`] are inert stubs for
+//! callers written against the removed worker layers: every simulation
+//! runs on the thread that owns it.
 
-use std::sync::atomic::{AtomicU32, Ordering};
-
-/// Auto mode: flush workers sized from the slot budget.
-const MODE_AUTO: u32 = u32::MAX;
-
-static MODE: AtomicU32 = AtomicU32::new(MODE_AUTO);
-/// Total worker slots (0 = derive from `available_parallelism` on first use).
-static SLOTS_TOTAL: AtomicU32 = AtomicU32::new(0);
-/// Memoized `available_parallelism` (0 = not yet queried). Auto-mode
-/// flushes consult the budget on every flush, and the underlying
-/// `sched_getaffinity` syscall is slow enough under virtualization to
-/// dominate flush-heavy workloads if asked each time.
-static SLOTS_DERIVED: AtomicU32 = AtomicU32::new(0);
-static SLOTS_USED: AtomicU32 = AtomicU32::new(0);
-
-/// Upper bound on *extra* (beyond the caller's own) slice workers an
-/// auto-mode flush will recruit; slices are 18 at most and buckets are
-/// merged serially, so returns diminish quickly.
-const AUTO_EXTRA_CAP: u32 = 3;
-
-/// Sets the slice-worker policy for the whole process
-/// (`--slice-workers`).
+/// Compatibility stub for callers written against the removed LLC
+/// slice-worker layer: every batch flush resolves inline on the calling
+/// thread, so only `None` and `Some(1)` are accepted, and they do nothing.
+/// Kept only because the benchmark package still calls it; the next
+/// benchmark change deletes it.
 ///
-/// * `None` — auto (the default): size flush worker counts from the
-///   leftover slot budget.
-/// * `Some(n)` — resolve flushes with exactly `n` workers (`n = 1`
-///   resolves in the calling thread; `Some(0)` behaves as `Some(1)`).
+/// # Panics
+///
+/// Panics on any other value, so a stale caller fails loudly instead of
+/// silently measuring the inline flush.
 pub fn set_slice_workers(workers: Option<u32>) {
-    MODE.store(workers.unwrap_or(MODE_AUTO), Ordering::Relaxed);
+    assert!(
+        matches!(workers, None | Some(1)),
+        "slice workers were removed: every LLC flush resolves inline \
+         (got {workers:?}, accepted: None or Some(1))"
+    );
 }
 
 /// Compatibility stub for callers written against the removed
@@ -66,51 +48,6 @@ pub fn set_gen_workers(workers: Option<u32>) {
         workers.unwrap_or(0)
     );
 }
-
-/// Declares the process-wide worker-slot total shared by inter-job and
-/// intra-job parallelism. Zero restores the default
-/// (`available_parallelism`).
-pub fn set_worker_slots(total: u32) {
-    SLOTS_TOTAL.store(total, Ordering::Relaxed);
-}
-
-fn total_slots() -> u32 {
-    match SLOTS_TOTAL.load(Ordering::Relaxed) {
-        0 => match SLOTS_DERIVED.load(Ordering::Relaxed) {
-            0 => {
-                let n = std::thread::available_parallelism()
-                    .map(|n| n.get() as u32)
-                    .unwrap_or(1);
-                SLOTS_DERIVED.store(n, Ordering::Relaxed);
-                n
-            }
-            n => n,
-        },
-        n => n,
-    }
-}
-
-/// Claims one worker slot (the runner calls this when a job starts). Never
-/// blocks: the runner's `--jobs` choice is authoritative, the budget only
-/// informs how greedy auto-mode flushes may be.
-pub fn acquire_slot() {
-    SLOTS_USED.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Returns a slot claimed with [`acquire_slot`].
-pub fn release_slot() {
-    SLOTS_USED.fetch_sub(1, Ordering::Relaxed);
-}
-
-// --- Sampled-execution knob -------------------------------------------------
-//
-// Phase-aware interval sampling (`repro --sampled`) is a per-job decision:
-// the runner enables it on the worker thread before a sampling-eligible job
-// body runs and disables it afterwards, so parallel jobs with different
-// eligibility never interfere. The knob lives here — the lowest crate in the
-// dependency graph — because both the runner (which sets it) and the
-// platform (which reads it when constructing a simulation) already depend on
-// `iat-cachesim`, while neither depends on the other.
 
 /// How aggressively a sampled run may skip epochs for a given job.
 ///
@@ -171,7 +108,9 @@ impl SamplingLevel {
 /// unrepresentative of the new steady state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SamplingSpec {
-    /// The preset this spec was derived from (reporting only).
+    /// The preset this spec was derived from. Reports print it, and
+    /// the sampler's `assume_stable` is a no-op at
+    /// [`SamplingLevel::Conservative`].
     pub level: SamplingLevel,
     /// Warm share of a stable-phase interval, in percent.
     pub stable_warm_pct: u8,
@@ -224,37 +163,9 @@ pub fn thread_sampling() -> Option<SamplingSpec> {
     SAMPLING.with(|s| s.get())
 }
 
-/// Number of workers the next batch flush may use, including the calling
-/// thread. Always at least 1.
-#[inline]
-pub(crate) fn flush_workers() -> usize {
-    match MODE.load(Ordering::Relaxed) {
-        MODE_AUTO => {
-            let total = total_slots();
-            let used = SLOTS_USED.load(Ordering::Relaxed).max(1);
-            1 + total.saturating_sub(used).min(AUTO_EXTRA_CAP) as usize
-        }
-        n => n.max(1) as usize,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // Note: config state is process-global, so this test restores auto mode
-    // before returning; other tests in this crate rely on the default.
-    #[test]
-    fn modes_round_trip() {
-        set_slice_workers(Some(4));
-        assert_eq!(flush_workers(), 4);
-        set_slice_workers(Some(1));
-        assert_eq!(flush_workers(), 1);
-        set_slice_workers(Some(0));
-        assert_eq!(flush_workers(), 1, "zero workers still resolve inline");
-        set_slice_workers(None);
-        assert!(flush_workers() >= 1);
-    }
 
     #[test]
     #[should_panic(expected = "generation workers were removed")]
@@ -263,13 +174,8 @@ mod tests {
     }
 
     #[test]
-    fn slot_budget_bounds_auto_workers() {
-        set_slice_workers(None);
-        set_worker_slots(4);
-        acquire_slot();
-        let w = flush_workers();
-        assert!((1..=4).contains(&w), "auto workers {w} out of range");
-        release_slot();
-        set_worker_slots(0);
+    #[should_panic(expected = "slice workers were removed")]
+    fn slice_workers_are_refused() {
+        set_slice_workers(Some(2));
     }
 }

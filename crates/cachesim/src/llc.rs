@@ -18,14 +18,12 @@
 //! Slices are independent state machines, which enables the second mode of
 //! operation next to the classic access-at-a-time API: operations can be
 //! *enqueued* (`batch_*` methods), bucketed by slice, and resolved together
-//! at [`Llc::batch_flush`] — in the calling thread or on a few worker
-//! threads (`--slice-workers`, see the `config` module). Per-slice buckets
-//! preserve enqueue order and per-slice statistics merge deterministically,
-//! so batched results are bit-identical to serial execution regardless of
-//! the worker count.
+//! at [`Llc::batch_flush`] in the calling thread, one slice bucket after
+//! another. Per-slice buckets preserve enqueue order and per-slice
+//! statistics merge deterministically, so batched results are bit-identical
+//! to access-at-a-time execution.
 
 use crate::agent::AgentId;
-use crate::config;
 use crate::geometry::CacheGeometry;
 use crate::mask::WayMask;
 use crate::memory::MemCounters;
@@ -34,7 +32,7 @@ use crate::stats::{AccessOutcome, IoOutcome, LlcStats};
 use crate::line_of;
 use iat_telemetry::phases::{self, Phase};
 use iat_telemetry::span;
-use serde_json::{json, Value};
+use serde_json::Value;
 
 /// Kind of a core-initiated access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -53,12 +51,11 @@ pub struct BatchHandle {
     idx: u32,
 }
 
-/// Minimum number of pending operations before a flush recruits worker
-/// threads. Below this, spawn/join overhead dwarfs the bucket work and the
-/// flush resolves in the calling thread (results are identical either way;
-/// only wall clock differs). Workload windows are tens of operations —
-/// only large DMA bursts cross this line.
-const PAR_MIN_OPS: u32 = 256;
+/// Minimum batch size whose flush records an `llc.flush` span when
+/// tracing is armed. Workload windows are tens of operations and stay
+/// unrecorded; DMA bursts and epoch-boundary flushes cross this line, which
+/// keeps the span volume of a traced figure far under the tracer's cap.
+const FLUSH_SPAN_MIN_OPS: u32 = 256;
 
 /// Minimum batch size whose flush is wall-clock timed into the
 /// [`iat_telemetry::phases`] flush bucket. Tiny flushes (epoch
@@ -511,81 +508,29 @@ impl Llc {
 
     /// Resolves every enqueued operation and merges statistics.
     ///
-    /// Each slice's bucket is drained in enqueue order — in the calling
-    /// thread, or partitioned over `--slice-workers` threads when the batch
-    /// is large enough to pay for the spawn. Results are identical either
-    /// way; see the shard module for the determinism argument.
+    /// Each non-empty slice bucket is drained in slice order, each bucket
+    /// in enqueue order, then the per-slice deltas are merged; see the
+    /// shard module for why this matches access-at-a-time execution.
     pub fn batch_flush(&mut self) {
         if self.pending_ops == 0 {
             self.flushed = true;
             return;
         }
-        let timed = self.pending_ops >= FLUSH_TIMING_MIN_OPS;
-        let t0 = timed.then(std::time::Instant::now);
-        let tracer = (timed && span::global_enabled()).then(span::global);
-        let workers = config::flush_workers();
+        let ops = self.pending_ops;
+        let t0 = (ops >= FLUSH_TIMING_MIN_OPS).then(std::time::Instant::now);
+        let tracer = (ops >= FLUSH_SPAN_MIN_OPS && span::global_enabled()).then(span::global);
+        let _flush_span = tracer
+            .as_ref()
+            .map(|t| t.begin("llc", "llc.flush").arg("ops", Value::from(ops)));
         // Warmup flushes take the frozen fast body: same functional state
         // transitions (generic over the sink), no per-agent delta accrual.
         let frozen = self.stats_frozen && self.frozen_fast;
-        if workers > 1 && self.pending_ops >= PAR_MIN_OPS {
-            let lanes = workers.min(self.shards.len());
-            let ops = self.pending_ops;
-            let _flush_span = tracer.as_ref().map(|t| {
-                t.begin("llc", "llc.flush")
-                    .arg("ops", Value::from(ops))
-                    .arg("lanes", Value::from(lanes as u64))
-            });
-            std::thread::scope(|s| {
-                let mut parts: Vec<Vec<&mut SliceShard>> =
-                    (0..lanes).map(|_| Vec::new()).collect();
-                for (i, shard) in self.shards.iter_mut().enumerate() {
-                    if !shard.queue.is_empty() {
-                        parts[i % lanes].push(shard);
-                    }
-                }
-                let mut parts = parts.into_iter();
-                let mine = parts.next().unwrap_or_default();
-                for part in parts {
-                    if !part.is_empty() {
-                        let tracer = tracer.clone();
-                        s.spawn(move || {
-                            let w0 = tracer.as_ref().map(|_| std::time::Instant::now());
-                            let lane_ops: usize = part.iter().map(|sh| sh.queue.len()).sum();
-                            for shard in part {
-                                if frozen {
-                                    shard.process_frozen();
-                                } else {
-                                    shard.process();
-                                }
-                            }
-                            if let (Some(t), Some(w0)) = (&tracer, w0) {
-                                t.record(
-                                    "llc",
-                                    "llc.flush.worker",
-                                    w0,
-                                    std::time::Instant::now(),
-                                    json!({ "ops": lane_ops }),
-                                );
-                            }
-                        });
-                    }
-                }
-                for shard in mine {
-                    if frozen {
-                        shard.process_frozen();
-                    } else {
-                        shard.process();
-                    }
-                }
-            });
-        } else {
-            for shard in &mut self.shards {
-                if !shard.queue.is_empty() {
-                    if frozen {
-                        shard.process_frozen();
-                    } else {
-                        shard.process();
-                    }
+        for shard in &mut self.shards {
+            if !shard.queue.is_empty() {
+                if frozen {
+                    shard.process_frozen();
+                } else {
+                    shard.process();
                 }
             }
         }

@@ -5,8 +5,8 @@
 //! or writes another slice's tags, LRU ranks, owners or dirty bits. This
 //! module exploits that by storing the cache body as one [`SliceShard`] per
 //! slice and resolving *batches* of enqueued operations one slice bucket at
-//! a time — optionally on several worker threads — while keeping results
-//! bit-identical to access-at-a-time execution:
+//! a time, while keeping results bit-identical to access-at-a-time
+//! execution:
 //!
 //! * operations on the same slice stay in enqueue order (a per-slice total
 //!   order), and operations on different slices never interact, so every
@@ -239,8 +239,8 @@ impl StatsSink for FrozenSink<'_> {
     fn ddio_miss(&mut self) {}
 }
 
-/// Batched sink: accumulates into the shard's [`ShardDelta`]; safe to use
-/// from a worker thread because it touches only shard-local state.
+/// Batched sink: accumulates into the shard's [`ShardDelta`], touching only
+/// shard-local state.
 pub(crate) struct DeltaSink<'a> {
     pub d: &'a mut ShardDelta,
 }
@@ -572,7 +572,7 @@ const RESOLVE_PREFETCH_DIST: usize = 8;
 
 /// One LLC slice: its cache body, its pending batch bucket and its
 /// accumulated statistic delta. Shards are fully independent, which is what
-/// lets buckets resolve on worker threads without synchronisation.
+/// lets a flush resolve bucket by bucket rather than in enqueue order.
 #[derive(Debug, Clone)]
 pub(crate) struct SliceShard {
     pub store: SetStore,

@@ -342,14 +342,13 @@ proptest! {
         }
     }
 
-    /// The batched, slice-parallel pipeline is bit-identical to the
+    /// The batched, slice-bucketed pipeline is bit-identical to the
     /// serial path over random interleaved core/DDIO streams under mixed
     /// CAT masks: the same per-op hit/miss resolution, the same derived
     /// statistics (including first-touch agent registration order), and
     /// the same final contents and replacement state — victim choices
-    /// included, via the state digest — whether a flush resolves in the
-    /// calling thread or across several workers, and regardless of how
-    /// the stream is cut into flush windows.
+    /// included, via the state digest — regardless of how the stream is
+    /// cut into flush windows.
     #[test]
     fn slice_parallel_matches_serial(
         ops in proptest::collection::vec(op_strategy(8), 1..500),
@@ -381,50 +380,46 @@ proptest! {
             }
         }
 
-        for workers in [1u32, 4] {
-            iat_cachesim::config::set_slice_workers(Some(workers));
-            let mut batched = Llc::new(geom);
-            let mut got_hits = Vec::new();
-            let mut handles: Vec<BatchHandle> = Vec::new();
-            for (k, op) in ops.iter().enumerate() {
-                match *op {
-                    Op::Core { agent, mask_first, mask_count, addr, write } => {
-                        let Some(mask) = clamp_mask(geom.ways(), mask_first, mask_count) else {
-                            continue;
-                        };
-                        let op = if write { CoreOp::Write } else { CoreOp::Read };
-                        handles.push(batched.batch_core_access(AgentId::new(agent), mask, addr, op));
-                    }
-                    Op::Writeback { agent, mask_first, mask_count, addr } => {
-                        let Some(mask) = clamp_mask(geom.ways(), mask_first, mask_count) else {
-                            continue;
-                        };
-                        batched.batch_core_writeback(AgentId::new(agent), mask, addr);
-                    }
-                    Op::IoWrite { addr } => batched.batch_io_write(ddio, addr),
-                    Op::IoRead { addr } => batched.batch_io_read(addr),
+        let mut batched = Llc::new(geom);
+        let mut got_hits = Vec::new();
+        let mut handles: Vec<BatchHandle> = Vec::new();
+        for (k, op) in ops.iter().enumerate() {
+            match *op {
+                Op::Core { agent, mask_first, mask_count, addr, write } => {
+                    let Some(mask) = clamp_mask(geom.ways(), mask_first, mask_count) else {
+                        continue;
+                    };
+                    let op = if write { CoreOp::Write } else { CoreOp::Read };
+                    handles.push(batched.batch_core_access(AgentId::new(agent), mask, addr, op));
                 }
-                if (k + 1) % window == 0 {
-                    batched.batch_flush();
-                    got_hits.extend(handles.drain(..).map(|h| batched.batch_hit(h)));
+                Op::Writeback { agent, mask_first, mask_count, addr } => {
+                    let Some(mask) = clamp_mask(geom.ways(), mask_first, mask_count) else {
+                        continue;
+                    };
+                    batched.batch_core_writeback(AgentId::new(agent), mask, addr);
                 }
+                Op::IoWrite { addr } => batched.batch_io_write(ddio, addr),
+                Op::IoRead { addr } => batched.batch_io_read(addr),
             }
-            batched.batch_flush();
-            got_hits.extend(handles.drain(..).map(|h| batched.batch_hit(h)));
-
-            prop_assert_eq!(&got_hits, &want_hits, "workers={}", workers);
-            prop_assert_eq!(batched.state_digest(), serial.state_digest());
-            prop_assert_eq!(batched.valid_lines(), serial.valid_lines());
-            prop_assert_eq!(batched.stats().evictions, serial.stats().evictions);
-            prop_assert_eq!(batched.mem().read_lines(), serial.mem().read_lines());
-            prop_assert_eq!(batched.mem().write_lines(), serial.mem().write_lines());
-            prop_assert_eq!(batched.stats().ddio_hits(), serial.stats().ddio_hits());
-            prop_assert_eq!(batched.stats().ddio_misses(), serial.stats().ddio_misses());
-            let got: Vec<_> = batched.stats().agents().map(|(id, s)| (id, *s)).collect();
-            let want: Vec<_> = serial.stats().agents().map(|(id, s)| (id, *s)).collect();
-            prop_assert_eq!(got, want);
+            if (k + 1) % window == 0 {
+                batched.batch_flush();
+                got_hits.extend(handles.drain(..).map(|h| batched.batch_hit(h)));
+            }
         }
-        iat_cachesim::config::set_slice_workers(None);
+        batched.batch_flush();
+        got_hits.extend(handles.drain(..).map(|h| batched.batch_hit(h)));
+
+        prop_assert_eq!(&got_hits, &want_hits);
+        prop_assert_eq!(batched.state_digest(), serial.state_digest());
+        prop_assert_eq!(batched.valid_lines(), serial.valid_lines());
+        prop_assert_eq!(batched.stats().evictions, serial.stats().evictions);
+        prop_assert_eq!(batched.mem().read_lines(), serial.mem().read_lines());
+        prop_assert_eq!(batched.mem().write_lines(), serial.mem().write_lines());
+        prop_assert_eq!(batched.stats().ddio_hits(), serial.stats().ddio_hits());
+        prop_assert_eq!(batched.stats().ddio_misses(), serial.stats().ddio_misses());
+        let got: Vec<_> = batched.stats().agents().map(|(id, s)| (id, *s)).collect();
+        let want: Vec<_> = serial.stats().agents().map(|(id, s)| (id, *s)).collect();
+        prop_assert_eq!(got, want);
     }
 
     /// With statistics frozen, the delta-free fast body (`frozen_fast`,
@@ -443,70 +438,66 @@ proptest! {
     ) {
         let geom = CacheGeometry::new(8, 16, 4).expect("valid geometry");
         let ddio = WayMask::contiguous(6, 2).unwrap();
-        for workers in [1u32, 4] {
-            iat_cachesim::config::set_slice_workers(Some(workers));
-            let run = |fast: bool| {
-                let mut llc = Llc::new(geom);
-                llc.set_frozen_fast(fast);
-                llc.set_stats_frozen(true);
-                let mut frozen = true;
-                let mut hits = Vec::new();
-                let mut digests = Vec::new();
-                let mut handles: Vec<BatchHandle> = Vec::new();
-                for (k, op) in ops.iter().enumerate() {
-                    match *op {
-                        Op::Core { agent, mask_first, mask_count, addr, write } => {
-                            if let Some(mask) = clamp_mask(geom.ways(), mask_first, mask_count) {
-                                let op = if write { CoreOp::Write } else { CoreOp::Read };
-                                handles.push(
-                                    llc.batch_core_access(AgentId::new(agent), mask, addr, op),
-                                );
-                            }
+        let run = |fast: bool| {
+            let mut llc = Llc::new(geom);
+            llc.set_frozen_fast(fast);
+            llc.set_stats_frozen(true);
+            let mut frozen = true;
+            let mut hits = Vec::new();
+            let mut digests = Vec::new();
+            let mut handles: Vec<BatchHandle> = Vec::new();
+            for (k, op) in ops.iter().enumerate() {
+                match *op {
+                    Op::Core { agent, mask_first, mask_count, addr, write } => {
+                        if let Some(mask) = clamp_mask(geom.ways(), mask_first, mask_count) {
+                            let op = if write { CoreOp::Write } else { CoreOp::Read };
+                            handles.push(
+                                llc.batch_core_access(AgentId::new(agent), mask, addr, op),
+                            );
                         }
-                        Op::Writeback { agent, mask_first, mask_count, addr } => {
-                            if let Some(mask) = clamp_mask(geom.ways(), mask_first, mask_count) {
-                                llc.batch_core_writeback(AgentId::new(agent), mask, addr);
-                            }
-                        }
-                        Op::IoWrite { addr } => llc.batch_io_write(ddio, addr),
-                        Op::IoRead { addr } => llc.batch_io_read(addr),
                     }
-                    if (k + 1) % window == 0 {
-                        llc.batch_flush();
-                        hits.extend(handles.drain(..).map(|h| llc.batch_hit(h)));
-                        digests.push((llc.state_digest(), llc.valid_lines()));
-                        // Window boundary: alternate warm and measured,
-                        // recounting occupancy on the warm -> measure
-                        // hand-off exactly as the platform does (it goes
-                        // stale across frozen spans by design).
-                        frozen = !frozen;
-                        llc.set_stats_frozen(frozen);
-                        if !frozen {
-                            llc.repair_occupancy();
+                    Op::Writeback { agent, mask_first, mask_count, addr } => {
+                        if let Some(mask) = clamp_mask(geom.ways(), mask_first, mask_count) {
+                            llc.batch_core_writeback(AgentId::new(agent), mask, addr);
                         }
+                    }
+                    Op::IoWrite { addr } => llc.batch_io_write(ddio, addr),
+                    Op::IoRead { addr } => llc.batch_io_read(addr),
+                }
+                if (k + 1) % window == 0 {
+                    llc.batch_flush();
+                    hits.extend(handles.drain(..).map(|h| llc.batch_hit(h)));
+                    digests.push((llc.state_digest(), llc.valid_lines()));
+                    // Window boundary: alternate warm and measured,
+                    // recounting occupancy on the warm -> measure
+                    // hand-off exactly as the platform does (it goes
+                    // stale across frozen spans by design).
+                    frozen = !frozen;
+                    llc.set_stats_frozen(frozen);
+                    if !frozen {
+                        llc.repair_occupancy();
                     }
                 }
-                llc.batch_flush();
-                hits.extend(handles.drain(..).map(|h| llc.batch_hit(h)));
-                digests.push((llc.state_digest(), llc.valid_lines()));
-                let agents: Vec<_> = llc.stats().agents().map(|(id, s)| (id, *s)).collect();
-                let counters = (
-                    llc.stats().evictions,
-                    llc.stats().ddio_hits(),
-                    llc.stats().ddio_misses(),
-                    llc.mem().read_lines(),
-                    llc.mem().write_lines(),
-                );
-                (hits, digests, agents, counters)
-            };
-            let fast = run(true);
-            let full = run(false);
-            prop_assert_eq!(&fast.0, &full.0, "hit resolution, workers={}", workers);
-            prop_assert_eq!(&fast.1, &full.1, "state digests, workers={}", workers);
-            prop_assert_eq!(&fast.2, &full.2, "agent stats, workers={}", workers);
-            prop_assert_eq!(fast.3, full.3, "counters, workers={}", workers);
-        }
-        iat_cachesim::config::set_slice_workers(None);
+            }
+            llc.batch_flush();
+            hits.extend(handles.drain(..).map(|h| llc.batch_hit(h)));
+            digests.push((llc.state_digest(), llc.valid_lines()));
+            let agents: Vec<_> = llc.stats().agents().map(|(id, s)| (id, *s)).collect();
+            let counters = (
+                llc.stats().evictions,
+                llc.stats().ddio_hits(),
+                llc.stats().ddio_misses(),
+                llc.mem().read_lines(),
+                llc.mem().write_lines(),
+            );
+            (hits, digests, agents, counters)
+        };
+        let fast = run(true);
+        let full = run(false);
+        prop_assert_eq!(&fast.0, &full.0, "hit resolution");
+        prop_assert_eq!(&fast.1, &full.1, "state digests");
+        prop_assert_eq!(&fast.2, &full.2, "agent stats");
+        prop_assert_eq!(fast.3, full.3, "counters");
     }
 
     /// Memory counters are monotonic over any operation sequence.

@@ -16,8 +16,7 @@
 //! larger warm+measure share) until the fingerprint stabilises. Because
 //! the sketch observes addresses at [`iat_workloads::ExecCtx`] enqueue
 //! order — before any batching — fingerprints and therefore schedules are
-//! identical across `--slice-workers` settings and window-flush
-//! placements.
+//! identical across `--jobs` settings and window-flush placements.
 
 use iat_cachesim::config::{SamplingLevel, SamplingSpec};
 use iat_workloads::phase::{self, PhaseBoundary, PhaseProfiler, PlanHint};

@@ -43,7 +43,10 @@ use serde_json::{json, Value};
 ///
 /// v7: the `gen_workers` field v6 added is gone with the
 /// generation-worker lane (the tenant front end always runs inline).
-pub const BENCH_SCHEMA: &str = "iat-bench-repro/v7";
+///
+/// v8: the `slice_workers` field v2 added is gone with the LLC
+/// slice-worker layer (every batch flush resolves inline).
+pub const BENCH_SCHEMA: &str = "iat-bench-repro/v8";
 
 /// Schema tag for one `BENCH_history.jsonl` line (see [`history_record`]).
 ///
@@ -149,7 +152,6 @@ pub fn bench_report(out: &RunOutput, opts: &RunOptions, profile: &str) -> Value 
         "smoke": opts.smoke,
         "sampled": opts.sampled,
         "jobs": opts.jobs,
-        "slice_workers": opts.slice_workers,
         "root_seed": opts.root_seed,
         "wall_s": out.wall.as_secs_f64(),
         "aggregate_job_cost_s": busy,
@@ -242,7 +244,6 @@ pub fn history_record(report: &Value) -> Value {
         "sampled": report["sampled"],
         "mode": if report["sampled"] == json!(true) { "sampled" } else { "exact" },
         "jobs": report["jobs"],
-        "slice_workers": report["slice_workers"],
         "root_seed": report["root_seed"],
         "wall_s": report["wall_s"],
         "aggregate_job_cost_s": report["aggregate_job_cost_s"],
@@ -324,9 +325,6 @@ pub fn validate_history(line: &Value) -> Result<(), String> {
         Some("exact" | "sampled") => {}
         other => return Err(format!("bad mode {other:?} (expected \"exact\" or \"sampled\")")),
     }
-    if !line["slice_workers"].is_null() && line["slice_workers"].as_u64().is_none() {
-        return Err("slice_workers must be null or a non-negative integer".into());
-    }
     // Corpus-class lines (see [`corpus_history_records`]) additionally
     // carry the class name and scenario count.
     if !line["corpus_class"].is_null() {
@@ -371,8 +369,8 @@ pub fn trajectory_eligible(report: &Value, opts: &RunOptions) -> bool {
 ///
 /// `prev` is the current file contents (pass `Value::Null` when the file
 /// does not exist or does not parse — the trajectory restarts). Records
-/// are deduplicated by their workload fingerprint (profile, jobs,
-/// slice-worker policy, seed, total accesses): re-running `repro` on
+/// are deduplicated by their workload fingerprint (profile, jobs, seed,
+/// total accesses): re-running `repro` on
 /// unchanged code replaces the last record instead of appending, so the
 /// committed file accumulates roughly one record per PR-level change
 /// while repeated local runs never bloat it. At most [`TRAJECTORY_CAP`]
@@ -389,7 +387,6 @@ pub fn trajectory_update(prev: &Value, report: &Value) -> Value {
         json!([
             r["profile"].clone(),
             r["jobs"].clone(),
-            r["slice_workers"].clone(),
             r["root_seed"].clone(),
             r["accesses"].clone(),
         ])
@@ -490,9 +487,6 @@ pub fn validate(doc: &Value) -> Result<(), String> {
         if doc[key].as_bool().is_none() {
             return Err(format!("{key} must be a boolean"));
         }
-    }
-    if !doc["slice_workers"].is_null() && doc["slice_workers"].as_u64().is_none() {
-        return Err("slice_workers must be null (auto) or a non-negative integer".into());
     }
     for key in ["jobs", "root_seed", "accesses", "skipped_epochs"] {
         if doc[key].as_u64().is_none() {
@@ -671,7 +665,6 @@ mod tests {
         assert_eq!(doc["schema"], BENCH_SCHEMA);
         assert_eq!(doc["accesses"], 1077);
         assert_eq!(doc["jobs"], 2);
-        assert!(doc["slice_workers"].is_null(), "auto policy records null");
         let figs = doc["figures"].as_array().unwrap();
         assert_eq!(figs.len(), 3);
         assert_eq!(figs[0]["figure"], "figX");
@@ -763,39 +756,34 @@ mod tests {
     }
 
     #[test]
-    fn v7_rejects_a_v6_document() {
+    fn v8_rejects_a_v7_document() {
         let doc = bench_report(&fake_output(), &RunOptions::default(), "release");
         validate(&doc).expect("self-emitted report must validate");
-        assert_eq!(doc["schema"], "iat-bench-repro/v7");
-        assert!(doc.get("gen_workers").is_none(), "v7 records no front-end policy");
-        assert!(history_record(&doc).get("gen_workers").is_none());
-        // A v6 document (tag plus the lane's `gen_workers` field) is
-        // refused outright rather than read through a compat path.
-        let mut v6 = with_field(&doc, "schema", serde_json::json!("iat-bench-repro/v6"));
-        v6["gen_workers"] = serde_json::json!(null);
-        let err = validate(&v6).unwrap_err();
+        assert_eq!(doc["schema"], "iat-bench-repro/v8");
+        assert!(doc.get("slice_workers").is_none(), "v8 records no flush policy");
+        assert!(history_record(&doc).get("slice_workers").is_none());
+        // A v7 document (tag plus the `slice_workers` field) is refused
+        // outright rather than read through a compat path.
+        let mut v7 = with_field(&doc, "schema", serde_json::json!("iat-bench-repro/v7"));
+        v7["slice_workers"] = serde_json::json!(1);
+        let err = validate(&v7).unwrap_err();
         assert!(err.contains("unknown schema"), "{err}");
     }
 
     #[test]
     fn history_record_round_trips() {
         let out = fake_output();
-        let opts = RunOptions { slice_workers: Some(4), ..RunOptions::default() };
-        let doc = bench_report(&out, &opts, "release");
+        let doc = bench_report(&out, &RunOptions::default(), "release");
         let line = history_record(&doc);
         validate_history(&line).expect("self-emitted history line must validate");
         assert_eq!(line["schema"], HISTORY_SCHEMA);
         assert_eq!(line["mode"], "exact");
-        assert_eq!(line["slice_workers"], 4);
         assert_eq!(line["figures"], 3);
         assert_eq!(line["ok"], false, "figY failed");
         assert!(line["figures"].as_u64().is_some());
         assert!(validate_history(&serde_json::json!({})).is_err());
         assert!(validate_history(&serde_json::json!({"schema": "nope"})).is_err());
         assert!(validate_history(&with_field(&line, "wall_s", serde_json::json!("fast"))).is_err());
-        assert!(
-            validate_history(&with_field(&line, "slice_workers", serde_json::json!(-3))).is_err()
-        );
         assert!(validate_history(&with_field(&line, "mode", serde_json::json!("turbo"))).is_err());
         assert!(validate_history(&with_field(&line, "mode", Value::Null)).is_err());
     }

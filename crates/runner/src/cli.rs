@@ -45,17 +45,13 @@ pub const USAGE: &str = "\
 repro — regenerate every figure/table capture under results/
 
 USAGE:
-    repro [--jobs N] [--slice-workers N] [--only NAME]...
+    repro [--jobs N] [--only NAME]...
           [--sampled] [--smoke] [--check] [--seed N] [--corpus N]
           [--trace-out PATH] [--list]
 
 OPTIONS:
     --jobs N     worker threads, N >= 1 (default: min(cores, 8));
                  output is byte-identical for every N
-    --slice-workers N
-                 slice workers per batched LLC flush, N >= 1 (default:
-                 auto — sized from the spare core budget); output is
-                 byte-identical for every setting
     --only NAME  run one figure group (e.g. fig12) or a single job
                  (e.g. fig12/rocksdb); repeatable
     --sampled    phase-aware interval sampling: jobs that declared
@@ -97,19 +93,16 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String
         match arg.as_str() {
             "--jobs" | "-j" => {
                 let v = it.next().ok_or("--jobs needs a value")?;
-                cli.opts.jobs = parse_workers(
-                    "--jobs",
-                    &v,
-                    "N >= 1 worker threads; omit the flag for min(cores, 8)",
-                )? as usize;
-            }
-            "--slice-workers" => {
-                let v = it.next().ok_or("--slice-workers needs a value")?;
-                cli.opts.slice_workers = Some(parse_workers(
-                    "--slice-workers",
-                    &v,
-                    "N >= 1 slice workers per flush; omit the flag for auto",
-                )?);
+                // Rejected, never clamped.
+                cli.opts.jobs = match v.parse::<usize>() {
+                    Ok(n) if n >= 1 => n,
+                    _ => {
+                        return Err(format!(
+                            "bad --jobs value {v:?} (accepted: N >= 1 worker threads; \
+                             omit the flag for min(cores, 8))"
+                        ))
+                    }
+                };
             }
             "--only" => {
                 cli.opts.only.push(it.next().ok_or("--only needs a value")?);
@@ -148,16 +141,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String
     Ok(cli)
 }
 
-/// Parses a worker-count value of `flag`, rejecting anything that is not
-/// a positive integer — never clamping — with a message naming the
-/// `accepted` values.
-fn parse_workers(flag: &str, v: &str, accepted: &str) -> Result<u32, String> {
-    match v.parse::<u32>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!("bad {flag} value {v:?} (accepted: {accepted})")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,22 +161,16 @@ mod tests {
         );
         assert_eq!(cli.opts.root_seed, 7);
         assert!(cli.check && !cli.opts.smoke && !cli.list);
-        assert_eq!(cli.opts.slice_workers, None, "default is auto");
     }
 
     #[test]
-    fn parses_slice_workers() {
-        let cli = parse_args(["--slice-workers".to_owned(), "1".to_owned()]).unwrap();
-        assert_eq!(cli.opts.slice_workers, Some(1));
-        let cli = parse_args(["--slice-workers".to_owned(), "4".to_owned()]).unwrap();
-        assert_eq!(cli.opts.slice_workers, Some(4));
-        // Out-of-range values are rejected with the accepted ones, never
-        // clamped.
-        for bad in ["0", "auto", "-1"] {
-            let err = parse_args(["--slice-workers".to_owned(), bad.to_owned()]).unwrap_err();
-            assert!(err.contains("N >= 1") && err.contains("auto"), "{bad}: {err}");
+    fn rejects_slice_workers() {
+        // The LLC slice-worker layer is gone; its flag is an unknown
+        // argument like any other.
+        for v in ["1", "2"] {
+            let err = parse_args(["--slice-workers".to_owned(), v.to_owned()]).unwrap_err();
+            assert!(err.contains("unknown argument"), "{v}: {err}");
         }
-        assert!(parse_args(["--slice-workers".to_owned()]).is_err());
     }
 
     #[test]

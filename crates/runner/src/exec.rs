@@ -22,11 +22,12 @@ pub struct RunOptions {
     pub smoke: bool,
     /// Root of the per-job seed derivation.
     pub root_seed: u64,
-    /// LLC slice-worker policy forwarded to `iat_cachesim::config`:
-    /// `None` = auto (sized from the spare worker-slot budget),
-    /// `Some(n)` = exactly `n` flush workers (`repro` accepts `n >= 1`;
-    /// `Some(0)` behaves as `Some(1)`). Results are byte-identical for
-    /// every setting.
+    /// Compatibility stub for the removed LLC slice-worker layer: every
+    /// batch flush resolves inline on the job's thread. Only `None` and
+    /// `Some(1)` are accepted ([`run`] panics on anything else, through
+    /// `iat_cachesim::config::set_slice_workers`). Kept only because the
+    /// benchmark package still sets it; the next benchmark change
+    /// deletes it.
     pub slice_workers: Option<u32>,
     /// Compatibility stub for the removed generation-worker lane: the
     /// tenant front end always runs inline on the job's thread. Only
@@ -37,7 +38,7 @@ pub struct RunOptions {
     pub gen_workers: Option<u32>,
     /// Phase-aware interval sampling: jobs that declared eligibility
     /// ([`crate::JobSpec::sampled`]) run the sampled execution path.
-    /// Unlike `slice_workers` this changes *outputs* (they become
+    /// Unlike `jobs` this changes *outputs* (they become
     /// extrapolated estimates), so sampled runs must never write over
     /// the committed exact captures.
     pub sampled: bool,
@@ -390,10 +391,6 @@ pub fn run(mut reg: Registry, opts: &RunOptions) -> RunOutput {
 
                 let job = &metas[i];
                 let mut ctx = JobCtx::new(&job.name, opts.root_seed, opts.smoke, deps);
-                // Hold one worker slot while the job runs: auto-mode
-                // LLC flushes size their intra-job parallelism from
-                // whatever the inter-job workers leave over.
-                iat_cachesim::config::acquire_slot();
                 // Sampling is a thread-local property of simulations the
                 // body constructs, so it is set just for the body's
                 // duration — parallel jobs with different eligibility
@@ -438,7 +435,6 @@ pub fn run(mut reg: Registry, opts: &RunOptions) -> RunOutput {
                 }
                 crate::checkpoint::clear();
                 iat_cachesim::config::set_thread_sampling(None);
-                iat_cachesim::config::release_slot();
                 if span::global_enabled() {
                     span::global().record(
                         "runner",

@@ -446,8 +446,6 @@ mod tests {
     /// state digest.
     #[test]
     fn batched_matches_serial() {
-        use iat_cachesim::config::set_slice_workers;
-
         type Trace = (u64, WorkloadMetrics, Vec<ExecResult>, u64, u64);
 
         fn testpmd_trace(step: fn(&mut TestPmd, &mut ExecCtx<'_>) -> ExecResult) -> Trace {
@@ -486,17 +484,11 @@ mod tests {
             (fwd.forwarded, fwd.metrics(), results, h.accesses(), h.llc().state_digest())
         }
 
-        let reference = testpmd_trace(testpmd_reference);
-        for w in [Some(1), Some(4), None] {
-            set_slice_workers(w);
-            assert_eq!(testpmd_trace(TestPmd::run), reference, "testpmd diverged with workers={w:?}");
-        }
-        let reference = l3fwd_trace(l3fwd_reference);
-        for w in [Some(1), Some(4), None] {
-            set_slice_workers(w);
-            assert_eq!(l3fwd_trace(L3Fwd::run), reference, "l3fwd diverged with workers={w:?}");
-        }
-        set_slice_workers(None);
+        assert_eq!(
+            testpmd_trace(TestPmd::run),
+            testpmd_trace(testpmd_reference)
+        );
+        assert_eq!(l3fwd_trace(L3Fwd::run), l3fwd_trace(l3fwd_reference));
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   Enqueue order is identical between the serial oracle and the batched
 //!   slice pipeline regardless of where window flushes fall (flushes only
 //!   decide when enqueued accesses *resolve*), so the sketch — and
-//!   everything derived from it — is invariant to `--slice-workers` and to
-//!   flush placement **by construction**.
+//!   everything derived from it — is invariant to flush placement **by
+//!   construction**.
 //! * [`Fingerprint`] — one interval's signature: the normalized
 //!   reuse-distance histogram plus the interval's demand-miss-rate
 //!   signature. Pure integer arithmetic; deterministic from the job seed.
