@@ -14,14 +14,16 @@
 //!    depend only on ring occupancy, never on cache outcomes), enqueued
 //!    into the hierarchy's batched pipeline, then one flush.
 //! 2. Core windows in canonical (tenant, core, window) order; each
-//!    window flushes itself, and phase observation follows the same
-//!    order, so sampled-mode schedules are reproducible. Finished slices
-//!    retire into the counter bank in the same order.
+//!    window flushes itself, and the lent reuse sketch (sampled mode)
+//!    observes in the same order, so sampled-mode schedules are
+//!    reproducible. Finished slices retire into the counter bank in the
+//!    same order.
 //! 3. Every tenant's device reads in tenant order, then one flush.
 
 use crate::tenant::Tenant;
 use iat_cachesim::{MemoryHierarchy, WayMask};
 use iat_perf::CounterBank;
+use iat_workloads::phase::ReuseSketch;
 use iat_workloads::{Channels, ExecCtx};
 
 /// Per-epoch constants the front end shares.
@@ -70,9 +72,9 @@ fn deliver(tenants: &mut [Tenant], p: &EpochParams, hierarchy: &mut MemoryHierar
 }
 
 /// Runs every core of every tenant for one chunk's budget, in canonical
-/// (tenant, core) order, retiring measured slices into `bank`. Cores
-/// never halt (busy polling / continuous compute), so the full budget
-/// elapses as cycles.
+/// (tenant, core) order, retiring measured slices into `bank` and lending
+/// `sketch` to every slice. Cores never halt (busy polling / continuous
+/// compute), so the full budget elapses as cycles.
 fn execute(
     tenants: &mut [Tenant],
     masks: &[WayMask],
@@ -80,11 +82,13 @@ fn execute(
     p: &EpochParams,
     hierarchy: &mut MemoryHierarchy,
     bank: &mut CounterBank,
+    mut sketch: Option<&mut ReuseSketch>,
 ) {
     for (t, &mask) in tenants.iter_mut().zip(masks) {
         for &core in &t.cores {
             let mut ctx = ExecCtx {
                 cache: &mut *hierarchy,
+                sketch: sketch.as_deref_mut(),
                 channels: &mut *channels,
                 core,
                 agent: t.agent,
@@ -110,7 +114,8 @@ fn drain(tenants: &mut [Tenant], hierarchy: &mut MemoryHierarchy) {
 }
 
 /// Executes one epoch's tenant front end; one flush closes each of the
-/// deliver and drain phases (windows flush themselves). Returns
+/// deliver and drain phases (windows flush themselves). `sketch` is the
+/// sampler's reuse sketch (`None` in exact runs). Returns
 /// `(packets_delivered, packets_dropped)`.
 pub(crate) fn exec_epoch(
     p: EpochParams,
@@ -119,6 +124,7 @@ pub(crate) fn exec_epoch(
     channels: &mut Channels,
     tenants: &mut [Tenant],
     masks: &[WayMask],
+    mut sketch: Option<&mut ReuseSketch>,
 ) -> (u64, u64) {
     let mut delivered = 0u64;
     let mut dropped = 0u64;
@@ -127,7 +133,7 @@ pub(crate) fn exec_epoch(
         delivered += d;
         dropped += dr;
         hierarchy.batch_flush();
-        execute(tenants, masks, channels, &p, hierarchy, bank);
+        execute(tenants, masks, channels, &p, hierarchy, bank, sketch.as_deref_mut());
         drain(tenants, hierarchy);
         hierarchy.batch_flush();
     }

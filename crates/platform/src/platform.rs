@@ -9,7 +9,6 @@ use iat_rdt::Rdt;
 use iat_telemetry::phases::{self, Phase};
 use iat_telemetry::span::{self, SpanTracer};
 use iat_telemetry::{Event, Recorder, Stamp};
-use iat_workloads::phase;
 use serde_json::json;
 use std::time::Instant;
 use iat_workloads::phase::PhaseBoundary;
@@ -161,10 +160,8 @@ impl Platform {
     /// the phase-aware interval sampler; otherwise every epoch is
     /// simulated exactly.
     pub fn new(config: PlatformConfig) -> Self {
-        let sampler = iat_cachesim::config::thread_sampling().map(|spec| {
-            phase::reset_thread();
-            Sampler::new(spec, (1_000_000_000 / config.epoch_ns).max(1))
-        });
+        let sampler = iat_cachesim::config::thread_sampling()
+            .map(|spec| Sampler::new(spec, (1_000_000_000 / config.epoch_ns).max(1)));
         Platform {
             config,
             hierarchy: MemoryHierarchy::new(config.llc, config.l2, config.cores, config.latency),
@@ -420,25 +417,18 @@ impl Platform {
             }
             EpochAction::Measure => {
                 let t0 = Instant::now();
-                let observe = self.sampler.is_some();
-                if observe {
-                    if self.occupancy_stale {
-                        // Warm epochs froze per-agent occupancy while the
-                        // cache body kept evolving; recount from contents
-                        // so the measured window starts (and stays) exact.
-                        let _span = self
-                            .tracer
-                            .enabled()
-                            .then(|| self.tracer.begin("epoch", "repair_occupancy"));
-                        self.hierarchy.repair_occupancy();
-                        self.occupancy_stale = false;
-                    }
-                    phase::set_observing(true);
+                if self.sampler.is_some() && self.occupancy_stale {
+                    // Warm epochs froze per-agent occupancy while the
+                    // cache body kept evolving; recount from contents so
+                    // the measured window starts (and stays) exact.
+                    let _span = self
+                        .tracer
+                        .enabled()
+                        .then(|| self.tracer.begin("epoch", "repair_occupancy"));
+                    self.hierarchy.repair_occupancy();
+                    self.occupancy_stale = false;
                 }
                 let r = self.exec_epoch(true);
-                if observe {
-                    phase::set_observing(false);
-                }
                 phases::phase_add(Phase::Measure, t0.elapsed().as_nanos() as u64);
                 r
             }
@@ -465,9 +455,7 @@ impl Platform {
     /// and the cold-start fast-forward.
     fn warm_epoch_body(&mut self) {
         self.hierarchy.set_stats_frozen(true);
-        phase::set_observing(true);
         self.exec_epoch(false);
-        phase::set_observing(false);
         self.hierarchy.set_stats_frozen(false);
         self.occupancy_stale = true;
     }
@@ -541,7 +529,8 @@ impl Platform {
     /// With `measured` false (a warmup epoch) the hardware counter bank
     /// does not retire, NIC drop counters are restored after delivery
     /// (so drop totals stay measured-only), and modelled time does not
-    /// advance.
+    /// advance. A sampled platform lends its sampler's reuse sketch to
+    /// every executed epoch, warm or measured; exact platforms lend none.
     fn exec_epoch(&mut self, measured: bool) -> EpochReport {
         let chunks = self.config.chunks.max(1) as u64;
         let params = crate::gen::EpochParams {
@@ -559,6 +548,7 @@ impl Platform {
             &mut self.channels,
             &mut self.tenants,
             &masks,
+            self.sampler.as_mut().map(Sampler::sketch_mut),
         );
         if measured {
             self.time_ns += self.config.epoch_ns;
@@ -891,6 +881,44 @@ mod tests {
         let sampled = channel_scenario(Some(spec), 40);
         assert!(sampled.4 > 0, "sampled run must fast-forward");
         assert_eq!(channel_scenario(Some(spec), 40), sampled);
+    }
+
+    /// A one-tenant sampled X-Mem platform with `working_set` bytes and
+    /// 10-epoch sampling intervals.
+    fn sampled_xmem(working_set: u64) -> Platform {
+        use iat_cachesim::config::{set_thread_sampling, SamplingLevel};
+        set_thread_sampling(Some(SamplingLevel::Standard.spec()));
+        let mut p = Platform::new(PlatformConfig {
+            epoch_ns: 100_000_000,
+            time_scale: 20_000,
+            ..PlatformConfig::tiny()
+        });
+        set_thread_sampling(None);
+        p.add_tenant(Tenant {
+            workload: Box::new(XMem::new(0x1000_0000, working_set, 7)),
+            ..xmem_tenant(0, 0, 1)
+        });
+        p
+    }
+
+    #[test]
+    fn interleaved_sampled_platforms_keep_their_own_schedules() {
+        // Each sampler owns its reuse sketch, so stepping a second
+        // sampled platform on the same thread must not perturb the
+        // first one's phases, schedule or cache state.
+        let summary = |p: &Platform| {
+            (p.measured_epochs(), p.skipped_epochs(), p.phase_count(), p.llc().state_digest())
+        };
+        let mut solo = sampled_xmem(8 << 10);
+        solo.run_epochs(200);
+        let mut first = sampled_xmem(8 << 10);
+        let mut second = sampled_xmem(4 << 20);
+        for _ in 0..200 {
+            first.step_epoch();
+            second.step_epoch();
+        }
+        assert!(solo.skipped_epochs() > 0, "the solo run must fast-forward");
+        assert_eq!(summary(&first), summary(&solo));
     }
 
     #[test]

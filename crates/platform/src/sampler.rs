@@ -11,15 +11,16 @@
 //! freshly-produced counters.
 //!
 //! The schedule adapts per phase: a [`PhaseProfiler`] fingerprints every
-//! interval from the thread's reuse-distance sketch plus the interval's
+//! interval from the sampler's own [`ReuseSketch`] plus the interval's
 //! LLC miss rate, and novel or unstable phases get a *boost* plan (a much
-//! larger warm+measure share) until the fingerprint stabilises. Because
-//! the sketch observes addresses at [`iat_workloads::ExecCtx`] enqueue
-//! order — before any batching — fingerprints and therefore schedules are
-//! identical across `--jobs` settings and window-flush placements.
+//! larger warm+measure share) until the fingerprint stabilises. The
+//! platform lends the sketch to every epoch it executes through
+//! [`iat_workloads::ExecCtx::sketch`], which observes addresses at enqueue
+//! order — before any batching — so fingerprints and therefore schedules
+//! are identical across `--jobs` settings and window-flush placements.
 
 use iat_cachesim::config::{SamplingLevel, SamplingSpec};
-use iat_workloads::phase::{self, PhaseBoundary, PhaseProfiler, PlanHint};
+use iat_workloads::phase::{PhaseBoundary, PhaseProfiler, PlanHint, ReuseSketch};
 
 /// What the platform should do with the next epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,9 +62,13 @@ impl Plan {
 }
 
 /// Per-platform sampling state: the current interval's schedule, the
-/// phase profiler it adapts from, and cumulative epoch accounting.
+/// reuse sketch and phase profiler it adapts from, and cumulative epoch
+/// accounting.
 pub(crate) struct Sampler {
     spec: SamplingSpec,
+    /// Fed by the epochs this sampler's platform executes (warm and
+    /// measured); drained into a fingerprint at every interval end.
+    sketch: ReuseSketch,
     profiler: PhaseProfiler,
     interval_len: u64,
     /// Position of the *next* epoch within the current interval.
@@ -103,6 +108,7 @@ impl Sampler {
         let interval_len = interval_len.max(1);
         Sampler {
             spec,
+            sketch: ReuseSketch::new(),
             profiler: PhaseProfiler::new(),
             interval_len,
             pos: 0,
@@ -231,8 +237,9 @@ impl Sampler {
     }
 
     /// Accounts for the epoch just executed; at interval end, drains the
-    /// thread's phase fingerprint, folds the measured-segment miss rate
-    /// in, and re-plans the next interval from the profiler's hint.
+    /// sketch into the interval's phase fingerprint, folds the
+    /// measured-segment miss rate in, and re-plans the next interval from
+    /// the profiler's hint.
     pub fn end_epoch(&mut self, refs: u64, misses: u64) {
         match self.current {
             EpochAction::Skip => self.skipped += 1,
@@ -247,7 +254,7 @@ impl Sampler {
         let drefs = refs.saturating_sub(self.refs_base);
         let dmiss = misses.saturating_sub(self.miss_base);
         let permille = if drefs == 0 { 0 } else { (dmiss * 1000 / drefs).min(1000) as u16 };
-        let fp = phase::drain_fingerprint(permille);
+        let fp = self.sketch.drain(permille);
         let known_phases = self.profiler.phase_count();
         let mut hint = self.profiler.observe_interval(fp);
         if self.profiler.phase_count() > known_phases && self.profiler.intervals() > 1 {
@@ -268,6 +275,11 @@ impl Sampler {
             hint = PlanHint::Stable;
         }
         self.plan = Plan::build(&self.spec, hint, self.interval_len);
+    }
+
+    /// The reuse sketch the platform lends to the epochs it executes.
+    pub fn sketch_mut(&mut self) -> &mut ReuseSketch {
+        &mut self.sketch
     }
 
     /// Cumulative epochs simulated at full fidelity.
@@ -323,20 +335,17 @@ mod tests {
 
     #[test]
     fn stable_phase_shrinks_the_plan() {
-        phase::reset_thread();
-        phase::set_observing(true);
         let mut s = Sampler::new(SamplingLevel::Standard.spec(), 100);
         for _ in 0..500 {
             let a = s.begin_epoch(0, 0);
             if a == EpochAction::Measure {
-                // Feed the thread sketch so intervals are not idle.
+                // Feed the sampler's sketch so intervals are not idle.
                 for i in 0..4096u64 {
-                    phase::observe((i % 64) * 64);
+                    s.sketch_mut().observe((i % 64) * 64);
                 }
             }
             s.end_epoch(0, 0);
         }
-        phase::reset_thread();
         // Constant fingerprint -> one phase; the first two intervals run
         // the boost plan (stability needs two matches), then the stable
         // 5%-measure plan takes over: 2x22 + 3x5 = 59 of 500.

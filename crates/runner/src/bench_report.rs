@@ -52,7 +52,8 @@ pub const BENCH_SCHEMA: &str = "iat-bench-repro/v8";
 ///
 /// v2: every line carries `mode` (`"exact"` or `"sampled"`) so the
 /// sampled fast path's aggregate seconds accumulate in the same file as
-/// the exact trajectory without the two being conflated.
+/// the exact trajectory without the two being conflated, and a boolean
+/// `sampled` that must agree with it.
 pub const HISTORY_SCHEMA: &str = "iat-bench-history/v2";
 
 /// Schema tag for the committed `BENCH_trajectory.json` (see
@@ -316,13 +317,13 @@ pub fn validate_history(line: &Value) -> Result<(), String> {
             return Err(format!("{key} must be a boolean"));
         }
     }
-    // `sampled` arrived with repro schema v3; tolerate its absence so
-    // pre-existing history files still validate line by line.
-    if !line["sampled"].is_null() && line["sampled"].as_bool().is_none() {
-        return Err("sampled must be a boolean when present".into());
-    }
+    let sampled = line["sampled"].as_bool().ok_or("sampled must be a boolean")?;
     match line["mode"].as_str() {
-        Some("exact" | "sampled") => {}
+        Some(mode @ ("exact" | "sampled")) => {
+            if sampled != (mode == "sampled") {
+                return Err(format!("mode {mode:?} disagrees with sampled: {sampled}"));
+            }
+        }
         other => return Err(format!("bad mode {other:?} (expected \"exact\" or \"sampled\")")),
     }
     // Corpus-class lines (see [`corpus_history_records`]) additionally
@@ -786,6 +787,12 @@ mod tests {
         assert!(validate_history(&with_field(&line, "wall_s", serde_json::json!("fast"))).is_err());
         assert!(validate_history(&with_field(&line, "mode", serde_json::json!("turbo"))).is_err());
         assert!(validate_history(&with_field(&line, "mode", Value::Null)).is_err());
+        // `sampled` is required and must agree with `mode`.
+        let err = validate_history(&with_field(&line, "sampled", Value::Null)).unwrap_err();
+        assert!(err.contains("sampled must be a boolean"), "{err}");
+        let disagreeing = with_field(&line, "sampled", serde_json::json!(true));
+        let err = validate_history(&disagreeing).unwrap_err();
+        assert!(err.contains("disagrees"), "{err}");
     }
 
     #[test]

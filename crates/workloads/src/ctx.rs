@@ -1,6 +1,7 @@
 //! The workload execution contract: contexts, results, and the
 //! [`Workload`] trait.
 
+use crate::phase::ReuseSketch;
 use iat_cachesim::{AgentId, CoreOp, MemoryHierarchy, WayMask};
 use iat_netsim::{RxRing, VirtualFunction};
 use std::fmt;
@@ -80,9 +81,15 @@ impl Channels {
 #[derive(Debug)]
 pub struct ExecCtx<'a> {
     /// The memory hierarchy every access resolves against. Direct use
-    /// (`core_access_cycles`) skips phase observation — the per-packet
-    /// path of the networking workloads, which never fed the observer.
+    /// (`core_access_cycles`) bypasses [`ExecCtx::sketch`]: the OVS, KVS
+    /// and channel-echo per-packet paths resolve this way and are never
+    /// observed.
     pub cache: &'a mut MemoryHierarchy,
+    /// The sampler's reuse-distance sketch, fed at enqueue order by
+    /// [`ExecCtx::read`], [`ExecCtx::write`] and [`ExecCtx::access_batch`].
+    /// `Some` only on the epochs a sampled platform executes; exact runs
+    /// pass `None`.
+    pub sketch: Option<&'a mut ReuseSketch>,
     /// Inter-workload channels.
     pub channels: &'a mut Channels,
     /// The core this slice runs on.
@@ -98,13 +105,17 @@ pub struct ExecCtx<'a> {
 impl ExecCtx<'_> {
     /// Convenience: performs a core read and returns its cycle cost.
     pub fn read(&mut self, addr: u64) -> u32 {
-        crate::phase::observe(addr);
+        if let Some(sketch) = self.sketch.as_deref_mut() {
+            sketch.observe(addr);
+        }
         self.cache.core_access_cycles(self.core, self.agent, self.mask, addr, CoreOp::Read)
     }
 
     /// Convenience: performs a core write and returns its cycle cost.
     pub fn write(&mut self, addr: u64) -> u32 {
-        crate::phase::observe(addr);
+        if let Some(sketch) = self.sketch.as_deref_mut() {
+            sketch.observe(addr);
+        }
         self.cache.core_access_cycles(self.core, self.agent, self.mask, addr, CoreOp::Write)
     }
 
@@ -135,7 +146,11 @@ impl ExecCtx<'_> {
     /// element.
     #[inline]
     pub fn access_batch(&mut self, ops: &[(u64, CoreOp)], costs: &mut Vec<u32>) {
-        crate::phase::observe_ops(ops);
+        if let Some(sketch) = self.sketch.as_deref_mut() {
+            for &(addr, _) in ops {
+                sketch.observe(addr);
+            }
+        }
         self.cache.core_access_cycles_batch(self.core, self.agent, self.mask, ops, costs);
     }
 }
@@ -226,6 +241,7 @@ mod tests {
         let mut ch = Channels::new();
         let mut ctx = ExecCtx {
             cache: &mut h,
+            sketch: None,
             channels: &mut ch,
             core: 0,
             agent: AgentId::new(0),
@@ -235,5 +251,37 @@ mod tests {
         let miss_cost = ctx.read(0x40);
         let hit_cost = ctx.read(0x40);
         assert!(miss_cost > hit_cost, "memory fetch must cost more than an L2 hit");
+    }
+
+    #[test]
+    fn exec_ctx_feeds_only_a_lent_sketch() {
+        let mut h = MemoryHierarchy::tiny(1);
+        let mut ch = Channels::new();
+        let mut sketch = ReuseSketch::new();
+        let mut costs = Vec::new();
+        let ops: Vec<(u64, CoreOp)> =
+            (0..4096u64).map(|i| ((i % 128) * 64, CoreOp::Write)).collect();
+        for lent in [false, true] {
+            let mut ctx = ExecCtx {
+                cache: &mut h,
+                sketch: lent.then_some(&mut sketch),
+                channels: &mut ch,
+                core: 0,
+                agent: AgentId::new(0),
+                mask: WayMask::all(4),
+                cycle_budget: 10_000,
+            };
+            for i in 0..4096u64 {
+                ctx.read((i % 128) * 64);
+                ctx.write((i % 128) * 64);
+            }
+            ctx.access_batch(&ops, &mut costs);
+            if !lent {
+                assert_eq!(sketch.samples(), 0, "None must record nothing");
+            }
+        }
+        let fp = sketch.drain(42);
+        assert!(fp.samples > 0, "a lent sketch must record samples");
+        assert_eq!(fp.miss_permille, 42);
     }
 }

@@ -136,6 +136,7 @@ mod tests {
             .unwrap();
         let mut ctx = ExecCtx {
             cache: &mut h,
+            sketch: None,
             channels: &mut ch,
             core: 0,
             agent: AgentId::new(0),
@@ -164,6 +165,7 @@ mod tests {
         }
         let mut ctx = ExecCtx {
             cache: &mut h,
+            sketch: None,
             channels: &mut ch,
             core: 0,
             agent: AgentId::new(0),

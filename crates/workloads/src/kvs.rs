@@ -290,6 +290,7 @@ mod tests {
     fn run(h: &mut MemoryHierarchy, ch: &mut Channels, kv: &mut KvStore, budget: u64) {
         let mut ctx = ExecCtx {
             cache: h,
+            sketch: None,
             channels: ch,
             core: 0,
             agent: AgentId::new(0),

@@ -377,6 +377,7 @@ mod tests {
     fn run(h: &mut MemoryHierarchy, ovs: &mut OvsSwitch, ch: &mut Channels, budget: u64) {
         let mut ctx = ExecCtx {
             cache: h,
+            sketch: None,
             channels: ch,
             core: 0,
             agent: AgentId::new(0),

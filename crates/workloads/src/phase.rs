@@ -29,10 +29,10 @@
 //!   boosted measured window (new/unstable phase) or does the stable
 //!   fast-forward plan suffice?
 //!
-//! Observation is thread-local and off by default: exact runs pay one
-//! branch per access batch and nothing else.
-
-use std::cell::RefCell;
+//! Observation is per-sampler state, not ambient: a sampled platform's
+//! sampler owns its [`ReuseSketch`] and lends it to the workloads through
+//! [`crate::ExecCtx::sketch`] on every epoch it executes. Exact runs pass
+//! `None`, so each access pays one branch on that field and nothing else.
 
 /// Number of log2 reuse-distance buckets in a sketch histogram.
 pub const BUCKETS: usize = 16;
@@ -65,8 +65,11 @@ fn hash_line(line: u64) -> u64 {
 /// a phase and *different* across phases.
 #[derive(Debug, Clone)]
 pub struct ReuseSketch {
-    /// Direct-mapped `(line + 1, last_seq)` table; key 0 = empty.
-    table: Vec<(u64, u64)>,
+    /// Direct-mapped `(line + 1, last_seq)` table; key 0 = empty. Held
+    /// inline, not boxed: every sampled platform owns a sketch, and one
+    /// 16 KB heap block per platform raised the sampled benchmark's peak
+    /// RSS by ~22% through allocator fragmentation.
+    table: [(u64, u64); TABLE_SLOTS],
     /// Virtual clock: one tick per observed access.
     seq: u64,
     hist: [u64; BUCKETS],
@@ -83,7 +86,7 @@ impl ReuseSketch {
     /// Creates an empty sketch.
     pub fn new() -> Self {
         ReuseSketch {
-            table: vec![(0, 0); TABLE_SLOTS],
+            table: [(0, 0); TABLE_SLOTS],
             seq: 0,
             hist: [0; BUCKETS],
             samples: 0,
@@ -135,15 +138,6 @@ impl ReuseSketch {
         self.hist = [0; BUCKETS];
         self.samples = 0;
         fp
-    }
-
-    /// Full reset: table, clock and histogram. Called when a new
-    /// simulation starts on a (possibly reused) worker thread.
-    pub fn reset(&mut self) {
-        self.table.iter_mut().for_each(|e| *e = (0, 0));
-        self.seq = 0;
-        self.hist = [0; BUCKETS];
-        self.samples = 0;
     }
 }
 
@@ -319,74 +313,6 @@ impl PhaseProfiler {
     }
 }
 
-// --- Thread-local observation ----------------------------------------------
-
-thread_local! {
-    static OBSERVER: RefCell<Observer> = RefCell::new(Observer { active: false, sketch: None });
-}
-
-struct Observer {
-    active: bool,
-    sketch: Option<ReuseSketch>,
-}
-
-/// Starts (or stops) feeding this thread's execution contexts into the
-/// thread's sketch. The platform activates observation around workload
-/// execution in sampled mode only; exact runs never enter here.
-pub fn set_observing(active: bool) {
-    OBSERVER.with(|o| o.borrow_mut().active = active);
-}
-
-/// Resets this thread's sketch (start of a new simulation on a possibly
-/// reused worker thread).
-pub fn reset_thread() {
-    OBSERVER.with(|o| {
-        let mut o = o.borrow_mut();
-        o.active = false;
-        if let Some(s) = o.sketch.as_mut() {
-            s.reset();
-        }
-    });
-}
-
-/// Observes one access (called by [`crate::ExecCtx::read`] and
-/// [`crate::ExecCtx::write`]).
-#[inline]
-pub fn observe(addr: u64) {
-    OBSERVER.with(|o| {
-        let mut o = o.borrow_mut();
-        if o.active {
-            o.sketch.get_or_insert_with(ReuseSketch::new).observe(addr);
-        }
-    });
-}
-
-/// Observes a window of accesses in op order (called by
-/// [`crate::ExecCtx::access_batch`] at enqueue time, before resolution).
-#[inline]
-pub(crate) fn observe_ops(ops: &[(u64, iat_cachesim::CoreOp)]) {
-    OBSERVER.with(|o| {
-        let mut o = o.borrow_mut();
-        if o.active {
-            let sketch = o.sketch.get_or_insert_with(ReuseSketch::new);
-            for &(addr, _) in ops {
-                sketch.observe(addr);
-            }
-        }
-    });
-}
-
-/// Closes the current interval on this thread: drains the sketch into a
-/// fingerprint carrying `miss_permille`.
-pub fn drain_fingerprint(miss_permille: u16) -> Fingerprint {
-    OBSERVER.with(|o| {
-        o.borrow_mut()
-            .sketch
-            .get_or_insert_with(ReuseSketch::new)
-            .drain(miss_permille)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -446,22 +372,5 @@ mod tests {
         let fp = Fingerprint { hist: [0; BUCKETS], miss_permille: 0, samples: 0 };
         assert_eq!(p.observe_interval(fp), PlanHint::Boost);
         assert_eq!(p.phase_count(), 0);
-    }
-
-    #[test]
-    fn thread_observation_gated_and_drains() {
-        reset_thread();
-        observe(0x40); // inactive: dropped
-        set_observing(true);
-        for i in 0..10_000u64 {
-            observe((i % 128) * 64);
-        }
-        set_observing(false);
-        let fp = drain_fingerprint(42);
-        assert!(fp.samples > 0, "active observation must record samples");
-        assert_eq!(fp.miss_permille, 42);
-        reset_thread();
-        let fp2 = drain_fingerprint(0);
-        assert_eq!(fp2.samples, 0, "reset must clear the sketch");
     }
 }

@@ -217,6 +217,7 @@ mod tests {
         let mut ch = Channels::new();
         let mut ctx = ExecCtx {
             cache: h,
+            sketch: None,
             channels: &mut ch,
             core: 0,
             agent: AgentId::new(0),

@@ -15,8 +15,9 @@
 //!   never on ambient state — replaying a sequence on a fresh profiler
 //!   (as a second `--jobs` worker would) reproduces every decision.
 
-use iat_cachesim::{AgentId, CacheGeometry, CoreOp, Llc, WayMask};
+use iat_cachesim::{AgentId, CacheGeometry, CoreOp, LatencyModel, MemoryHierarchy, WayMask};
 use iat_workloads::phase::{Fingerprint, PhaseProfiler, ReuseSketch};
+use iat_workloads::{Channels, ExecCtx};
 use proptest::prelude::*;
 
 /// Mixes a raw u64 into a line address within a few distinct regions so
@@ -30,46 +31,58 @@ fn to_addr(raw: u64) -> u64 {
 
 proptest! {
     /// The fingerprint a stream drains to is invariant to how the
-    /// stream is executed: serial access-at-a-time, or batched with any
-    /// flush-window placement. This is the
-    /// same stream-cutting space `slice_parallel_matches_serial`
-    /// explores for cache state, applied to the phase sketch that rides
-    /// on top of it.
+    /// stream is executed: one access at a time through
+    /// [`ExecCtx::read`]/[`ExecCtx::write`], or cut into
+    /// [`ExecCtx::access_batch`] windows at any flush placement. Both
+    /// runs go through a real `ExecCtx` holding the sketch, the way a
+    /// sampled platform lends it, so the observation point under test is
+    /// the production one.
     #[test]
     fn fingerprint_invariant_to_window_flush_placement(
         raws in proptest::collection::vec(any::<u64>(), 1..800),
         window in 1usize..97,
         miss_permille in 0u16..1000,
     ) {
-        let geom = CacheGeometry::new(8, 16, 4).expect("valid geometry");
-        let mask = WayMask::all(geom.ways());
-        let agent = AgentId::new(1);
-
-        // Serial reference: observe at issue order, resolve one by one.
-        let mut sketch = ReuseSketch::new();
-        let mut serial = Llc::new(geom);
-        for &raw in &raws {
-            let addr = to_addr(raw);
-            sketch.observe(addr);
-            serial.core_access(agent, mask, addr, CoreOp::Read);
-        }
-        let want = sketch.drain(miss_permille);
-
-        let mut sketch = ReuseSketch::new();
-        let mut llc = Llc::new(geom);
-        for (k, &raw) in raws.iter().enumerate() {
-            let addr = to_addr(raw);
-            // Enqueue-order observation, exactly as ExecCtx does it:
-            // before the access joins the batch.
-            sketch.observe(addr);
-            llc.batch_core_access(agent, mask, addr, CoreOp::Read);
-            if (k + 1) % window == 0 {
-                llc.batch_flush();
+        let stream: Vec<(u64, CoreOp)> = raws
+            .iter()
+            .map(|&raw| (to_addr(raw), if raw & 1 == 0 { CoreOp::Read } else { CoreOp::Write }))
+            .collect();
+        let run = |batched: bool| {
+            let mut cache = MemoryHierarchy::new(
+                CacheGeometry::new(8, 16, 4).expect("valid geometry"),
+                CacheGeometry::new(2, 8, 1).expect("valid geometry"),
+                1,
+                LatencyModel::default(),
+            );
+            let mut channels = Channels::new();
+            let mut sketch = ReuseSketch::new();
+            let mut costs = Vec::new();
+            let mut ctx = ExecCtx {
+                cache: &mut cache,
+                sketch: Some(&mut sketch),
+                channels: &mut channels,
+                core: 0,
+                agent: AgentId::new(1),
+                mask: WayMask::all(4),
+                cycle_budget: u64::MAX,
+            };
+            let mut all_costs = Vec::new();
+            if batched {
+                for chunk in stream.chunks(window) {
+                    ctx.access_batch(chunk, &mut costs);
+                    all_costs.extend_from_slice(&costs);
+                }
+            } else {
+                for &(addr, op) in &stream {
+                    all_costs.push(match op {
+                        CoreOp::Read => ctx.read(addr),
+                        CoreOp::Write => ctx.write(addr),
+                    });
+                }
             }
-        }
-        llc.batch_flush();
-        prop_assert_eq!(sketch.drain(miss_permille), want);
-        prop_assert_eq!(llc.state_digest(), serial.state_digest());
+            (sketch.drain(miss_permille), all_costs, cache.llc().state_digest())
+        };
+        prop_assert_eq!(run(true), run(false));
     }
 
     /// A profiler replayed over the same fingerprint sequence makes the
