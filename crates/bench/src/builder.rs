@@ -454,9 +454,9 @@ impl ScenarioBuilder {
 /// What [`compile`] produces.
 pub enum Built {
     /// A policy-managed simulation (the scenario declared a policy).
-    Managed(Managed),
+    Managed(Box<Managed>),
     /// A raw platform with static masks (no policy declared).
-    Raw(Platform),
+    Raw(Box<Platform>),
 }
 
 impl Built {
@@ -467,7 +467,7 @@ impl Built {
     /// Panics when the scenario declared no policy.
     pub fn into_managed(self) -> Managed {
         match self {
-            Built::Managed(m) => m,
+            Built::Managed(m) => *m,
             Built::Raw(_) => panic!("scenario has no policy; use into_platform"),
         }
     }
@@ -479,7 +479,7 @@ impl Built {
     /// Panics when the scenario declared a policy.
     pub fn into_platform(self) -> Platform {
         match self {
-            Built::Raw(p) => p,
+            Built::Raw(p) => *p,
             Built::Managed(_) => panic!("scenario declared a policy; use into_managed"),
         }
     }
@@ -625,7 +625,7 @@ pub fn compile(desc: &ScenarioDesc, seed: u64) -> Built {
             let policy = make_policy(kind, config.llc.ways(), &config);
             let mut managed = Managed::new(platform, policy, infos, desc.interval_ns);
             share_cold_start(&mut managed, desc, seed);
-            Built::Managed(managed)
+            Built::Managed(Box::new(managed))
         }
         None => {
             for (i, t) in desc.tenants.iter().enumerate() {
@@ -649,7 +649,7 @@ pub fn compile(desc: &ScenarioDesc, seed: u64) -> Built {
                     }
                 }
             }
-            Built::Raw(platform)
+            Built::Raw(Box::new(platform))
         }
     }
 }
@@ -711,7 +711,7 @@ fn share_cold_start(m: &mut Managed, desc: &ScenarioDesc, seed: u64) {
                 .sum();
             let flat = spec.cold_start_epochs as u64;
             let budget = if moved == 0 || total_ways == 0 {
-                (moved > 0).then_some(flat).unwrap_or(0)
+                if moved > 0 { flat } else { 0 }
             } else {
                 (flat * moved).div_ceil(total_ways).min(flat)
             };

@@ -133,11 +133,11 @@ pub fn scenario(class: &str, name: &str, dice: &mut Dice, spec: &CorpusSpec) -> 
             );
             b = b.nic(NicDesc::ports(2));
             let prio = [Priority::Be, Priority::Be, Priority::Pc];
-            for i in 0..3usize {
+            for (i, p) in prio.into_iter().enumerate() {
                 b = b.tenant(
                     TenantDesc::new(format!("xmem{i}"), xmem(64 << 20, 2 << 20, 1 + i as u64))
                         .cores(&[2 + i])
-                        .priority(prio[i])
+                        .priority(p)
                         .ways(2),
                 );
             }

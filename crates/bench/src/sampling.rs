@@ -55,9 +55,7 @@ pub fn sampled_figure(figure: &str) -> Option<&'static SampledFigure> {
 /// documented inline because they *are* the tuning record (see
 /// EXPERIMENTS.md for the measured error/wall numbers backing them).
 pub fn spec_for(figure: &str) -> Option<SamplingSpec> {
-    if sampled_figure(figure).is_none() {
-        return None;
-    }
+    sampled_figure(figure)?;
     let standard = SamplingLevel::Standard.spec();
     let conservative = SamplingLevel::Conservative.spec();
     Some(match figure {

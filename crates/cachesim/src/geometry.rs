@@ -98,11 +98,6 @@ impl CacheGeometry {
         self.sets_per_slice as u64 * self.slices as u64 * LINE_BYTES
     }
 
-    /// Capacity in bytes of a way subset.
-    pub fn mask_bytes(&self, mask: crate::WayMask) -> u64 {
-        self.way_bytes() * mask.count() as u64
-    }
-
     /// Maps a line address to `(slice, set)`.
     ///
     /// The slice hash XOR-folds the upper address bits, modelling Intel's

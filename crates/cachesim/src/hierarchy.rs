@@ -108,11 +108,6 @@ impl MemoryHierarchy {
         &self.llc
     }
 
-    /// Mutable access to the shared LLC (for direct substrate tests).
-    pub fn llc_mut(&mut self) -> &mut Llc {
-        &mut self.llc
-    }
-
     /// Memory traffic counters (fills + writebacks + uncached I/O reads).
     pub fn mem(&self) -> &MemCounters {
         self.llc.mem()

@@ -63,13 +63,6 @@ impl MemCounters {
         self.read_bytes() + self.write_bytes()
     }
 
-    /// Adds `reads`/`writes` line counts at once (batch delta merge).
-    #[inline]
-    pub(crate) fn add_lines(&mut self, reads: u64, writes: u64) {
-        self.reads += reads;
-        self.writes += writes;
-    }
-
     /// Difference `self - earlier`, for windowed bandwidth computation.
     ///
     /// # Panics

@@ -3,31 +3,28 @@
 //! The LLC's slices are independent state machines (the CHA view, paper
 //! Sec. II-A): an address maps to exactly one slice, and no operation reads
 //! or writes another slice's tags, LRU ranks, owners or dirty bits. This
-//! module exploits that by storing the cache body as one [`SliceShard`] per
-//! slice and resolving *batches* of enqueued operations one slice bucket at
-//! a time, while keeping results bit-identical to access-at-a-time
-//! execution:
+//! module stores the cache body as one [`SliceShard`] per slice and resolves
+//! *batches* of enqueued operations one slice bucket at a time, while
+//! keeping results bit-identical to access-at-a-time execution:
 //!
 //! * operations on the same slice stay in enqueue order (a per-slice total
 //!   order), and operations on different slices never interact, so every
 //!   probe/victim/install decision is the same as in the serial schedule;
-//! * statistics are accumulated into a per-shard [`ShardDelta`] and merged
-//!   deterministically afterwards (sums commute; new-agent registration is
-//!   replayed in first-touch operation order so `LlcStats::agents()`
-//!   iteration order matches the serial run exactly).
+//! * statistics are written in place through the same [`StatsSink`] the
+//!   serial path uses. Every counter is a sum, and `LlcStats` keeps its
+//!   agents in ascending id order, so resolving slice by slice instead of in
+//!   enqueue order leaves the same statistics.
 //!
-//! The same probe/touch/victim/install code serves both paths: each
-//! operation is generic over a [`StatsSink`], monomorphised once with
-//! [`DirectSink`] (serial: write the global counters in place) and once with
-//! [`DeltaSink`] (batched: accumulate into the shard's delta), so the two
-//! paths cannot drift semantically.
+//! Both paths dispatch through [`SetStore::apply`], monomorphised once with
+//! [`DirectSink`] (measured: write the global counters) and once with
+//! [`FrozenSink`] (warmup: functional state only), so the two paths cannot
+//! drift semantically.
 
 use crate::agent::AgentId;
 use crate::hint::prefetch;
 use crate::order;
-use crate::stats::SliceIoStats;
 
-/// Kind of a batched LLC operation.
+/// Kind of an LLC operation, serial or batched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum BatchKind {
     /// Demand load ([`crate::CoreOp::Read`]).
@@ -43,10 +40,6 @@ pub(crate) enum BatchKind {
 }
 
 /// One enqueued LLC operation, bucketed by slice.
-///
-/// `op` is the batch-global enqueue index: it encodes the serial order the
-/// operation *would* have executed in and drives deterministic new-agent
-/// registration during the delta merge.
 #[derive(Debug, Clone)]
 pub(crate) struct BatchEntry {
     /// Line-aligned address (the tag).
@@ -61,102 +54,37 @@ pub(crate) struct BatchEntry {
     pub kind: BatchKind,
     /// Filled in by resolution: the operation hit in the LLC.
     pub hit: bool,
-    /// Batch-global enqueue index.
-    pub op: u32,
-}
-
-/// Per-agent statistic increments accumulated by a [`DeltaSink`].
-///
-/// Occupancy is signed: a batch may evict more of an agent's lines than it
-/// installs. The merge proves (and debug-asserts) the running global value
-/// never goes negative — an agent only loses occupancy for lines it owns,
-/// and ownership implies prior installation.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct AgentDelta {
-    pub references: u64,
-    pub misses: u64,
-    pub evicted_by_others: u64,
-    pub occupancy: i64,
-    /// Batch-global index of the operation that first touched this agent in
-    /// this shard (used to order new-agent registration at merge time).
-    pub first_op: u32,
-}
-
-/// Statistic increments produced by resolving one shard's batch bucket.
-///
-/// Everything in here is a sum (or, for occupancy, a signed sum), so merging
-/// shard deltas in any fixed order yields the same totals as serial
-/// execution; only first-touch agent registration needs the `first_op`
-/// ordering.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ShardDelta {
-    /// Per-agent increments, in shard-local first-touch order.
-    pub agents: Vec<(u16, AgentDelta)>,
-    /// DDIO hit/miss counts for this slice.
-    pub io: SliceIoStats,
-    /// Capacity evictions.
-    pub evictions: u64,
-    /// Lines filled from memory.
-    pub mem_reads: u64,
-    /// Dirty victims written back to memory.
-    pub mem_writes: u64,
-    /// Net new valid lines (installs into previously-invalid ways).
-    pub lines_added: u64,
-}
-
-impl ShardDelta {
-    #[inline]
-    fn agent(&mut self, bits: u16, op: u32) -> &mut AgentDelta {
-        match self.agents.iter().position(|(a, _)| *a == bits) {
-            Some(i) => &mut self.agents[i].1,
-            None => {
-                self.agents.push((bits, AgentDelta { first_op: op, ..AgentDelta::default() }));
-                &mut self.agents.last_mut().expect("just pushed").1
-            }
-        }
-    }
-
-    /// Resets every counter, keeping the `agents` allocation for reuse.
-    pub fn clear(&mut self) {
-        self.agents.clear();
-        self.io = SliceIoStats::default();
-        self.evictions = 0;
-        self.mem_reads = 0;
-        self.mem_writes = 0;
-        self.lines_added = 0;
-    }
 }
 
 /// Where an operation's statistic events land.
 ///
-/// The cache ops in [`SetStore`] emit the exact same event sequence the
-/// pre-shard serial code produced; the sink decides whether that lands
-/// directly in the global `LlcStats`/`MemCounters` ([`DirectSink`]) or in a
-/// per-shard [`ShardDelta`] ([`DeltaSink`]).
+/// The cache ops in [`SetStore`] emit one fixed event sequence per
+/// operation; the sink decides whether it lands in the global
+/// `LlcStats`/`MemCounters` ([`DirectSink`]) or is dropped
+/// ([`FrozenSink`]).
 pub(crate) trait StatsSink {
     /// A demand reference by `a` (registers the agent on first touch).
-    fn reference(&mut self, a: u16, op: u32);
+    fn reference(&mut self, a: u16);
     /// A demand miss by `a` (always follows a `reference` for the same op).
-    fn miss(&mut self, a: u16, op: u32);
+    fn miss(&mut self, a: u16);
     /// A line fill from memory.
     fn mem_read(&mut self);
     /// A valid victim was evicted: bumps the eviction count, charges a
     /// memory writeback if the victim was dirty, decrements the victim
     /// owner's occupancy and credits `evicted_by_others` when the evictor
     /// differs.
-    fn evict(&mut self, victim: u16, by: u16, dirty_wb: bool, op: u32);
+    fn evict(&mut self, victim: u16, by: u16, dirty_wb: bool);
     /// A previously-invalid way became valid.
     fn line_added(&mut self);
     /// The installing agent gained a resident line.
-    fn occupancy_inc(&mut self, a: u16, op: u32);
+    fn occupancy_inc(&mut self, a: u16);
     /// A DDIO write update (hit) observed at this slice.
     fn ddio_hit(&mut self);
     /// A DDIO write allocate (miss) observed at this slice.
     fn ddio_miss(&mut self);
 }
 
-/// Serial sink: writes the global counters in place, in the same order the
-/// pre-shard code did.
+/// Measured sink: writes the global counters in place.
 pub(crate) struct DirectSink<'a> {
     pub stats: &'a mut crate::stats::LlcStats,
     pub mem: &'a mut crate::memory::MemCounters,
@@ -166,11 +94,11 @@ pub(crate) struct DirectSink<'a> {
 
 impl StatsSink for DirectSink<'_> {
     #[inline]
-    fn reference(&mut self, a: u16, _op: u32) {
+    fn reference(&mut self, a: u16) {
         self.stats.agent_mut(AgentId::from_bits(a)).references += 1;
     }
     #[inline]
-    fn miss(&mut self, a: u16, _op: u32) {
+    fn miss(&mut self, a: u16) {
         self.stats.agent_mut(AgentId::from_bits(a)).misses += 1;
     }
     #[inline]
@@ -178,13 +106,19 @@ impl StatsSink for DirectSink<'_> {
         self.mem.record_read_line();
     }
     #[inline]
-    fn evict(&mut self, victim: u16, by: u16, dirty_wb: bool, _op: u32) {
+    fn evict(&mut self, victim: u16, by: u16, dirty_wb: bool) {
         self.stats.evictions += 1;
         if dirty_wb {
             self.mem.record_write_line();
         }
+        // An agent only loses occupancy for lines it owns, so a measured
+        // span that starts from exact occupancy (see
+        // `Llc::repair_occupancy`) never drives it below zero.
         let vstats = self.stats.agent_mut(AgentId::from_bits(victim));
-        vstats.occupancy_lines = vstats.occupancy_lines.saturating_sub(1);
+        vstats.occupancy_lines = vstats
+            .occupancy_lines
+            .checked_sub(1)
+            .expect("agent occupancy went negative: unfrozen without repair_occupancy");
         if victim != by {
             vstats.evicted_by_others += 1;
         }
@@ -194,7 +128,7 @@ impl StatsSink for DirectSink<'_> {
         *self.valid_count += 1;
     }
     #[inline]
-    fn occupancy_inc(&mut self, a: u16, _op: u32) {
+    fn occupancy_inc(&mut self, a: u16) {
         self.stats.agent_mut(AgentId::from_bits(a)).occupancy_lines += 1;
     }
     #[inline]
@@ -213,79 +147,30 @@ impl StatsSink for DirectSink<'_> {
 /// past events. This is the sink behind [`crate::Llc::set_stats_frozen`]:
 /// the sampled execution path warms the tag array between measured windows
 /// without accruing statistics, and the monomorphised no-ops compile the
-/// stat plumbing out of the warmup fast path entirely.
+/// stat plumbing out of the warmup path entirely.
 pub(crate) struct FrozenSink<'a> {
     pub valid_count: &'a mut u64,
 }
 
 impl StatsSink for FrozenSink<'_> {
     #[inline]
-    fn reference(&mut self, _a: u16, _op: u32) {}
+    fn reference(&mut self, _a: u16) {}
     #[inline]
-    fn miss(&mut self, _a: u16, _op: u32) {}
+    fn miss(&mut self, _a: u16) {}
     #[inline]
     fn mem_read(&mut self) {}
     #[inline]
-    fn evict(&mut self, _victim: u16, _by: u16, _dirty_wb: bool, _op: u32) {}
+    fn evict(&mut self, _victim: u16, _by: u16, _dirty_wb: bool) {}
     #[inline]
     fn line_added(&mut self) {
         *self.valid_count += 1;
     }
     #[inline]
-    fn occupancy_inc(&mut self, _a: u16, _op: u32) {}
+    fn occupancy_inc(&mut self, _a: u16) {}
     #[inline]
     fn ddio_hit(&mut self) {}
     #[inline]
     fn ddio_miss(&mut self) {}
-}
-
-/// Batched sink: accumulates into the shard's [`ShardDelta`], touching only
-/// shard-local state.
-pub(crate) struct DeltaSink<'a> {
-    pub d: &'a mut ShardDelta,
-}
-
-impl StatsSink for DeltaSink<'_> {
-    #[inline]
-    fn reference(&mut self, a: u16, op: u32) {
-        self.d.agent(a, op).references += 1;
-    }
-    #[inline]
-    fn miss(&mut self, a: u16, op: u32) {
-        self.d.agent(a, op).misses += 1;
-    }
-    #[inline]
-    fn mem_read(&mut self) {
-        self.d.mem_reads += 1;
-    }
-    #[inline]
-    fn evict(&mut self, victim: u16, by: u16, dirty_wb: bool, op: u32) {
-        self.d.evictions += 1;
-        if dirty_wb {
-            self.d.mem_writes += 1;
-        }
-        let vd = self.d.agent(victim, op);
-        vd.occupancy -= 1;
-        if victim != by {
-            vd.evicted_by_others += 1;
-        }
-    }
-    #[inline]
-    fn line_added(&mut self) {
-        self.d.lines_added += 1;
-    }
-    #[inline]
-    fn occupancy_inc(&mut self, a: u16, op: u32) {
-        self.d.agent(a, op).occupancy += 1;
-    }
-    #[inline]
-    fn ddio_hit(&mut self) {
-        self.d.io.ddio_hits += 1;
-    }
-    #[inline]
-    fn ddio_miss(&mut self) {
-        self.d.io.ddio_misses += 1;
-    }
 }
 
 /// One slice's cache body, stored struct-of-arrays exactly as the pre-shard
@@ -436,7 +321,6 @@ impl SetStore {
 
     /// Replaces the line at `(set, way)`, handling victim accounting.
     /// Returns `true` if a dirty victim was written back to memory.
-    #[allow(clippy::too_many_arguments)]
     fn install<S: StatsSink>(
         &mut self,
         set: usize,
@@ -444,7 +328,6 @@ impl SetStore {
         tag: u64,
         owner: u16,
         dirty: bool,
-        op: u32,
         sink: &mut S,
     ) -> bool {
         let base = set * self.ways;
@@ -453,7 +336,7 @@ impl SetStore {
         if self.valid[set] & bit != 0 {
             let dirty_wb = self.dirty[set] & bit != 0;
             writeback = dirty_wb;
-            sink.evict(self.owners[base + way], owner, dirty_wb, op);
+            sink.evict(self.owners[base + way], owner, dirty_wb);
         } else {
             self.valid[set] |= bit;
             sink.line_added();
@@ -466,22 +349,47 @@ impl SetStore {
             self.dirty[set] &= !bit;
         }
         self.touch(set, way);
-        sink.occupancy_inc(owner, op);
+        sink.occupancy_inc(owner);
         writeback
+    }
+
+    /// Resolves one operation of `kind` against `set` — the single
+    /// dispatch point for the serial and the batched path. `agent` is the
+    /// requester's raw [`AgentId`] bits and `mask_bits` its allocation
+    /// mask (ignored by device reads, which never allocate). Returns
+    /// `(hit, dirty_victim_writeback)`; a writeback counts as a hit.
+    #[inline]
+    pub fn apply<S: StatsSink>(
+        &mut self,
+        set: usize,
+        kind: BatchKind,
+        agent: u16,
+        mask_bits: u32,
+        tag: u64,
+        sink: &mut S,
+    ) -> (bool, bool) {
+        match kind {
+            BatchKind::CoreRead => self.core_access(set, agent, mask_bits, tag, false, sink),
+            BatchKind::CoreWrite => self.core_access(set, agent, mask_bits, tag, true, sink),
+            BatchKind::Writeback => {
+                self.core_writeback(set, agent, mask_bits, tag, sink);
+                (true, false)
+            }
+            BatchKind::IoWrite => self.io_write(set, mask_bits, tag, sink),
+            BatchKind::IoRead => (self.io_read(set, tag, sink), false),
+        }
     }
 
     /// Demand access (see [`crate::Llc::core_access`]). Returns
     /// `(hit, dirty_victim_writeback)`.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn core_access<S: StatsSink>(
+    fn core_access<S: StatsSink>(
         &mut self,
         set: usize,
         agent: u16,
         mask_bits: u32,
         tag: u64,
         write: bool,
-        op: u32,
         sink: &mut S,
     ) -> (bool, bool) {
         let base = set * self.ways;
@@ -490,27 +398,26 @@ impl SetStore {
             if write {
                 self.dirty[set] |= 1 << w;
             }
-            sink.reference(agent, op);
+            sink.reference(agent);
             return (true, false);
         }
-        sink.reference(agent, op);
-        sink.miss(agent, op);
+        sink.reference(agent);
+        sink.miss(agent);
         // Fill from memory.
         sink.mem_read();
         let way = self.victim_way(set, mask_bits);
-        let wb = self.install(set, way, tag, agent, write, op, sink);
+        let wb = self.install(set, way, tag, agent, write, sink);
         (false, wb)
     }
 
     /// L2 dirty-victim writeback (see [`crate::Llc::core_writeback`]).
     #[inline]
-    pub fn core_writeback<S: StatsSink>(
+    fn core_writeback<S: StatsSink>(
         &mut self,
         set: usize,
         agent: u16,
         mask_bits: u32,
         tag: u64,
-        op: u32,
         sink: &mut S,
     ) {
         let base = set * self.ways;
@@ -520,18 +427,17 @@ impl SetStore {
             return;
         }
         let way = self.victim_way(set, mask_bits);
-        self.install(set, way, tag, agent, true, op, sink);
+        self.install(set, way, tag, agent, true, sink);
     }
 
     /// Inbound DDIO write (see [`crate::Llc::io_write`]). Returns
     /// `(hit, dirty_victim_writeback)`.
     #[inline]
-    pub fn io_write<S: StatsSink>(
+    fn io_write<S: StatsSink>(
         &mut self,
         set: usize,
         mask_bits: u32,
         tag: u64,
-        op: u32,
         sink: &mut S,
     ) -> (bool, bool) {
         let base = set * self.ways;
@@ -539,22 +445,22 @@ impl SetStore {
         if let Some(w) = self.probe(set, base, tag) {
             self.touch(set, w);
             self.dirty[set] |= 1 << w;
-            sink.reference(io, op);
+            sink.reference(io);
             sink.ddio_hit();
             return (true, false);
         }
-        sink.reference(io, op);
-        sink.miss(io, op);
+        sink.reference(io);
+        sink.miss(io);
         sink.ddio_miss();
         let way = self.victim_way(set, mask_bits);
         // The device writes the full line; no memory fill is needed.
-        let wb = self.install(set, way, tag, io, true, op, sink);
+        let wb = self.install(set, way, tag, io, true, sink);
         (false, wb)
     }
 
     /// Device DMA read (see [`crate::Llc::io_read`]). Returns `hit`.
     #[inline]
-    pub fn io_read<S: StatsSink>(&mut self, set: usize, tag: u64, sink: &mut S) -> bool {
+    fn io_read<S: StatsSink>(&mut self, set: usize, tag: u64, sink: &mut S) -> bool {
         let base = set * self.ways;
         if let Some(w) = self.probe(set, base, tag) {
             self.touch(set, w);
@@ -570,96 +476,30 @@ impl SetStore {
 /// entries ahead so large (DMA-sized) buckets stream through the host cache.
 const RESOLVE_PREFETCH_DIST: usize = 8;
 
-/// One LLC slice: its cache body, its pending batch bucket and its
-/// accumulated statistic delta. Shards are fully independent, which is what
-/// lets a flush resolve bucket by bucket rather than in enqueue order.
+/// One LLC slice: its cache body and its pending batch bucket. Shards are
+/// fully independent, which is what lets a flush resolve bucket by bucket
+/// rather than in enqueue order.
 #[derive(Debug, Clone)]
 pub(crate) struct SliceShard {
     pub store: SetStore,
-    /// Operations enqueued for this slice, in batch-global order.
+    /// Operations enqueued for this slice, in enqueue order.
     pub queue: Vec<BatchEntry>,
-    /// Statistics accumulated by [`SliceShard::process`], merged (and
-    /// cleared) by the owning `Llc` after every flush.
-    pub delta: ShardDelta,
 }
 
 impl SliceShard {
     pub fn new(ways: usize, sets: usize) -> Self {
-        SliceShard {
-            store: SetStore::new(ways, sets),
-            queue: Vec::new(),
-            delta: ShardDelta::default(),
-        }
+        SliceShard { store: SetStore::new(ways, sets), queue: Vec::new() }
     }
 
-    /// Resolves every queued operation in enqueue order, writing each
-    /// entry's `hit` result in place and accumulating statistics into
-    /// `self.delta`. Touches only shard-local state.
-    pub fn process(&mut self) {
-        let mut q = std::mem::take(&mut self.queue);
-        for i in 0..q.len() {
-            if let Some(next) = q.get(i + RESOLVE_PREFETCH_DIST) {
+    /// Resolves every queued operation in enqueue order through `sink`,
+    /// writing each entry's `hit` result in place.
+    pub fn process<S: StatsSink>(&mut self, sink: &mut S) {
+        for i in 0..self.queue.len() {
+            if let Some(next) = self.queue.get(i + RESOLVE_PREFETCH_DIST) {
                 self.store.prefetch_set(next.set as usize);
             }
-            let e = &mut q[i];
-            let set = e.set as usize;
-            let mut sink = DeltaSink { d: &mut self.delta };
-            e.hit = match e.kind {
-                BatchKind::CoreRead => {
-                    self.store.core_access(set, e.agent, e.mask, e.tag, false, e.op, &mut sink).0
-                }
-                BatchKind::CoreWrite => {
-                    self.store.core_access(set, e.agent, e.mask, e.tag, true, e.op, &mut sink).0
-                }
-                BatchKind::Writeback => {
-                    self.store.core_writeback(set, e.agent, e.mask, e.tag, e.op, &mut sink);
-                    true
-                }
-                BatchKind::IoWrite => {
-                    self.store.io_write(set, e.mask, e.tag, e.op, &mut sink).0
-                }
-                BatchKind::IoRead => self.store.io_read(set, e.tag, &mut sink),
-            };
+            let e = &mut self.queue[i];
+            e.hit = self.store.apply(e.set as usize, e.kind, e.agent, e.mask, e.tag, sink).0;
         }
-        self.queue = q;
-    }
-
-    /// [`SliceShard::process`] with the warmup sink: resolves every queued
-    /// operation updating only tags, owners, dirty bits and recency (plus
-    /// the valid-line count, a property of the contents), dropping every
-    /// per-agent statistic event. Accumulates new valid lines into
-    /// `self.delta.lines_added` — the one field the frozen merge consumes —
-    /// so the owning `Llc`'s frozen [`merge_deltas`](crate::Llc) path works
-    /// unchanged. Because [`SetStore`]'s operations are generic over the
-    /// sink, the functional state transitions are the same machine code as
-    /// the full body's: the warm→measure boundary state is bit-identical
-    /// by construction (and guarded by the `frozen_fast_*` proptests).
-    pub fn process_frozen(&mut self) {
-        let mut q = std::mem::take(&mut self.queue);
-        for i in 0..q.len() {
-            if let Some(next) = q.get(i + RESOLVE_PREFETCH_DIST) {
-                self.store.prefetch_set(next.set as usize);
-            }
-            let e = &mut q[i];
-            let set = e.set as usize;
-            let mut sink = FrozenSink { valid_count: &mut self.delta.lines_added };
-            e.hit = match e.kind {
-                BatchKind::CoreRead => {
-                    self.store.core_access(set, e.agent, e.mask, e.tag, false, e.op, &mut sink).0
-                }
-                BatchKind::CoreWrite => {
-                    self.store.core_access(set, e.agent, e.mask, e.tag, true, e.op, &mut sink).0
-                }
-                BatchKind::Writeback => {
-                    self.store.core_writeback(set, e.agent, e.mask, e.tag, e.op, &mut sink);
-                    true
-                }
-                BatchKind::IoWrite => {
-                    self.store.io_write(set, e.mask, e.tag, e.op, &mut sink).0
-                }
-                BatchKind::IoRead => self.store.io_read(set, e.tag, &mut sink),
-            };
-        }
-        self.queue = q;
     }
 }

@@ -100,14 +100,15 @@ pub struct SliceIoStats {
 
 /// Cumulative whole-LLC statistics.
 ///
-/// Per-agent counts live in a small first-touch-ordered vector rather
+/// Per-agent counts live in a small vector sorted by [`AgentId`] rather
 /// than a `HashMap`: the agent lookup sits on the per-access hot path of
 /// the simulator, a handful of tenants plus [`AgentId::IO`] is the
 /// universe, and a linear scan of a few packed entries beats hashing
-/// every access — while also making iteration order deterministic.
+/// every access. Sorting makes iteration order canonical: it depends on
+/// which agents touched the LLC, not on the order in which they did.
 #[derive(Debug, Clone, Default)]
 pub struct LlcStats {
-    /// Per-agent reference/miss/occupancy counts, in first-touch order.
+    /// Per-agent reference/miss/occupancy counts, in ascending agent id.
     agents: Vec<(AgentId, AgentStats)>,
     /// Per-slice DDIO counts (indexed by slice id).
     pub slices: Vec<SliceIoStats>,
@@ -130,7 +131,7 @@ impl LlcStats {
     }
 
     /// Every agent that has touched the LLC, with its statistics, in
-    /// first-touch order (deterministic for a deterministic op stream).
+    /// ascending agent id ([`AgentId::IO`] last).
     pub fn agents(&self) -> impl Iterator<Item = (AgentId, &AgentStats)> {
         self.agents.iter().map(|(a, s)| (*a, s))
     }
@@ -145,14 +146,6 @@ impl LlcStats {
         self.slices.iter().map(|s| s.ddio_misses).sum()
     }
 
-    /// Whether `id` has already been registered (first-touch ordering is
-    /// observable through [`LlcStats::agents`], so the batched pipeline
-    /// must know which agents are new before merging deltas).
-    #[inline]
-    pub(crate) fn contains_agent(&self, id: AgentId) -> bool {
-        self.agents.iter().any(|(a, _)| *a == id)
-    }
-
     /// Zeroes every agent's occupancy count (ahead of a recount from the
     /// resident lines — see [`crate::Llc::repair_occupancy`]).
     pub(crate) fn clear_occupancy(&mut self) {
@@ -161,15 +154,22 @@ impl LlcStats {
         }
     }
 
+    /// The counters of `id`, registering it (at its sorted position) on
+    /// first touch.
     #[inline]
     pub(crate) fn agent_mut(&mut self, id: AgentId) -> &mut AgentStats {
-        match self.agents.iter().position(|(a, _)| *a == id) {
-            Some(i) => &mut self.agents[i].1,
+        let i = match self.agents.iter().position(|(a, _)| *a >= id) {
+            Some(i) if self.agents[i].0 == id => i,
+            Some(i) => {
+                self.agents.insert(i, (id, AgentStats::default()));
+                i
+            }
             None => {
                 self.agents.push((id, AgentStats::default()));
-                &mut self.agents.last_mut().expect("just pushed").1
+                self.agents.len() - 1
             }
-        }
+        };
+        &mut self.agents[i].1
     }
 }
 

@@ -343,161 +343,95 @@ proptest! {
     }
 
     /// The batched, slice-bucketed pipeline is bit-identical to the
-    /// serial path over random interleaved core/DDIO streams under mixed
-    /// CAT masks: the same per-op hit/miss resolution, the same derived
-    /// statistics (including first-touch agent registration order), and
-    /// the same final contents and replacement state — victim choices
-    /// included, via the state digest — regardless of how the stream is
-    /// cut into flush windows.
+    /// access-at-a-time oracle over random interleaved core/DDIO streams
+    /// under mixed CAT masks: the same per-op hit/miss resolution, the
+    /// same statistics (agents in the same ascending-id order), and the
+    /// same contents and replacement state — victim choices included, via
+    /// the state digest at every window boundary — regardless of how the
+    /// stream is cut into flush windows. With `alternate_frozen`, windows
+    /// alternate frozen (warm) and measured on both routes, recounting
+    /// occupancy at every warm→measure hand-off exactly as the sampled
+    /// execution path does (it goes stale across frozen spans by design).
     #[test]
-    fn slice_parallel_matches_serial(
+    fn batched_matches_serial_oracle(
         ops in proptest::collection::vec(op_strategy(8), 1..500),
         window in 1usize..300,
+        alternate_frozen in any::<bool>(),
     ) {
         let geom = CacheGeometry::new(8, 16, 4).expect("valid geometry");
         let ddio = WayMask::contiguous(6, 2).unwrap();
-
-        // Serial reference pass, recording every demand access's outcome.
-        let mut serial = Llc::new(geom);
-        let mut want_hits = Vec::new();
-        for op in &ops {
-            match *op {
-                Op::Core { agent, mask_first, mask_count, addr, write } => {
-                    let Some(mask) = clamp_mask(geom.ways(), mask_first, mask_count) else {
-                        continue;
-                    };
-                    let op = if write { CoreOp::Write } else { CoreOp::Read };
-                    want_hits.push(serial.core_access(AgentId::new(agent), mask, addr, op).is_hit());
-                }
-                Op::Writeback { agent, mask_first, mask_count, addr } => {
-                    let Some(mask) = clamp_mask(geom.ways(), mask_first, mask_count) else {
-                        continue;
-                    };
-                    serial.core_writeback(AgentId::new(agent), mask, addr);
-                }
-                Op::IoWrite { addr } => { serial.io_write(ddio, addr); }
-                Op::IoRead { addr } => { serial.io_read(addr); }
-            }
-        }
-
-        let mut batched = Llc::new(geom);
-        let mut got_hits = Vec::new();
-        let mut handles: Vec<BatchHandle> = Vec::new();
-        for (k, op) in ops.iter().enumerate() {
-            match *op {
-                Op::Core { agent, mask_first, mask_count, addr, write } => {
-                    let Some(mask) = clamp_mask(geom.ways(), mask_first, mask_count) else {
-                        continue;
-                    };
-                    let op = if write { CoreOp::Write } else { CoreOp::Read };
-                    handles.push(batched.batch_core_access(AgentId::new(agent), mask, addr, op));
-                }
-                Op::Writeback { agent, mask_first, mask_count, addr } => {
-                    let Some(mask) = clamp_mask(geom.ways(), mask_first, mask_count) else {
-                        continue;
-                    };
-                    batched.batch_core_writeback(AgentId::new(agent), mask, addr);
-                }
-                Op::IoWrite { addr } => batched.batch_io_write(ddio, addr),
-                Op::IoRead { addr } => batched.batch_io_read(addr),
-            }
-            if (k + 1) % window == 0 {
-                batched.batch_flush();
-                got_hits.extend(handles.drain(..).map(|h| batched.batch_hit(h)));
-            }
-        }
-        batched.batch_flush();
-        got_hits.extend(handles.drain(..).map(|h| batched.batch_hit(h)));
-
-        prop_assert_eq!(&got_hits, &want_hits);
-        prop_assert_eq!(batched.state_digest(), serial.state_digest());
-        prop_assert_eq!(batched.valid_lines(), serial.valid_lines());
-        prop_assert_eq!(batched.stats().evictions, serial.stats().evictions);
-        prop_assert_eq!(batched.mem().read_lines(), serial.mem().read_lines());
-        prop_assert_eq!(batched.mem().write_lines(), serial.mem().write_lines());
-        prop_assert_eq!(batched.stats().ddio_hits(), serial.stats().ddio_hits());
-        prop_assert_eq!(batched.stats().ddio_misses(), serial.stats().ddio_misses());
-        let got: Vec<_> = batched.stats().agents().map(|(id, s)| (id, *s)).collect();
-        let want: Vec<_> = serial.stats().agents().map(|(id, s)| (id, *s)).collect();
-        prop_assert_eq!(got, want);
-    }
-
-    /// With statistics frozen, the delta-free fast body (`frozen_fast`,
-    /// the default) leaves the cache bit-identical to the full body
-    /// dispatched against a frozen sink: the same tags, owners, dirty
-    /// bits and recency (via the state digest) at every flush boundary,
-    /// the same per-op hit resolution, and — because warm windows leave
-    /// no statistical residue either way — identical statistics after
-    /// the interleaved measured windows. The stream alternates frozen
-    /// (warm) and unfrozen (measured) windows so every warm→measure
-    /// hand-off the sampled execution path performs is exercised.
-    #[test]
-    fn frozen_fast_body_matches_full_body(
-        ops in proptest::collection::vec(op_strategy(8), 2..400),
-        window in 1usize..100,
-    ) {
-        let geom = CacheGeometry::new(8, 16, 4).expect("valid geometry");
-        let ddio = WayMask::contiguous(6, 2).unwrap();
-        let run = |fast: bool| {
+        let run = |batched: bool| {
             let mut llc = Llc::new(geom);
-            llc.set_frozen_fast(fast);
-            llc.set_stats_frozen(true);
-            let mut frozen = true;
+            let mut frozen = alternate_frozen;
+            llc.set_stats_frozen(frozen);
             let mut hits = Vec::new();
-            let mut digests = Vec::new();
             let mut handles: Vec<BatchHandle> = Vec::new();
+            let mut digests = Vec::new();
+            let mut boundary = |llc: &mut Llc, hits: &mut Vec<bool>, handles: &mut Vec<_>| {
+                llc.batch_flush();
+                hits.extend(handles.drain(..).map(|h| llc.batch_hit(h)));
+                digests.push((llc.state_digest(), llc.valid_lines()));
+            };
             for (k, op) in ops.iter().enumerate() {
                 match *op {
                     Op::Core { agent, mask_first, mask_count, addr, write } => {
                         if let Some(mask) = clamp_mask(geom.ways(), mask_first, mask_count) {
+                            let a = AgentId::new(agent);
                             let op = if write { CoreOp::Write } else { CoreOp::Read };
-                            handles.push(
-                                llc.batch_core_access(AgentId::new(agent), mask, addr, op),
-                            );
+                            if batched {
+                                handles.push(llc.batch_core_access(a, mask, addr, op));
+                            } else {
+                                hits.push(llc.core_access(a, mask, addr, op).is_hit());
+                            }
                         }
                     }
                     Op::Writeback { agent, mask_first, mask_count, addr } => {
                         if let Some(mask) = clamp_mask(geom.ways(), mask_first, mask_count) {
-                            llc.batch_core_writeback(AgentId::new(agent), mask, addr);
+                            let a = AgentId::new(agent);
+                            if batched {
+                                llc.batch_core_writeback(a, mask, addr);
+                            } else {
+                                llc.core_writeback(a, mask, addr);
+                            }
                         }
                     }
-                    Op::IoWrite { addr } => llc.batch_io_write(ddio, addr),
-                    Op::IoRead { addr } => llc.batch_io_read(addr),
+                    Op::IoWrite { addr } => {
+                        if batched {
+                            llc.batch_io_write(ddio, addr);
+                        } else {
+                            llc.io_write(ddio, addr);
+                        }
+                    }
+                    Op::IoRead { addr } => {
+                        if batched {
+                            llc.batch_io_read(addr);
+                        } else {
+                            llc.io_read(addr);
+                        }
+                    }
                 }
                 if (k + 1) % window == 0 {
-                    llc.batch_flush();
-                    hits.extend(handles.drain(..).map(|h| llc.batch_hit(h)));
-                    digests.push((llc.state_digest(), llc.valid_lines()));
-                    // Window boundary: alternate warm and measured,
-                    // recounting occupancy on the warm -> measure
-                    // hand-off exactly as the platform does (it goes
-                    // stale across frozen spans by design).
-                    frozen = !frozen;
-                    llc.set_stats_frozen(frozen);
-                    if !frozen {
-                        llc.repair_occupancy();
+                    boundary(&mut llc, &mut hits, &mut handles);
+                    if alternate_frozen {
+                        frozen = !frozen;
+                        llc.set_stats_frozen(frozen);
+                        if !frozen {
+                            llc.repair_occupancy();
+                        }
                     }
                 }
             }
-            llc.batch_flush();
-            hits.extend(handles.drain(..).map(|h| llc.batch_hit(h)));
-            digests.push((llc.state_digest(), llc.valid_lines()));
+            boundary(&mut llc, &mut hits, &mut handles);
             let agents: Vec<_> = llc.stats().agents().map(|(id, s)| (id, *s)).collect();
-            let counters = (
-                llc.stats().evictions,
-                llc.stats().ddio_hits(),
-                llc.stats().ddio_misses(),
-                llc.mem().read_lines(),
-                llc.mem().write_lines(),
-            );
+            let counters = (llc.stats().evictions, llc.stats().slices.clone(), *llc.mem());
             (hits, digests, agents, counters)
         };
-        let fast = run(true);
-        let full = run(false);
-        prop_assert_eq!(&fast.0, &full.0, "hit resolution");
-        prop_assert_eq!(&fast.1, &full.1, "state digests");
-        prop_assert_eq!(&fast.2, &full.2, "agent stats");
-        prop_assert_eq!(fast.3, full.3, "counters");
+        let serial = run(false);
+        let batched = run(true);
+        prop_assert_eq!(&batched.0, &serial.0, "hit resolution");
+        prop_assert_eq!(&batched.1, &serial.1, "state digests and valid lines");
+        prop_assert_eq!(&batched.2, &serial.2, "agent stats");
+        prop_assert_eq!(&batched.3, &serial.3, "counters");
     }
 
     /// Memory counters are monotonic over any operation sequence.

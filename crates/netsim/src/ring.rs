@@ -191,15 +191,6 @@ impl RxRing {
         self.tail += 1;
         Some((idx, slot))
     }
-
-    /// Peeks at the oldest packet without consuming it.
-    pub fn peek(&self) -> Option<(usize, PacketSlot)> {
-        if self.is_empty() {
-            return None;
-        }
-        let idx = (self.tail % self.capacity as u64) as usize;
-        Some((idx, self.slots[idx].expect("occupied slot")))
-    }
 }
 
 /// A transmit descriptor ring.

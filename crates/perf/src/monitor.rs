@@ -103,24 +103,9 @@ impl Monitor {
         Monitor { spec, mode, cost: CostModel::default() }
     }
 
-    /// Creates a monitor with an explicit cost model.
-    pub fn with_cost(spec: MonitorSpec, mode: DdioSampleMode, cost: CostModel) -> Self {
-        Monitor { spec, mode, cost }
-    }
-
     /// The monitored tenant set.
     pub fn spec(&self) -> &MonitorSpec {
         &self.spec
-    }
-
-    /// Replaces the tenant set (tenant addition/removal).
-    pub fn set_spec(&mut self, spec: MonitorSpec) {
-        self.spec = spec;
-    }
-
-    /// The configured cost model.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
     }
 
     /// Reads all counters.

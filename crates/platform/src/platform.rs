@@ -291,11 +291,6 @@ impl Platform {
         &self.hierarchy
     }
 
-    /// Mutable memory hierarchy (for substrate-level experiment setup).
-    pub fn hierarchy_mut(&mut self) -> &mut MemoryHierarchy {
-        &mut self.hierarchy
-    }
-
     /// The per-core counter bank.
     pub fn bank(&self) -> &CounterBank {
         &self.bank
@@ -361,7 +356,7 @@ impl Platform {
     /// [`Platform::time_ns`], so every rate computed against modelled time
     /// remains unbiased under sampling.
     pub fn step_epoch(&mut self) -> EpochReport {
-        if self.sampler.is_some() {
+        if let Some(sampler) = &mut self.sampler {
             // Poll for capacity events (ways granted/revoked, DDIO
             // resized) since the previous epoch. Mask writes made during
             // scenario setup — before any epoch ran — are initial state,
@@ -375,10 +370,7 @@ impl Platform {
                     // Re-converge in proportion to the event: moving 2 of
                     // 11 ways invalidates ~2/11 of the residency, not all
                     // of it. The flat budget remains the ceiling.
-                    self.sampler
-                        .as_mut()
-                        .expect("checked")
-                        .force_reconverge_scaled(moved, self.rdt.ways() as u64);
+                    sampler.force_reconverge_scaled(moved, self.rdt.ways() as u64);
                 }
             }
             self.epochs_started = true;

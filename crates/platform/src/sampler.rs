@@ -253,7 +253,7 @@ impl Sampler {
         self.pos = 0;
         let drefs = refs.saturating_sub(self.refs_base);
         let dmiss = misses.saturating_sub(self.miss_base);
-        let permille = if drefs == 0 { 0 } else { (dmiss * 1000 / drefs).min(1000) as u16 };
+        let permille = (dmiss * 1000).checked_div(drefs).map_or(0, |p| p.min(1000) as u16);
         let fp = self.sketch.drain(permille);
         let known_phases = self.profiler.phase_count();
         let mut hint = self.profiler.observe_interval(fp);

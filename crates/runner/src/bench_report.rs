@@ -744,7 +744,7 @@ mod tests {
         assert!((cost_of("tableZ") - 0.01).abs() < 1e-9);
         assert!(expected_job_costs(&serde_json::json!({})).is_empty());
         // A report whose job_wall_s doesn't cover every job is rejected.
-        let mut with_bad_walls = |walls: Value| {
+        let with_bad_walls = |walls: Value| {
             let mut bad = doc.clone();
             let figs = bad["figures"].as_array_mut().unwrap();
             figs[0]["job_wall_s"] = walls;

@@ -129,10 +129,8 @@ impl ReuseSketch {
     /// resolve.
     pub fn drain(&mut self, miss_permille: u16) -> Fingerprint {
         let mut hist = [0u16; BUCKETS];
-        if self.samples > 0 {
-            for (out, &n) in hist.iter_mut().zip(self.hist.iter()) {
-                *out = (n * 1000 / self.samples) as u16;
-            }
+        for (out, &n) in hist.iter_mut().zip(self.hist.iter()) {
+            *out = (n * 1000).checked_div(self.samples).unwrap_or(0) as u16;
         }
         let fp = Fingerprint { hist, miss_permille, samples: self.samples };
         self.hist = [0; BUCKETS];
