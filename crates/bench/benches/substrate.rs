@@ -1,10 +1,21 @@
 //! Criterion benches of the simulation substrate itself: how fast the
-//! cache model and the DMA path execute. These bound how much modelled
-//! time the experiment binaries can cover per wall-clock second.
+//! cache model, the DMA path and the traffic generators execute. These
+//! bound how much modelled time the experiment binaries can cover per
+//! wall-clock second.
+//!
+//! * `traffic/zipf_table_build/1M` — building the 1M-flow, 0.99-Zipfian
+//!   table the Redis co-runs draw their keys from (once per compile).
+//! * `traffic/zipf_generate/1M` — per-packet cost of generating that
+//!   traffic: one RNG draw and one guide-indexed table lookup.
+//!
+//! Run with `cargo bench -p iat-bench --bench substrate`; CI runs
+//! `cargo bench -p iat-bench --bench substrate -- --test` as a smoke.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use iat_cachesim::{AgentId, CacheGeometry, CoreOp, Llc, MemoryHierarchy, WayMask};
-use iat_netsim::{FlowId, PacketSlot, RxRing};
+use iat_netsim::{
+    rate_for_pps, FlowDist, FlowId, PacketSlot, RxRing, TrafficGen, TrafficPattern, ZipfTable,
+};
 use std::hint::black_box;
 
 fn bench_llc(c: &mut Criterion) {
@@ -60,5 +71,29 @@ fn bench_ring(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_llc, bench_ring);
+fn bench_traffic(c: &mut Criterion) {
+    let mut group = c.benchmark_group("traffic");
+    group.bench_function("zipf_table_build/1M", |b| {
+        b.iter(|| black_box(ZipfTable::new(1_000_000, 0.99)))
+    });
+
+    // 1.7 Mpps of 128 B requests, the Redis co-run's per-port load, in
+    // 1 ms chunks: 1700 packets per call.
+    let chunk_ns = 1_000_000;
+    let mut gen = TrafficGen::new(
+        rate_for_pps(1.7e6, 128),
+        128,
+        FlowDist::Zipf { count: 1_000_000, s: 0.99 },
+        TrafficPattern::Constant,
+        7,
+    );
+    let per_chunk = gen.generate(chunk_ns).len() as u64;
+    group.throughput(Throughput::Elements(per_chunk));
+    group.bench_function("zipf_generate/1M", |b| {
+        b.iter(|| black_box(gen.generate(chunk_ns).len()))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_llc, bench_ring, bench_traffic);
 criterion_main!(benches);

@@ -508,6 +508,9 @@ pub fn compile(desc: &ScenarioDesc, seed: u64) -> Built {
     // Channel pairs (to-tenant, from-tenant) in creation order; channel
     // workloads reference them by index.
     let mut channels: Vec<(ChannelId, ChannelId)> = Vec::new();
+    // Zipf tables built so far; bindings with the same `(count, s)`
+    // share one (both Redis ports of an app co-run, for instance).
+    let mut zipf_tables = Vec::new();
 
     let mk_chan = |platform: &mut Platform, alloc: &mut AddrAlloc| {
         let base = alloc.alloc(RING_ENTRIES as u64 * (BUF_STRIDE + 64) + (1 << 20));
@@ -586,12 +589,13 @@ pub fn compile(desc: &ScenarioDesc, seed: u64) -> Built {
             .iter()
             .map(|b| TrafficBinding {
                 port: b.port,
-                gen: TrafficGen::new(
+                gen: TrafficGen::sharing(
                     b.rate_bps,
                     b.packet_bytes,
                     b.dist.clone(),
                     b.pattern,
                     seed.wrapping_add(b.seed_offset),
+                    &mut zipf_tables,
                 ),
             })
             .collect();
@@ -762,6 +766,8 @@ pub fn apply_action(m: &mut Managed, action: &ScenarioAction) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iat_netsim::ZipfTable;
+    use std::sync::Arc;
 
     fn xmem_tenant(name: &str, core: usize, offset: u64) -> TenantDesc {
         TenantDesc::new(
@@ -788,6 +794,45 @@ mod tests {
         };
         assert_eq!(run(7), run(7), "same desc + seed => identical simulation");
         assert_ne!(run(7), run(8), "the seed must actually reach the workloads");
+    }
+
+    #[test]
+    fn zipf_bindings_share_a_table_per_count_and_exponent() {
+        use crate::catalog::{describe, ScenarioParams};
+        use crate::scenarios::{NetApp, PcApp};
+        use iat_workloads::YcsbMix;
+        let mut desc = describe(&ScenarioParams::AppCorun {
+            net: NetApp::Redis,
+            pc: PcApp::Rocks(YcsbMix::a()),
+            mix: YcsbMix::a(),
+            with_be: false,
+            policy: PolicyKind::Iat,
+        });
+        let tables = |desc: &ScenarioDesc| -> Vec<Arc<ZipfTable>> {
+            let m = compile(desc, 5).into_managed();
+            m.platform.tenants()[0]
+                .bindings
+                .iter()
+                .map(|b| Arc::clone(b.gen.zipf_table().expect("zipf binding")))
+                .collect()
+        };
+        // Both Redis ports draw from one table.
+        let redis = tables(&desc);
+        assert_eq!(redis.len(), 2);
+        assert!(Arc::ptr_eq(&redis[0], &redis[1]));
+
+        // A different exponent or count gets its own table; a repeat of
+        // either shares it.
+        let ovs = &mut desc.tenants[0].traffic;
+        let rate = ovs[0].rate_bps;
+        ovs[1].dist = FlowDist::Zipf { count: 1000, s: 0.9 };
+        ovs.push(TrafficDesc::new(0, rate, 128, FlowDist::Zipf { count: 1000, s: 0.99 }));
+        ovs.push(TrafficDesc::new(1, rate, 128, FlowDist::Zipf { count: 1000, s: 0.9 }));
+        let mixed = tables(&desc);
+        assert!(!Arc::ptr_eq(&mixed[0], &mixed[1]));
+        assert!(!Arc::ptr_eq(&mixed[1], &mixed[2]));
+        assert!(!Arc::ptr_eq(&mixed[0], &mixed[2]));
+        assert!(Arc::ptr_eq(&mixed[1], &mixed[3]));
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub use dma::DmaEngine;
 pub use nic::{Nic, VfId, VirtualFunction};
 pub use rfc2544::{rfc2544_search, Rfc2544Config, Rfc2544Report, ZeroLossProbe};
 pub use ring::{PacketSlot, RxRing, TxRing};
-pub use traffic::{FlowDist, PacketBatch, TrafficGen, TrafficPattern};
+pub use traffic::{FlowDist, PacketBatch, TrafficGen, TrafficPattern, ZipfTable};
 
 /// A flow identifier (5-tuple surrogate).
 ///

@@ -4,6 +4,8 @@ use crate::{line_rate_pps, FlowId};
 use rand::distributions::Distribution;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::fmt;
+use std::sync::Arc;
 
 /// Distribution of flow ids across generated packets.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,6 +27,86 @@ pub enum FlowDist {
         /// Zipf exponent.
         s: f64,
     },
+}
+
+/// Largest guide index of a [`ZipfTable`], in buckets (512 KB of `u32`).
+const MAX_GUIDE_BUCKETS: usize = 1 << 16;
+
+/// An immutable Zipf CDF over `0..count` with exponent `s`, plus a guide
+/// index that narrows each draw's search to one bucket of the CDF.
+///
+/// The CDF accumulates the normalised weights `k^-s` left to right, in
+/// one fixed order, so its entries do not depend on which or how many
+/// generators share the table. The guide has `G` buckets, `G` a power of
+/// two (`min(next_pow2(count), 2^16)`), and `guide[j]` is the first CDF
+/// index whose entry is not below `j / G`. A draw `u ∈ [0, 1)` falls in
+/// bucket `j = floor(u·G)`; since `G` is a power of two, `j / G ≤ u <
+/// (j + 1) / G` holds exactly in `f64`, so every entry before
+/// `guide[j]` is below `u` and every entry from `guide[j + 1]` on is
+/// not. Searching `cdf[guide[j]..guide[j + 1]]` therefore returns
+/// exactly what a binary search of the whole CDF would.
+///
+/// One table is shared (through an [`Arc`]) by every generator a
+/// scenario compiles with the same `(count, s)`.
+pub struct ZipfTable {
+    s: f64,
+    cdf: Vec<f64>,
+    guide: Vec<u32>,
+}
+
+impl ZipfTable {
+    /// Builds the table for `count` items with exponent `s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count` is zero or does not fit in a `u32`.
+    pub fn new(count: usize, s: f64) -> Self {
+        assert!(count > 0, "zipf item count must be positive");
+        assert!(u32::try_from(count).is_ok(), "zipf item count must fit in a u32");
+        let mut cdf: Vec<f64> = (1..=count).map(|k| 1.0 / (k as f64).powf(s)).collect();
+        let total: f64 = cdf.iter().sum();
+        let mut acc = 0.0;
+        for w in &mut cdf {
+            acc += *w / total;
+            *w = acc;
+        }
+        let buckets = count.next_power_of_two().min(MAX_GUIDE_BUCKETS);
+        let mut guide = Vec::with_capacity(buckets + 1);
+        // One merge pass: the CDF is non-decreasing, so each edge's first
+        // entry not below it lies at or after the previous edge's.
+        let mut at = 0;
+        for j in 0..=buckets {
+            let edge = j as f64 / buckets as f64;
+            while at < count && cdf[at] < edge {
+                at += 1;
+            }
+            guide.push(at as u32);
+        }
+        ZipfTable { s, cdf, guide }
+    }
+
+    /// The item a uniform draw `u ∈ [0, 1)` selects: the first index
+    /// whose CDF entry is not below `u`, clamped to `count - 1` (the
+    /// rounded last entry can sit just below 1).
+    #[inline]
+    pub fn index(&self, u: f64) -> usize {
+        debug_assert!((0.0..1.0).contains(&u), "zipf draw {u} outside [0, 1)");
+        let buckets = self.guide.len() - 1;
+        let j = ((u * buckets as f64) as usize).min(buckets - 1);
+        let (lo, hi) = (self.guide[j] as usize, self.guide[j + 1] as usize);
+        let idx = lo + self.cdf[lo..hi].partition_point(|&c| c < u);
+        idx.min(self.cdf.len() - 1)
+    }
+}
+
+impl fmt::Debug for ZipfTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ZipfTable")
+            .field("count", &self.cdf.len())
+            .field("s", &self.s)
+            .field("buckets", &(self.guide.len() - 1))
+            .finish()
+    }
 }
 
 /// Temporal shape of the traffic.
@@ -100,8 +182,10 @@ pub struct TrafficGen {
     rng: StdRng,
     residue: f64,
     elapsed_ns: u64,
-    /// Precomputed Zipf CDF, when `dist` is Zipf.
-    zipf_cdf: Vec<f64>,
+    /// The Zipf table, when `dist` is Zipf.
+    zipf: Option<Arc<ZipfTable>>,
+    /// The buffer [`TrafficGen::generate`] fills and lends out.
+    batch: PacketBatch,
 }
 
 impl TrafficGen {
@@ -118,21 +202,40 @@ impl TrafficGen {
         pattern: TrafficPattern,
         seed: u64,
     ) -> Self {
+        Self::sharing(bits_per_sec, packet_bytes, dist, pattern, seed, &mut Vec::new())
+    }
+
+    /// Creates a generator like [`TrafficGen::new`], except that a Zipf
+    /// distribution draws from the table in `tables` built for the same
+    /// `(count, s)`, building and appending one when none is there yet.
+    /// Generators created against one list share their tables.
+    ///
+    /// # Panics
+    ///
+    /// As [`TrafficGen::new`].
+    pub fn sharing(
+        bits_per_sec: u64,
+        packet_bytes: u32,
+        dist: FlowDist,
+        pattern: TrafficPattern,
+        seed: u64,
+        tables: &mut Vec<Arc<ZipfTable>>,
+    ) -> Self {
         assert!(packet_bytes > 0, "packet size must be positive");
-        let zipf_cdf = match &dist {
+        let zipf = match dist {
             FlowDist::Zipf { count, s } => {
-                assert!(*count > 0, "zipf flow count must be positive");
-                let mut weights: Vec<f64> =
-                    (1..=*count).map(|k| 1.0 / (k as f64).powf(*s)).collect();
-                let total: f64 = weights.iter().sum();
-                let mut acc = 0.0;
-                for w in &mut weights {
-                    acc += *w / total;
-                    *w = acc;
-                }
-                weights
+                let count = count as usize;
+                let shared = tables
+                    .iter()
+                    .find(|t| t.cdf.len() == count && t.s.to_bits() == s.to_bits())
+                    .cloned();
+                Some(shared.unwrap_or_else(|| {
+                    let table = Arc::new(ZipfTable::new(count, s));
+                    tables.push(Arc::clone(&table));
+                    table
+                }))
             }
-            _ => Vec::new(),
+            _ => None,
         };
         TrafficGen {
             bits_per_sec,
@@ -142,8 +245,15 @@ impl TrafficGen {
             rng: StdRng::seed_from_u64(seed),
             residue: 0.0,
             elapsed_ns: 0,
-            zipf_cdf,
+            zipf,
+            batch: PacketBatch::default(),
         }
+    }
+
+    /// The Zipf table this generator draws from, when its distribution
+    /// is Zipf.
+    pub fn zipf_table(&self) -> Option<&Arc<ZipfTable>> {
+        self.zipf.as_ref()
     }
 
     /// Packet size in bytes.
@@ -191,44 +301,143 @@ impl TrafficGen {
         }
     }
 
-    fn sample_flow(&mut self) -> FlowId {
-        match &self.dist {
-            FlowDist::Single(f) => *f,
-            FlowDist::Uniform { count } => {
-                if *count <= 1 {
-                    FlowId(0)
-                } else {
-                    FlowId(rand::distributions::Uniform::new(0, *count).sample(&mut self.rng))
-                }
-            }
-            FlowDist::Zipf { .. } => {
-                let u: f64 = self.rng.gen();
-                let idx = self.zipf_cdf.partition_point(|&c| c < u);
-                FlowId(idx as u32)
-            }
-        }
-    }
-
     /// Generates the packets arriving during the next `duration_ns`
-    /// nanoseconds.
-    pub fn generate(&mut self, duration_ns: u64) -> PacketBatch {
+    /// nanoseconds into the generator's own buffer and lends it out; the
+    /// next call overwrites it.
+    pub fn generate(&mut self, duration_ns: u64) -> &PacketBatch {
         let mult = self.rate_multiplier();
         self.elapsed_ns += duration_ns;
         let exact = self.pps() * mult * duration_ns as f64 / 1e9 + self.residue;
         let count = exact.floor() as usize;
         self.residue = exact - count as f64;
-        let mut flows = Vec::with_capacity(count);
-        for _ in 0..count {
-            let f = self.sample_flow();
-            flows.push(f);
+        let flows = &mut self.batch.flows;
+        flows.clear();
+        match &self.dist {
+            FlowDist::Single(f) => flows.resize(count, *f),
+            FlowDist::Uniform { count: n } if *n <= 1 => flows.resize(count, FlowId(0)),
+            FlowDist::Uniform { count: n } => {
+                let uniform = rand::distributions::Uniform::new(0, *n);
+                flows.extend((0..count).map(|_| FlowId(uniform.sample(&mut self.rng))));
+            }
+            FlowDist::Zipf { .. } => {
+                let table = self.zipf.as_deref().expect("zipf generator has its table");
+                flows.extend((0..count).map(|_| FlowId(table.index(self.rng.gen()) as u32)));
+            }
         }
-        PacketBatch { flows, size: self.packet_bytes }
+        self.batch.size = self.packet_bytes;
+        &self.batch
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
+
+    /// The `(count, s)` pairs the Zipf oracle covers: the paper's 1M-key
+    /// YCSB table, the 10K-record memtable, and a uniform table whose CDF
+    /// entries fall exactly on bucket edges.
+    const ZIPF_CASES: [(usize, f64); 3] = [(1_000_000, 0.99), (10_000, 0.99), (4, 0.0)];
+
+    /// Each case's table next to a reference CDF built inline, the
+    /// straightforward way.
+    fn zipf_oracles() -> &'static [(ZipfTable, Vec<f64>)] {
+        static ORACLES: OnceLock<Vec<(ZipfTable, Vec<f64>)>> = OnceLock::new();
+        ORACLES.get_or_init(|| {
+            ZIPF_CASES
+                .iter()
+                .map(|&(count, s)| {
+                    let weights: Vec<f64> =
+                        (1..=count).map(|k| 1.0 / (k as f64).powf(s)).collect();
+                    let total: f64 = weights.iter().sum();
+                    let mut acc = 0.0;
+                    let cdf = weights
+                        .iter()
+                        .map(|w| {
+                            acc += w / total;
+                            acc
+                        })
+                        .collect();
+                    (ZipfTable::new(count, s), cdf)
+                })
+                .collect()
+        })
+    }
+
+    /// The full-CDF binary search the guide index must reproduce, clamped
+    /// to the last item.
+    fn full_search(cdf: &[f64], u: f64) -> usize {
+        cdf.partition_point(|&c| c < u).min(cdf.len() - 1)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn zipf_index_matches_full_search(case in 0..ZIPF_CASES.len(), bits in 0u64..1 << 53) {
+            let (table, cdf) = &zipf_oracles()[case];
+            let u = bits as f64 / (1u64 << 53) as f64;
+            prop_assert_eq!(table.index(u), full_search(cdf, u), "u = {}", u);
+        }
+    }
+
+    #[test]
+    fn zipf_cdf_is_bit_identical_to_reference() {
+        for (table, cdf) in zipf_oracles() {
+            assert_eq!(table.cdf.len(), cdf.len());
+            assert!(table.cdf.iter().zip(cdf).all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
+    }
+
+    #[test]
+    fn zipf_index_exact_at_bucket_edges() {
+        for (table, cdf) in zipf_oracles() {
+            let buckets = table.guide.len() - 1;
+            assert!(buckets.is_power_of_two());
+            assert_eq!(buckets, table.cdf.len().next_power_of_two().min(1 << 16));
+            for j in 0..buckets {
+                let edge = j as f64 / buckets as f64;
+                assert_eq!(table.index(edge), full_search(cdf, edge), "edge {j}/{buckets}");
+                if j > 0 {
+                    let below = edge.next_down();
+                    assert_eq!(table.index(below), full_search(cdf, below), "below {j}/{buckets}");
+                }
+            }
+            let top = 1.0 - 2f64.powi(-53);
+            assert_eq!(table.index(top), full_search(cdf, top));
+        }
+    }
+
+    #[test]
+    fn zipf_draws_stay_below_count() {
+        // The rounded last CDF entry of the 1M-key table sits below the
+        // largest draw, so an unclamped search would return `count`.
+        let (table, cdf) = &zipf_oracles()[0];
+        let top = 1.0 - 2f64.powi(-53);
+        assert!(*cdf.last().unwrap() < top);
+        assert_eq!(cdf.partition_point(|&c| c < top), table.cdf.len());
+        assert_eq!(table.index(top), table.cdf.len() - 1);
+    }
+
+    #[test]
+    fn sharing_reuses_tables_per_count_and_exponent() {
+        let mk = |dist, tables: &mut Vec<Arc<ZipfTable>>| {
+            TrafficGen::sharing(1_000_000_000, 64, dist, TrafficPattern::Constant, 1, tables)
+        };
+        let mut tables = Vec::new();
+        let a = mk(FlowDist::Zipf { count: 1000, s: 0.99 }, &mut tables);
+        let b = mk(FlowDist::Zipf { count: 1000, s: 0.99 }, &mut tables);
+        let c = mk(FlowDist::Zipf { count: 1000, s: 0.9 }, &mut tables);
+        let d = mk(FlowDist::Zipf { count: 999, s: 0.99 }, &mut tables);
+        let e = mk(FlowDist::Uniform { count: 1000 }, &mut tables);
+        let table = |g: &TrafficGen| Arc::clone(g.zipf_table().unwrap());
+        assert!(Arc::ptr_eq(&table(&a), &table(&b)));
+        assert!(!Arc::ptr_eq(&table(&a), &table(&c)));
+        assert!(!Arc::ptr_eq(&table(&a), &table(&d)));
+        assert!(e.zipf_table().is_none());
+        assert_eq!(tables.len(), 3);
+    }
 
     #[test]
     fn constant_rate_exact_long_run() {

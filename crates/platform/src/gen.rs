@@ -57,7 +57,7 @@ fn deliver(tenants: &mut [Tenant], p: &EpochParams, hierarchy: &mut MemoryHierar
             let before_drops = vf.dma.rx_dropped;
             delivered += vf
                 .dma
-                .rx_batch(&mut vf.rx, &batch, |a| hierarchy.batch_io_write(p.ddio, a))
+                .rx_batch(&mut vf.rx, batch, |a| hierarchy.batch_io_write(p.ddio, a))
                 as u64;
             dropped += vf.dma.rx_dropped - before_drops;
             if !p.measured {

@@ -169,20 +169,15 @@ impl Workload for KvStore {
             let u = self.next_uniform();
             let op = self.mix.pick(u);
             let vlines = self.value_lines();
-            let (touch_keys, writes): (Vec<u64>, bool) = match op {
-                OpKind::Read => (vec![key], false),
-                OpKind::Update | OpKind::Insert => (vec![key], true),
-                OpKind::ReadModifyWrite => (vec![key], true),
-                OpKind::Scan => (
-                    (0..self.config.scan_len as u64)
-                        .map(|i| (key + i) % self.config.records)
-                        .collect(),
-                    false,
-                ),
+            // Keys touched: `key` alone, or a scan's `scan_len` keys from it.
+            let (touched, writes) = match op {
+                OpKind::Read => (1, false),
+                OpKind::Update | OpKind::Insert | OpKind::ReadModifyWrite => (1, true),
+                OpKind::Scan => (self.config.scan_len as u64, false),
             };
             let mut resp_bytes = 16u32; // status line
-            for &k in &touch_keys {
-                let vaddr = self.value_addr(k);
+            for i in 0..touched {
+                let vaddr = self.value_addr((key + i) % self.config.records);
                 for l in 0..vlines {
                     cost += cache.core_access_cycles(
                         core,
@@ -222,7 +217,7 @@ impl Workload for KvStore {
                 }
             }
             used += cost;
-            instructions += REQ_INSTR * touch_keys.len().max(1) as u64;
+            instructions += REQ_INSTR * touched.max(1);
             if accrue {
                 self.ops += 1;
                 self.latency.record(cost);

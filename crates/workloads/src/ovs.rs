@@ -258,10 +258,11 @@ impl Workload for OvsSwitch {
             }
 
             // Outbound: tenant channel -> port Tx (one copy into the mbuf).
-            for (i, att) in self.attachments.clone().iter().enumerate() {
+            for i in 0..self.attachments.len() {
                 if used >= ctx.cycle_budget {
                     break;
                 }
+                let att = self.attachments[i];
                 let chan = &mut channels.get_mut(att.from_tenant).ring;
                 let Some((cidx, slot)) = chan.pop() else {
                     continue;

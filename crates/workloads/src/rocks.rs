@@ -7,6 +7,8 @@ use crate::latency::LatencySampler;
 use crate::region::HashRegion;
 use crate::ycsb::{OpKind, YcsbMix};
 use iat_cachesim::LINE_BYTES;
+use iat_netsim::ZipfTable;
+use std::sync::Arc;
 
 /// Base cycles per operation (key encode, comparator calls, memtable API).
 const OP_CYCLES: u64 = 1_600;
@@ -48,7 +50,7 @@ pub struct RocksLike {
     values_base: u64,
     records_pow2: u64,
     levels: u64,
-    zipf_cdf: Vec<f64>,
+    zipf: Arc<ZipfTable>,
     state: u64,
     ops: u64,
     latency: LatencySampler,
@@ -67,14 +69,6 @@ impl RocksLike {
         let nodes = HashRegion::new(nodes_base, config.records.max(2), 1);
         let values_base = nodes_base + nodes.footprint_bytes() + (1 << 20);
         let levels = 64 - (config.records.max(2) - 1).leading_zeros() as u64;
-        let mut weights: Vec<f64> =
-            (1..=config.records).map(|k| 1.0 / (k as f64).powf(config.zipf_s)).collect();
-        let total: f64 = weights.iter().sum();
-        let mut acc = 0.0;
-        for w in &mut weights {
-            acc += *w / total;
-            *w = acc;
-        }
         RocksLike {
             config,
             mix,
@@ -83,7 +77,7 @@ impl RocksLike {
             values_base,
             records_pow2: config.records.next_power_of_two(),
             levels,
-            zipf_cdf: weights,
+            zipf: Arc::new(ZipfTable::new(config.records as usize, config.zipf_s)),
             state: seed | 1,
             ops: 0,
             latency: LatencySampler::new(seed ^ 0x70c6),
@@ -112,7 +106,7 @@ impl RocksLike {
 
     fn sample_key(&mut self) -> u64 {
         let u = (self.next_rand() >> 11) as f64 / (1u64 << 53) as f64;
-        self.zipf_cdf.partition_point(|&c| c < u) as u64
+        self.zipf.index(u) as u64
     }
 
     #[inline]
@@ -231,6 +225,24 @@ mod tests {
             cycle_budget: budget,
         };
         r.run(&mut ctx);
+    }
+
+    #[test]
+    fn sample_key_golden() {
+        // The first 64 keys of the default 10K-record table at a fixed
+        // seed, as drawn before the shared Zipf table replaced the
+        // store's private CDF.
+        let mut r = RocksLike::new(0xA000_0000, RocksConfig::default(), YcsbMix::a(), 0x5eed);
+        let keys: Vec<u64> = (0..64).map(|_| r.sample_key()).collect();
+        assert_eq!(
+            keys,
+            [
+                202, 1267, 4317, 0, 1, 34, 3, 2062, 3, 0, 3, 29, 4416, 138, 42, 5121, 810, 35,
+                653, 41, 11, 43, 670, 9906, 336, 0, 492, 48, 882, 66, 1, 33, 499, 0, 9, 2, 346,
+                0, 5008, 418, 421, 2, 2830, 83, 1, 3, 3007, 785, 7, 13, 80, 1540, 1, 1801, 610,
+                1603, 24, 3996, 6780, 21, 647, 20, 28, 7403,
+            ]
+        );
     }
 
     fn small() -> RocksConfig {
