@@ -4,7 +4,7 @@
 //! binary reports.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use iat::{IatConfig, IatDaemon, IatFlags, Priority, TenantInfo};
+use iat::{IatConfig, IatDaemon, IatFlags, LlcPolicy, Priority, TenantInfo};
 use iat_cachesim::AgentId;
 use iat_perf::{CoreCounters, Poll, SystemSample, TenantSample};
 use iat_rdt::{ClosId, Rdt};

@@ -12,10 +12,9 @@
 //!
 //! ## Compile-order contract
 //!
-//! The compiled platform must be **byte-identical** to what the
-//! hand-written constructors in [`crate::scenarios`] used to build
-//! (the committed captures pin this through `repro --check`), so
-//! [`compile`] fixes the order of every side effect:
+//! The compiled platform must stay **byte-identical** to what the
+//! committed captures pin through `repro --check`, so [`compile`] fixes
+//! the order of every side effect:
 //!
 //! 1. the NIC is created first (its rings/pool live at [`NIC_BASE`],
 //!    outside the workload heap allocator);
@@ -302,22 +301,22 @@ pub enum ScenarioAction {
     /// Resize tenant `tenant`'s X-Mem working set (arrival/departure/
     /// growth; the tenant must be an [`WorkloadDesc::XMem`]).
     SetWorkingSet {
-        /// Tenant index (declaration order).
-        tenant: usize,
+        /// The tenant (declaration order is id order).
+        tenant: TenantId,
         /// New working-set bytes.
         bytes: u64,
     },
     /// Change the offered rate of binding `binding` of tenant `tenant`.
     SetRate {
-        /// Tenant index (declaration order).
-        tenant: usize,
+        /// The tenant (declaration order is id order).
+        tenant: TenantId,
         /// Binding index within the tenant.
         binding: usize,
         /// New rate in bits per second.
         rate_bps: u64,
     },
-    /// Manually repoint DDIO at a contiguous way range (the Fig. 10
-    /// "widen DDIO mid-run" move, as data).
+    /// Manually repoint DDIO at a contiguous way range (Fig. 10/11's
+    /// "widen DDIO mid-run" move).
     SetDdioWays {
         /// First way of the new DDIO mask.
         first: u8,
@@ -488,8 +487,8 @@ impl Built {
 /// Compiles a scenario description into a runnable simulation, with all
 /// randomness derived from `seed` plus the declared per-workload and
 /// per-generator offsets. See the module docs for the side-effect-order
-/// contract that keeps compiled scenarios byte-identical to the former
-/// hand-written constructors.
+/// contract that keeps compiled scenarios byte-identical to the
+/// committed captures.
 ///
 /// # Panics
 ///
@@ -742,7 +741,7 @@ pub fn apply_action(m: &mut Managed, action: &ScenarioAction) {
     match action {
         ScenarioAction::SetWorkingSet { tenant, bytes } => {
             m.platform
-                .tenant_mut(TenantId(*tenant as u16))
+                .tenant_mut(*tenant)
                 .workload
                 .as_any_mut()
                 .downcast_mut::<XMem>()
@@ -750,7 +749,7 @@ pub fn apply_action(m: &mut Managed, action: &ScenarioAction) {
                 .set_working_set(*bytes);
         }
         ScenarioAction::SetRate { tenant, binding, rate_bps } => {
-            m.platform.tenant_mut(TenantId(*tenant as u16)).bindings[*binding]
+            m.platform.tenant_mut(*tenant).bindings[*binding]
                 .gen
                 .set_rate(*rate_bps);
         }
@@ -856,7 +855,7 @@ mod tests {
             .geometry(PlatformConfig::tiny())
             .policy(PolicyKind::Baseline(0))
             .tenant(xmem_tenant("a", 0, 0))
-            .event(1, ScenarioAction::SetWorkingSet { tenant: 0, bytes: 8 << 20 })
+            .event(1, ScenarioAction::SetWorkingSet { tenant: TenantId(0), bytes: 8 << 20 })
             .desc();
         let mut m = compile(&desc, 3).into_managed();
         apply_action(&mut m, &desc.events[0].action);
@@ -868,5 +867,38 @@ mod tests {
             .unwrap()
             .working_set();
         assert_eq!(ws, 8 << 20);
+    }
+
+    #[test]
+    fn set_ddio_ways_repoints_the_ddio_mask() {
+        let desc = ScenarioBuilder::new("ddio")
+            .geometry(PlatformConfig::tiny())
+            .policy(PolicyKind::Baseline(0))
+            .tenant(xmem_tenant("a", 0, 0))
+            .desc();
+        let mut m = compile(&desc, 3).into_managed();
+        let widened = WayMask::contiguous(0, 3).unwrap();
+        assert_ne!(m.platform.rdt().ddio_mask(), widened);
+        apply_action(&mut m, &ScenarioAction::SetDdioWays { first: 0, count: 3 });
+        assert_eq!(m.platform.rdt().ddio_mask(), widened);
+    }
+
+    #[test]
+    fn replace_policy_programs_the_layout_of_a_fresh_compile() {
+        use crate::catalog::{describe, ScenarioParams};
+        let params = |policy| ScenarioParams::SlicingPmdXmem { packet_bytes: 1500, policy };
+        let masks = |m: &Managed| {
+            let rdt = m.platform.rdt();
+            let clos: Vec<WayMask> =
+                m.platform.tenants().iter().map(|t| rdt.clos_mask(t.clos)).collect();
+            (clos, rdt.ddio_mask())
+        };
+        let mut swapped = compile(&describe(&params(PolicyKind::Baseline(2))), 1).into_managed();
+        let fresh = compile(&describe(&params(PolicyKind::Iat)), 1).into_managed();
+        assert_ne!(masks(&swapped), masks(&fresh), "the two layouts must differ to test anything");
+        let config = *swapped.platform.config();
+        swapped.replace_policy(make_policy(PolicyKind::Iat, config.llc.ways(), &config));
+        assert_eq!(masks(&swapped), masks(&fresh));
+        assert_eq!(swapped.policy.name(), "iat");
     }
 }

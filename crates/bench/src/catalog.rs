@@ -1,13 +1,16 @@
 //! The named-scenario registry: every platform setup the paper figures
 //! use, as enumerable *data* ([`ScenarioParams`] → [`describe`] →
-//! [`ScenarioDesc`]), plus the figure catalog ([`FIGURES`]) that maps
-//! each of the 13 figures/tables to its runner-job registration and the
-//! scenarios it draws on.
+//! [`ScenarioDesc`]), plus the figure catalog ([`FIGURES`]) that lists
+//! each of the 13 figures/tables with its runner-job registration.
 //!
-//! [`crate::jobs::registry`] is built by walking [`FIGURES`] in order,
-//! so a figure is a registry entry, and [`crate::scenarios`]' public
-//! constructors are thin wrappers over [`describe`] + compile — the
-//! scenario itself is data, not a module.
+//! [`build`] is the only way a figure gets a simulation, and
+//! [`crate::builder::apply_action`] the only way it changes one
+//! mid-run. Figures name tenants through
+//! [`iat_platform::Platform::tenant_id`], so the [`TenantDesc`] names
+//! assigned here (`"ovs"`, `"redis0"`, `"xmem-pc4"`, `"rocksdb"`, the
+//! SPEC profile name, `"l3fwd"`, `"x-mem"`, …) are the one place that
+//! says which tenant plays which role. [`crate::jobs::registry`] is
+//! built by walking [`FIGURES`] in order.
 
 use crate::builder::{
     compile, Built, NicDesc, ScenarioBuilder, ScenarioDesc, TenantDesc, TrafficDesc, WorkloadDesc,
@@ -80,70 +83,6 @@ pub enum ScenarioParams {
         /// The PC workload.
         pc: PcApp,
     },
-}
-
-impl ScenarioParams {
-    /// The scenario family name ([`SCENARIOS`] entry).
-    pub fn family(&self) -> &'static str {
-        match self {
-            ScenarioParams::Aggregation { .. } => "aggregation",
-            ScenarioParams::L3fwdSlicing { .. } => "l3fwd-slicing",
-            ScenarioParams::LatentContender { .. } => "latent-contender",
-            ScenarioParams::SlicingPmdXmem { .. } => "slicing-pmd-xmem",
-            ScenarioParams::AppCorun { .. } => "app-corun",
-            ScenarioParams::PcSolo { .. } => "pc-solo",
-        }
-    }
-}
-
-/// One named scenario family.
-#[derive(Debug, Clone, Copy)]
-pub struct ScenarioEntry {
-    /// Family name (matches [`ScenarioParams::family`]).
-    pub name: &'static str,
-    /// What it models.
-    pub about: &'static str,
-    /// Figures built on it.
-    pub figures: &'static [&'static str],
-}
-
-/// Every named scenario family, in paper order.
-pub const SCENARIOS: &[ScenarioEntry] = &[
-    ScenarioEntry {
-        name: "aggregation",
-        about: "two NIC ports into OVS, two testpmd tenants behind virtio channels",
-        figures: &["fig08", "fig09"],
-    },
-    ScenarioEntry {
-        name: "l3fwd-slicing",
-        about: "one l3fwd tenant on two static ways, configurable Rx ring, unmanaged",
-        figures: &["fig03"],
-    },
-    ScenarioEntry {
-        name: "latent-contender",
-        about: "l3fwd at line rate plus X-Mem on dedicated or DDIO-overlapping ways",
-        figures: &["fig04"],
-    },
-    ScenarioEntry {
-        name: "slicing-pmd-xmem",
-        about: "PC testpmd pair plus three X-Mem containers",
-        figures: &["fig10", "fig11", "ablation"],
-    },
-    ScenarioEntry {
-        name: "app-corun",
-        about: "Redis-behind-OVS or a FastClick chain, a PC app, best-effort X-Mem",
-        figures: &["fig12", "fig13", "fig14"],
-    },
-    ScenarioEntry {
-        name: "pc-solo",
-        about: "the PC workload alone under a static baseline",
-        figures: &["fig12", "fig13"],
-    },
-];
-
-/// Scenario family names, in catalog order.
-pub fn scenario_names() -> Vec<&'static str> {
-    SCENARIOS.iter().map(|s| s.name).collect()
 }
 
 /// Compiles scenario parameters into their full description. This is
@@ -433,7 +372,7 @@ pub fn describe(params: &ScenarioParams) -> ScenarioDesc {
                     "rocksdb",
                     WorkloadDesc::Rocks { heap_bytes: 2 << 30, mix: *m, seed_offset: 0 },
                 ),
-                PcApp::None => panic!("pc_solo needs a PC workload"),
+                PcApp::None => panic!("the pc-solo scenario needs a PC workload"),
             };
             ScenarioBuilder::new("pc-solo")
                 .policy(PolicyKind::Baseline(0))
@@ -453,11 +392,6 @@ pub fn build(params: &ScenarioParams, seed: u64) -> Built {
 pub struct FigureEntry {
     /// Figure group name (the `results/` file stem and `--only` key).
     pub name: &'static str,
-    /// What it reproduces.
-    pub about: &'static str,
-    /// Named scenarios ([`SCENARIOS`]) the figure draws on; empty for
-    /// static tables and MSR microbenchmarks.
-    pub scenarios: &'static [&'static str],
     /// Registers the figure's leaf + merge jobs.
     pub register: fn(&mut Registry),
 }
@@ -467,80 +401,54 @@ pub struct FigureEntry {
 pub const FIGURES: &[FigureEntry] = &[
     FigureEntry {
         name: "table1",
-        about: "Table I — workload/row inventory",
-        scenarios: &[],
         register: crate::figures::table1::register,
     },
     FigureEntry {
         name: "table2",
-        about: "Table II — per-workload DDIO sensitivity",
-        scenarios: &[],
         register: crate::figures::table2::register,
     },
     FigureEntry {
         name: "fig03",
-        about: "Fig. 3 — RFC 2544 rate vs Rx ring size (Leaky DMA)",
-        scenarios: &["l3fwd-slicing"],
         register: crate::figures::fig03::register,
     },
     FigureEntry {
         name: "fig04",
-        about: "Fig. 4 — latent contender working-set sweep",
-        scenarios: &["latent-contender"],
         register: crate::figures::fig04::register,
     },
     FigureEntry {
         name: "fig08",
-        about: "Fig. 8 — DDIO behaviour vs packet size under aggregation",
-        scenarios: &["aggregation"],
         register: crate::figures::fig08::register,
     },
     FigureEntry {
         name: "fig09",
-        about: "Fig. 9 — flow-count sweep under aggregation",
-        scenarios: &["aggregation"],
         register: crate::figures::fig09::register,
     },
     FigureEntry {
         name: "fig10",
-        about: "Fig. 10 — working-set growth and DDIO widening timeline",
-        scenarios: &["slicing-pmd-xmem"],
         register: crate::figures::fig10::register,
     },
     FigureEntry {
         name: "fig11",
-        about: "Fig. 11 — 20 s management timeline",
-        scenarios: &["slicing-pmd-xmem"],
         register: crate::figures::fig11::register,
     },
     FigureEntry {
         name: "fig12",
-        about: "Fig. 12 — SPEC co-run normalized execution time",
-        scenarios: &["app-corun", "pc-solo"],
         register: crate::figures::fig12::register,
     },
     FigureEntry {
         name: "fig13",
-        about: "Fig. 13 — RocksDB co-run normalized execution time",
-        scenarios: &["app-corun", "pc-solo"],
         register: crate::figures::fig13::register,
     },
     FigureEntry {
         name: "fig14",
-        about: "Fig. 14 — Redis throughput degradation",
-        scenarios: &["app-corun"],
         register: crate::figures::fig14::register,
     },
     FigureEntry {
         name: "fig15",
-        about: "Fig. 15 — MSR write/read latency microbenchmark",
-        scenarios: &[],
         register: crate::figures::fig15::register,
     },
     FigureEntry {
         name: "ablation",
-        about: "IAT flag ablation over the slicing scenario",
-        scenarios: &["slicing-pmd-xmem"],
         register: crate::figures::ablation::register,
     },
 ];
@@ -553,32 +461,109 @@ pub fn figure_names() -> Vec<&'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::Built;
+    use iat_platform::{Platform, TenantId};
+    use iat_workloads::SpecProfile;
+    use std::collections::BTreeSet;
 
-    #[test]
-    fn catalog_is_consistent() {
-        let scen = scenario_names();
-        for f in FIGURES {
-            for s in f.scenarios {
-                assert!(scen.contains(s), "{}: unknown scenario {s}", f.name);
+    fn platform(params: &ScenarioParams) -> Platform {
+        match build(params, 0) {
+            Built::Managed(m) => m.platform,
+            Built::Raw(p) => *p,
+        }
+    }
+
+    /// Every scenario shape the figures build, with the `(name, id)` of
+    /// each tenant: the ids the per-scenario constructors handed out
+    /// before figures looked tenants up by name.
+    fn figure_setups() -> Vec<(ScenarioParams, Vec<(&'static str, u16)>)> {
+        let mut setups = vec![
+            (
+                ScenarioParams::Aggregation {
+                    packet_bytes: 64,
+                    flows_per_port: 1,
+                    policy: PolicyKind::Iat,
+                },
+                vec![("ovs", 0), ("testpmd0", 1), ("testpmd1", 2)],
+            ),
+            (
+                ScenarioParams::L3fwdSlicing {
+                    ring_entries: 256,
+                    packet_bytes: 64,
+                    rate_bps: LINE_RATE_40G,
+                },
+                vec![("l3fwd", 0)],
+            ),
+            (
+                ScenarioParams::LatentContender {
+                    working_set: 4 << 20,
+                    ddio_overlap: true,
+                    packet_bytes: 1500,
+                },
+                vec![("l3fwd", 0), ("x-mem", 1)],
+            ),
+            (
+                ScenarioParams::SlicingPmdXmem {
+                    packet_bytes: 1500,
+                    policy: PolicyKind::IatNoDdioResize,
+                },
+                vec![("testpmd-pair", 0), ("xmem-be2", 1), ("xmem-be3", 2), ("xmem-pc4", 3)],
+            ),
+            (
+                ScenarioParams::PcSolo { pc: PcApp::Spec(SpecProfile::mcf()) },
+                vec![("mcf", 0)],
+            ),
+            (ScenarioParams::PcSolo { pc: PcApp::Rocks(YcsbMix::a()) }, vec![("rocksdb", 0)]),
+        ];
+        // The application co-runs: Redis/FastClick x SPEC/RocksDB/none x
+        // with/without the two best-effort X-Mem containers.
+        let pcs = [
+            (PcApp::Spec(SpecProfile::mcf()), Some("mcf")),
+            (PcApp::Rocks(YcsbMix::a()), Some("rocksdb")),
+            (PcApp::None, None),
+        ];
+        for (net, net_tenants) in [
+            (NetApp::Redis, &["ovs", "redis0", "redis1"][..]),
+            (NetApp::FastClick, &["fastclick"][..]),
+        ] {
+            for (pc, pc_name) in pcs {
+                for with_be in [false, true] {
+                    let be: &[&'static str] = if with_be { &["xmem-be0", "xmem-be1"] } else { &[] };
+                    let names = net_tenants.iter().chain(&pc_name).chain(be).copied();
+                    setups.push((
+                        ScenarioParams::AppCorun {
+                            net,
+                            pc,
+                            mix: YcsbMix::b(),
+                            with_be,
+                            policy: PolicyKind::Baseline(0),
+                        },
+                        names.zip(0u16..).collect(),
+                    ));
+                }
             }
         }
-        for s in SCENARIOS {
-            let names = figure_names();
-            for f in s.figures {
-                assert!(names.contains(f), "{}: unknown figure {f}", s.name);
+        setups
+    }
+
+    #[test]
+    fn figure_scenarios_name_their_tenants_uniquely_and_in_id_order() {
+        let setups = figure_setups();
+        assert_eq!(setups.len(), 6 + 12);
+        for (params, expected) in setups {
+            let p = platform(&params);
+            let names: BTreeSet<&str> = p.tenants().iter().map(|t| t.name.as_str()).collect();
+            assert_eq!(names.len(), p.tenants().len(), "{params:?}: duplicate tenant names");
+            assert_eq!(p.tenants().len(), expected.len(), "{params:?}: tenant count");
+            for (name, id) in expected {
+                assert_eq!(p.tenant_id(name), Some(TenantId(id)), "{params:?}: tenant {name}");
             }
-            assert!(
-                FIGURES.iter().any(|f| f.scenarios.contains(&s.name)),
-                "scenario {} is used by no figure",
-                s.name
-            );
         }
     }
 
     #[test]
-    fn describe_matches_family() {
-        let p = ScenarioParams::SlicingPmdXmem { packet_bytes: 1500, policy: PolicyKind::Iat };
-        assert_eq!(describe(&p).name, p.family());
-        assert_eq!(describe(&p).tenants.len(), 4);
+    #[should_panic(expected = "needs a PC workload")]
+    fn solo_without_a_pc_app_is_rejected() {
+        describe(&ScenarioParams::PcSolo { pc: PcApp::None });
     }
 }

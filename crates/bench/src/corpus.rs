@@ -19,6 +19,7 @@ use crate::scenarios::{PolicyKind, LINE_RATE_40G};
 use iat::Priority;
 use iat_cachesim::config::SamplingLevel;
 use iat_netsim::{FlowDist, FlowId, TrafficPattern};
+use iat_platform::TenantId;
 use iat_runner::{seed::splitmix64, JobSpec, Registry};
 use serde_json::{json, Value};
 
@@ -141,7 +142,7 @@ pub fn scenario(class: &str, name: &str, dice: &mut Dice, spec: &CorpusSpec) -> 
                         .ways(2),
                 );
             }
-            let churner = dice.range(1, 3) as usize;
+            let churner = TenantId(dice.range(1, 3) as u16);
             let arrive = dice.range(1, warm as u64) as usize;
             let grown = dice.range(16, 48) << 20;
             b = b.event(arrive, ScenarioAction::SetWorkingSet { tenant: churner, bytes: grown });
@@ -269,7 +270,8 @@ pub fn scenario(class: &str, name: &str, dice: &mut Dice, spec: &CorpusSpec) -> 
                 );
             let grow_at = dice.range(1, (total - 1) as u64) as usize;
             let grown = dice.range(8, 24) << 20;
-            b = b.event(grow_at, ScenarioAction::SetWorkingSet { tenant: 1, bytes: grown });
+            let grow = ScenarioAction::SetWorkingSet { tenant: TenantId(1), bytes: grown };
+            b = b.event(grow_at, grow);
         }
         other => panic!("unknown corpus class {other:?}"),
     }

@@ -8,19 +8,23 @@
 //! One leaf job per ablated variant.
 
 use super::merge_rows;
+use crate::builder::{apply_action, ScenarioAction};
+use crate::catalog::{build, ScenarioParams};
 use crate::harness::take_sim_accesses;
 use crate::report::{f, record_accesses, FigureReport};
-use crate::scenarios::{self, PolicyKind};
+use crate::scenarios::{measure, PolicyKind};
 use iat::{IatConfig, IatDaemon, IatFlags};
 use iat_runner::{JobSpec, Registry};
-use iat_workloads::XMem;
 use serde_json::Value;
 
 /// Reaction probe: the Fig. 10 phase change under a given daemon
 /// configuration; returns (intervals until container 4 reaches 4 ways,
 /// final pc4 throughput in Mops/s).
 fn reaction(flags: IatFlags, threshold_stable: f64, seed: u64) -> (usize, f64) {
-    let (mut m, ids) = scenarios::slicing_pmd_xmem(1500, PolicyKind::IatNoDdioResize, seed);
+    let params =
+        ScenarioParams::SlicingPmdXmem { packet_bytes: 1500, policy: PolicyKind::IatNoDdioResize };
+    let mut m = build(&params, seed).into_managed();
+    let pc = m.platform.tenant_id("xmem-pc4").expect("container 4");
     // Swap the policy for the ablated configuration.
     let config = *m.platform.config();
     let iat_config = IatConfig {
@@ -28,55 +32,12 @@ fn reaction(flags: IatFlags, threshold_stable: f64, seed: u64) -> (usize, f64) {
         threshold_stable,
         ..IatConfig::paper()
     };
-    let mut daemon = IatDaemon::new(iat_config, flags, config.llc.ways());
-    // Re-register tenants with the new daemon.
-    let infos: Vec<iat::TenantInfo> = vec![
-        iat::TenantInfo {
-            agent: iat_cachesim::AgentId::new(0),
-            clos: iat_rdt::ClosId::new(1),
-            cores: vec![0, 1],
-            priority: iat::Priority::Pc,
-            is_io: true,
-            initial_ways: 3,
-        },
-        iat::TenantInfo {
-            agent: iat_cachesim::AgentId::new(1),
-            clos: iat_rdt::ClosId::new(2),
-            cores: vec![2],
-            priority: iat::Priority::Be,
-            is_io: false,
-            initial_ways: 2,
-        },
-        iat::TenantInfo {
-            agent: iat_cachesim::AgentId::new(2),
-            clos: iat_rdt::ClosId::new(3),
-            cores: vec![3],
-            priority: iat::Priority::Be,
-            is_io: false,
-            initial_ways: 2,
-        },
-        iat::TenantInfo {
-            agent: iat_cachesim::AgentId::new(3),
-            clos: iat_rdt::ClosId::new(4),
-            cores: vec![4],
-            priority: iat::Priority::Pc,
-            is_io: false,
-            initial_ways: 2,
-        },
-    ];
-    iat::LlcPolicy::set_tenants(&mut daemon, infos, m.platform.rdt_mut());
-    m.policy = Box::new(daemon);
+    m.replace_policy(Box::new(IatDaemon::new(iat_config, flags, config.llc.ways())));
 
     m.run_intervals(3);
-    m.platform
-        .tenant_mut(ids.pc)
-        .workload
-        .as_any_mut()
-        .downcast_mut::<XMem>()
-        .expect("x-mem")
-        .set_working_set(10 << 20);
+    apply_action(&mut m, &ScenarioAction::SetWorkingSet { tenant: pc, bytes: 10 << 20 });
     // Count intervals until pc4 holds 4 ways (or give up at 10).
-    let pc_clos = m.platform.tenant(ids.pc).clos;
+    let pc_clos = m.platform.tenant(pc).clos;
     let mut reached = 10usize;
     for i in 0..10 {
         m.step_interval();
@@ -85,9 +46,9 @@ fn reaction(flags: IatFlags, threshold_stable: f64, seed: u64) -> (usize, f64) {
             break;
         }
     }
-    let w = scenarios::measure(&mut m, 1, 3);
+    let w = measure(&mut m, 1, 3);
     let scale = m.platform.config().time_scale as f64;
-    let mops = w.tenant(ids.pc.0 as usize).ops as f64 / w.seconds * scale / 1e6;
+    let mops = w.ops_per_s(pc) * scale / 1e6;
     (reached, mops)
 }
 

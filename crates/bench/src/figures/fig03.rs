@@ -10,15 +10,17 @@
 use super::{merge_rows, rows_artifact};
 use crate::harness::take_sim_accesses;
 use crate::report::{pct, record_accesses, FigureReport};
-use crate::scenarios::{self, LINE_RATE_40G};
+use crate::catalog::{build, ScenarioParams};
+use crate::scenarios::LINE_RATE_40G;
 use iat_netsim::{rfc2544_search, FlowDist, Rfc2544Config, TrafficGen, TrafficPattern};
-use iat_platform::TenantId;
 use iat_runner::{JobSpec, Registry};
 use serde_json::Value;
 
 /// One RFC 2544 trial: fresh platform, warm up, then measure drops.
 fn trial(ring: usize, pkt: u32, rate_bps: u64, seed: u64) -> u64 {
-    let (mut platform, tenant) = scenarios::l3fwd_slicing(ring, pkt, rate_bps, seed);
+    let params = ScenarioParams::L3fwdSlicing { ring_entries: ring, packet_bytes: pkt, rate_bps };
+    let mut platform = build(&params, seed).into_platform();
+    let tenant = platform.tenant_id("l3fwd").expect("l3fwd tenant");
     // Replace the constant generator with the bursty one.
     platform.tenant_mut(tenant).bindings[0].gen = TrafficGen::new(
         rate_bps,
@@ -32,10 +34,7 @@ fn trial(ring: usize, pkt: u32, rate_bps: u64, seed: u64) -> u64 {
         seed,
     );
     platform.run_epochs(10); // warm-up
-    platform
-        .tenant_mut(TenantId(tenant.0))
-        .workload
-        .reset_metrics();
+    platform.tenant_mut(tenant).workload.reset_metrics();
     platform.run_epochs(30);
     platform.metrics_of(tenant).drops
 }

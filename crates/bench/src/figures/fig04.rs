@@ -8,7 +8,7 @@
 
 use crate::harness::take_sim_accesses;
 use crate::report::{f, pct, record_accesses, FigureReport};
-use crate::scenarios;
+use crate::catalog::{build, ScenarioParams};
 use iat_runner::{JobSpec, Registry};
 use serde_json::{json, Value};
 
@@ -16,7 +16,13 @@ use serde_json::{json, Value};
 fn contend(ws: u64, seed: u64) -> (Vec<Vec<String>>, Value) {
     let mut results = Vec::new();
     for overlap in [false, true] {
-        let (mut platform, _fwd, xmem) = scenarios::latent_contender(ws, overlap, 1500, seed);
+        let params = ScenarioParams::LatentContender {
+            working_set: ws,
+            ddio_overlap: overlap,
+            packet_bytes: 1500,
+        };
+        let mut platform = build(&params, seed).into_platform();
+        let xmem = platform.tenant_id("x-mem").expect("x-mem tenant");
         platform.run_epochs(300); // warm-up: fill the working set
         platform.tenant_mut(xmem).workload.reset_metrics();
         let t0 = platform.time_s();

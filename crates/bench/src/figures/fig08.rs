@@ -10,7 +10,8 @@
 use super::{merge_rows, rows_artifact};
 use crate::harness::take_sim_accesses;
 use crate::report::{f, record_accesses, FigureReport};
-use crate::scenarios::{self, PolicyKind};
+use crate::catalog::{build, ScenarioParams};
+use crate::scenarios::{measure, PolicyKind};
 use iat_runner::{JobSpec, Registry};
 use serde_json::Value;
 
@@ -22,8 +23,10 @@ fn sweep(size: u32, seed: u64) -> Vec<(Vec<String>, Value)> {
     let (warm, meas) = (6, 6);
     let mut rows = Vec::new();
     for &policy in &policies {
-        let (mut m, ids) = scenarios::fwd_aggregation(size, 1, policy, seed);
-        let win = scenarios::measure(&mut m, warm, meas);
+        let params = ScenarioParams::Aggregation { packet_bytes: size, flows_per_port: 1, policy };
+        let mut m = build(&params, seed).into_managed();
+        let ovs = m.platform.tenant_id("ovs").expect("ovs tenant");
+        let win = measure(&mut m, warm, meas);
         let scale = m.platform.config().time_scale as f64;
 
         let d = &win.deltas;
@@ -31,9 +34,8 @@ fn sweep(size: u32, seed: u64) -> Vec<(Vec<String>, Value)> {
         let misses = d.system.ddio_misses as f64 / win.seconds * scale;
         let mem_gbs =
             (d.system.mem_read_bytes + d.system.mem_write_bytes) as f64 / win.seconds * scale / 1e9;
-        let ovs_idx = ids.ovs.0 as usize;
-        let ipc = d.tenants[ovs_idx].ipc;
-        let ovs_metrics = win.tenant(ovs_idx);
+        let ipc = d.tenants[usize::from(ovs.0)].ipc;
+        let ovs_metrics = win.tenant(ovs);
         let fwd = ovs_metrics.ops as f64 / win.seconds * scale;
         let cpp = if ovs_metrics.ops == 0 {
             0.0

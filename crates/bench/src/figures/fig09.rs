@@ -7,7 +7,8 @@
 use super::{merge_rows, rows_artifact};
 use crate::harness::take_sim_accesses;
 use crate::report::{f, record_accesses, FigureReport};
-use crate::scenarios::{self, PolicyKind};
+use crate::catalog::{build, ScenarioParams};
+use crate::scenarios::{measure, PolicyKind};
 use iat_runner::{JobSpec, Registry};
 use serde_json::Value;
 
@@ -22,20 +23,21 @@ fn sweep(flows: u32, seed: u64) -> Vec<(Vec<String>, Value)> {
         // Start from single-flow traffic, then — as in the paper —
         // grow the flow count mid-run so the management plane sees
         // the phase change.
-        let (mut m, ids) = scenarios::fwd_aggregation(64, 1, policy, seed);
+        let params = ScenarioParams::Aggregation { packet_bytes: 64, flows_per_port: 1, policy };
+        let mut m = build(&params, seed).into_managed();
+        let ovs = m.platform.tenant_id("ovs").expect("ovs tenant");
         m.run_intervals(3);
         if flows > 1 {
-            for b in &mut m.platform.tenant_mut(ids.ovs).bindings {
+            for b in &mut m.platform.tenant_mut(ovs).bindings {
                 b.gen
                     .set_flow_dist(iat_netsim::FlowDist::Uniform { count: flows });
             }
         }
-        let win = scenarios::measure(&mut m, warm, meas);
+        let win = measure(&mut m, warm, meas);
         let scale = m.platform.config().time_scale as f64;
-        let ovs = ids.ovs.0 as usize;
-        let d = &win.deltas.tenants[ovs];
+        let d = &win.deltas.tenants[usize::from(ovs.0)];
         let miss_rate_s = d.llc_misses as f64 / win.seconds * scale;
-        let ovs_clos = m.platform.tenant(ids.ovs).clos;
+        let ovs_clos = m.platform.tenant(ovs).clos;
         let ways = m.platform.rdt().clos_mask(ovs_clos).count();
         let fwd = win.tenant(ovs).ops as f64 / win.seconds * scale;
 

@@ -8,12 +8,12 @@
 //! latency in the 5–15 s and 15–25 s phases for baseline, Core-only,
 //! I/O-iso and IAT, across packet sizes. One leaf job per packet size.
 
+use crate::builder::{apply_action, ScenarioAction};
+use crate::catalog::{build, ScenarioParams};
 use crate::harness::take_sim_accesses;
 use crate::report::{f, record_accesses, Table};
-use crate::scenarios::{self, PolicyKind};
-use iat_cachesim::WayMask;
+use crate::scenarios::{measure, PolicyKind, Window};
 use iat_runner::{JobSpec, Registry};
-use iat_workloads::XMem;
 use serde_json::{json, Value};
 
 const SIZES: [u32; 3] = [64, 1024, 1500];
@@ -31,43 +31,31 @@ struct PhaseResult {
 }
 
 fn run_case(pkt: u32, policy: PolicyKind, seed: u64) -> (PhaseResult, PhaseResult) {
-    let (mut m, ids) = scenarios::slicing_pmd_xmem(pkt, policy, seed);
-    let pc = ids.pc;
+    let params = ScenarioParams::SlicingPmdXmem { packet_bytes: pkt, policy };
+    let mut m = build(&params, seed).into_managed();
+    let pc = m.platform.tenant_id("xmem-pc4").expect("container 4");
     let scale = m.platform.config().time_scale as f64;
     let freq = m.platform.config().freq_ghz;
+    let phase = |w: Window| PhaseResult {
+        mops: w.ops_per_s(pc) * scale / 1e6,
+        lat_ns: w.tenant(pc).avg_op_cycles / freq,
+    };
 
     // Phase 0: all X-Mem at 2 MB.
     m.run_intervals(3);
 
     // t=5 s: container 4's working set grows to 10 MB (L2 + 4 ways).
-    m.platform
-        .tenant_mut(pc)
-        .workload
-        .as_any_mut()
-        .downcast_mut::<XMem>()
-        .expect("container 4 is X-Mem")
-        .set_working_set(10 << 20);
+    apply_action(&mut m, &ScenarioAction::SetWorkingSet { tenant: pc, bytes: 10 << 20 });
 
     // Let the policy react, then measure the stable window (paper reports
     // performance "after 5s" once stabilized).
     m.run_intervals(4);
-    let w1 = scenarios::measure(&mut m, 0, 4);
-    let p1 = PhaseResult {
-        mops: w1.tenant(pc.0 as usize).ops as f64 / w1.seconds * scale / 1e6,
-        lat_ns: w1.tenant(pc.0 as usize).avg_op_cycles / freq,
-    };
+    let p1 = phase(measure(&mut m, 0, 4));
 
     // t=15 s: manually widen DDIO from 2 to 4 ways.
-    m.platform
-        .rdt_mut()
-        .set_ddio_mask(WayMask::contiguous(7, 4).expect("mask"))
-        .expect("valid ddio mask");
+    apply_action(&mut m, &ScenarioAction::SetDdioWays { first: 7, count: 4 });
     m.run_intervals(4);
-    let w2 = scenarios::measure(&mut m, 0, 4);
-    let p2 = PhaseResult {
-        mops: w2.tenant(pc.0 as usize).ops as f64 / w2.seconds * scale / 1e6,
-        lat_ns: w2.tenant(pc.0 as usize).avg_op_cycles / freq,
-    };
+    let p2 = phase(measure(&mut m, 0, 4));
     (p1, p2)
 }
 

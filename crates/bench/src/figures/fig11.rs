@@ -9,14 +9,15 @@
 //! `results/fig11.metrics.json`. A single job — the timeline is one
 //! continuous 20 s run and cannot be sliced.
 
+use crate::builder::{apply_action, ScenarioAction};
+use crate::catalog::{build, ScenarioParams};
 use crate::harness::take_sim_accesses;
 use crate::report::{record_accesses, save_metrics, save_trace};
-use crate::scenarios::{self, PolicyKind};
+use crate::scenarios::PolicyKind;
 use iat_cachesim::WayMask;
 use iat_platform::Recorder;
 use iat_runner::{JobCtx, JobSpec, Registry};
 use iat_telemetry::{summarize, RingRecorder};
-use iat_workloads::XMem;
 use serde_json::Value;
 
 fn mask_str(m: WayMask) -> String {
@@ -27,9 +28,10 @@ fn mask_str(m: WayMask) -> String {
 }
 
 fn timeline(ctx: &mut JobCtx) -> Result<Value, String> {
-    let (mut m, ids) =
-        scenarios::slicing_pmd_xmem(1500, PolicyKind::IatNoDdioResize, ctx.seed("scenario"));
-    let pc = ids.pc;
+    let params =
+        ScenarioParams::SlicingPmdXmem { packet_bytes: 1500, policy: PolicyKind::IatNoDdioResize };
+    let mut m = build(&params, ctx.seed("scenario")).into_managed();
+    let pc = m.platform.tenant_id("xmem-pc4").expect("container 4");
     let mut recorder = Recorder::new();
     let mut flight = RingRecorder::new(4096);
     let epochs_per_sample = 10; // 0.1 s at the 10 ms epoch
@@ -44,19 +46,10 @@ fn timeline(ctx: &mut JobCtx) -> Result<Value, String> {
     let mut last = m.observe();
     for second in 0..20u64 {
         if second == 5 {
-            m.platform
-                .tenant_mut(pc)
-                .workload
-                .as_any_mut()
-                .downcast_mut::<XMem>()
-                .expect("x-mem")
-                .set_working_set(10 << 20);
+            apply_action(&mut m, &ScenarioAction::SetWorkingSet { tenant: pc, bytes: 10 << 20 });
         }
         if second == 15 {
-            m.platform
-                .rdt_mut()
-                .set_ddio_mask(WayMask::contiguous(7, 4).expect("mask"))
-                .expect("valid ddio mask");
+            apply_action(&mut m, &ScenarioAction::SetDdioWays { first: 7, count: 4 });
         }
         // Run the second in 0.1 s slices, sampling container 4's misses.
         let mut miss_acc = 0u64;
@@ -64,7 +57,7 @@ fn timeline(ctx: &mut JobCtx) -> Result<Value, String> {
             m.platform.run_epochs(epochs_per_sample);
             let now = m.observe();
             let d = crate::Managed::deltas_between(&last, &now);
-            let pc_miss = d.tenants[pc.0 as usize].llc_misses;
+            let pc_miss = d.tenants[usize::from(pc.0)].llc_misses;
             miss_acc += pc_miss;
             let t = second as f64 + (s as f64 + 1.0) * 0.1;
             let scale = m.platform.config().time_scale as f64;

@@ -16,7 +16,8 @@
 use super::{merge_rows, rows_artifact, rows_from};
 use crate::harness::take_sim_accesses;
 use crate::report::{f, record_accesses, FigureReport};
-use crate::scenarios::{self, NetApp, PcApp, PolicyKind};
+use crate::catalog::{build, ScenarioParams};
+use crate::scenarios::{measure, NetApp, PcApp, PolicyKind};
 use iat_runner::{JobSpec, Registry};
 use iat_workloads::{SpecProfile, YcsbMix};
 use serde_json::Value;
@@ -24,10 +25,12 @@ use serde_json::Value;
 const WARM: usize = 3;
 const MEASURE: usize = 4;
 
-/// Rate metric of the PC workload: ops per modelled second.
-fn pc_rate(m: &mut crate::Managed, idx: usize) -> f64 {
-    let win = scenarios::measure(m, WARM, MEASURE);
-    win.ops_per_s(idx)
+/// Rate metric of the PC workload (tenant `pc_name`) in `params`: ops
+/// per modelled second.
+fn pc_rate(params: &ScenarioParams, pc_name: &str, seed: u64) -> f64 {
+    let mut m = build(params, seed).into_managed();
+    let pc = m.platform.tenant_id(pc_name).expect("pc tenant");
+    measure(&mut m, WARM, MEASURE).ops_per_s(pc)
 }
 
 /// One (pc, net) sweep point: the three baseline rotations plus IAT.
@@ -43,8 +46,8 @@ fn net_point(
 ) -> (Vec<String>, Value) {
     let rotations = [0usize, 2, 4];
     let co_rate = |policy: PolicyKind| {
-        let (mut m, ids) = scenarios::app_scenario(net, pc, YcsbMix::b(), true, policy, seed);
-        pc_rate(&mut m, ids.pc.expect("pc present").0 as usize)
+        let params = ScenarioParams::AppCorun { net, pc, mix: YcsbMix::b(), with_be: true, policy };
+        pc_rate(&params, pc_name, seed)
     };
     let mut baseline_norms = Vec::new();
     for &rot in &rotations {
@@ -101,10 +104,10 @@ pub(crate) fn register(reg: &mut Registry) {
         let solo_job = format!("{leaf}/solo");
         reg.add(
             JobSpec::new(&solo_job, "fig12", {
-                let leaf = leaf.clone();
+                let (leaf, pc_name) = (leaf.clone(), pc_name.clone());
                 move |ctx| {
-                    let (mut m, id) = scenarios::pc_solo(pc, ctx.seed_of(&leaf, "scenario"));
-                    let solo = pc_rate(&mut m, id.0 as usize);
+                    let params = ScenarioParams::PcSolo { pc };
+                    let solo = pc_rate(&params, &pc_name, ctx.seed_of(&leaf, "scenario"));
                     record_accesses(ctx, take_sim_accesses());
                     Ok(serde_json::json!(solo))
                 }

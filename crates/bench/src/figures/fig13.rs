@@ -12,7 +12,8 @@
 use super::{merge_rows, rows_artifact, rows_from};
 use crate::harness::take_sim_accesses;
 use crate::report::{f, record_accesses, FigureReport};
-use crate::scenarios::{self, NetApp, PcApp, PolicyKind};
+use crate::catalog::{build, ScenarioParams};
+use crate::scenarios::{measure, NetApp, PcApp, PolicyKind};
 use iat_runner::{JobSpec, Registry};
 use iat_workloads::YcsbMix;
 use serde_json::Value;
@@ -22,19 +23,29 @@ const MEASURE: usize = 4;
 
 const NETS: [(&str, NetApp); 2] = [("redis", NetApp::Redis), ("fastclick", NetApp::FastClick)];
 
-fn rocks_latency(net: NetApp, mix: YcsbMix, policy: PolicyKind, seed: u64) -> f64 {
-    let (mut m, ids) =
-        scenarios::app_scenario(net, PcApp::Rocks(mix), YcsbMix::b(), true, policy, seed);
-    let w = scenarios::measure(&mut m, WARM, MEASURE);
-    w.tenant(ids.pc.expect("pc present").0 as usize)
-        .avg_op_cycles
+/// Average RocksDB operation cycles over the measurement window of
+/// `params`.
+fn rocks_latency(params: &ScenarioParams, seed: u64) -> f64 {
+    let mut m = build(params, seed).into_managed();
+    let rocks = m.platform.tenant_id("rocksdb").expect("rocksdb tenant");
+    measure(&mut m, WARM, MEASURE).tenant(rocks).avg_op_cycles
+}
+
+/// Co-run latency of RocksDB under this mix.
+fn corun_latency(net: NetApp, mix: YcsbMix, policy: PolicyKind, seed: u64) -> f64 {
+    let params = ScenarioParams::AppCorun {
+        net,
+        pc: PcApp::Rocks(mix),
+        mix: YcsbMix::b(),
+        with_be: true,
+        policy,
+    };
+    rocks_latency(&params, seed)
 }
 
 /// Solo latency of RocksDB under this mix.
 fn solo_latency(mix: YcsbMix, seed: u64) -> f64 {
-    let (mut m, id) = scenarios::pc_solo(PcApp::Rocks(mix), seed);
-    let w = scenarios::measure(&mut m, WARM, MEASURE);
-    w.tenant(id.0 as usize).avg_op_cycles
+    rocks_latency(&ScenarioParams::PcSolo { pc: PcApp::Rocks(mix) }, seed)
 }
 
 /// One (mix, net) sweep point: three baseline rotations plus IAT,
@@ -43,10 +54,10 @@ fn net_point(mix: YcsbMix, net_name: &str, net: NetApp, solo: f64, seed: u64) ->
     let rotations = [0usize, 2, 4];
     let mut base: Vec<f64> = rotations
         .iter()
-        .map(|&r| rocks_latency(net, mix, PolicyKind::Baseline(r), seed) / solo)
+        .map(|&r| corun_latency(net, mix, PolicyKind::Baseline(r), seed) / solo)
         .collect();
     base.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let iat = rocks_latency(net, mix, PolicyKind::IatShuffleOnly, seed) / solo;
+    let iat = corun_latency(net, mix, PolicyKind::IatShuffleOnly, seed) / solo;
     (
         vec![
             mix.name.into(),

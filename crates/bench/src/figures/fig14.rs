@@ -7,7 +7,8 @@
 use super::{merge_rows, rows_artifact};
 use crate::harness::take_sim_accesses;
 use crate::report::{f, record_accesses, FigureReport};
-use crate::scenarios::{self, NetApp, PcApp, PolicyKind};
+use crate::catalog::{build, ScenarioParams};
+use crate::scenarios::{measure, NetApp, PcApp, PolicyKind};
 use iat_runner::{JobSpec, Registry};
 use iat_workloads::YcsbMix;
 use serde_json::Value;
@@ -23,10 +24,11 @@ struct RedisPerf {
 }
 
 fn redis_perf(mix: YcsbMix, pc: PcApp, with_be: bool, policy: PolicyKind, seed: u64) -> RedisPerf {
-    let (mut m, ids) = scenarios::app_scenario(NetApp::Redis, pc, mix, with_be, policy, seed);
-    let w = scenarios::measure(&mut m, WARM, MEASURE);
-    let r0 = ids.net[1].expect("redis0").0 as usize;
-    let r1 = ids.net[2].expect("redis1").0 as usize;
+    let params = ScenarioParams::AppCorun { net: NetApp::Redis, pc, mix, with_be, policy };
+    let mut m = build(&params, seed).into_managed();
+    let r0 = m.platform.tenant_id("redis0").expect("redis0 tenant");
+    let r1 = m.platform.tenant_id("redis1").expect("redis1 tenant");
+    let w = measure(&mut m, WARM, MEASURE);
     let ops = w.ops_per_s(r0) + w.ops_per_s(r1);
     let avg = (w.tenant(r0).avg_op_cycles + w.tenant(r1).avg_op_cycles) / 2.0;
     let p99 = w.tenant(r0).p99_op_cycles.max(w.tenant(r1).p99_op_cycles);

@@ -11,7 +11,7 @@
 //! seed) and independent of run length, so it is part of the smoke set.
 
 use crate::report::{f, FigureReport};
-use iat::{IatConfig, IatDaemon, IatFlags, Priority, TenantInfo};
+use iat::{IatConfig, IatDaemon, IatFlags, LlcPolicy, Priority, TenantInfo};
 use iat_cachesim::AgentId;
 use iat_perf::{CoreCounters, Poll, SystemSample, TenantSample};
 use iat_rdt::{ClosId, Rdt};

@@ -18,6 +18,8 @@ pub struct Managed {
     pub platform: Platform,
     /// The management policy (IAT or a baseline).
     pub policy: Box<dyn LlcPolicy>,
+    /// The policy-facing tenant description, in registration order.
+    tenants: Vec<TenantInfo>,
     monitor: Monitor,
     epochs_per_interval: usize,
     intervals: u64,
@@ -48,11 +50,12 @@ impl Managed {
                 tenants.iter().map(|t| (t.agent.index(), t.initial_ways)).collect();
             iat_telemetry::decision::seed_thread(platform.rdt().ddio_ways(), &seed);
         }
-        policy.set_tenants(tenants, platform.rdt_mut());
+        policy.set_tenants(tenants.clone(), platform.rdt_mut());
         let epochs_per_interval = (interval_ns / platform.config().epoch_ns).max(1) as usize;
         Managed {
             platform,
             policy,
+            tenants,
             monitor,
             epochs_per_interval,
             intervals: 0,
@@ -62,6 +65,13 @@ impl Managed {
             extrap: None,
             measured_base: 0,
         }
+    }
+
+    /// Swaps in a different management policy, registering the same
+    /// tenant set with it (which programs its initial layout).
+    pub(crate) fn replace_policy(&mut self, mut policy: Box<dyn LlcPolicy>) {
+        policy.set_tenants(self.tenants.clone(), self.platform.rdt_mut());
+        self.policy = policy;
     }
 
     /// Epochs executed per policy interval.
@@ -88,12 +98,12 @@ impl Managed {
         }
     }
 
-    /// [`Managed::step_interval`] with a structured trace: the poll
-    /// emits its [`iat_telemetry::Event::PollSample`], the policy
+    /// [`Managed::step_interval`]'s body with a structured trace: the
+    /// poll emits its [`iat_telemetry::Event::PollSample`], the policy
     /// narrates its decision, and the platform sweeps per-VF ring
     /// occupancy and drop telemetry — all stamped with the interval
     /// number and the simulated time at the end of the interval.
-    pub fn step_interval_traced(&mut self, rec: &mut dyn Recorder) -> StepReport {
+    fn step_interval_traced(&mut self, rec: &mut dyn Recorder) -> StepReport {
         self.platform.run_epochs(self.epochs_per_interval);
         self.intervals += 1;
         let stamp = Stamp {

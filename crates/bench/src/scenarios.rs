@@ -1,16 +1,13 @@
-//! The paper's experimental setups (Sec. VI-A/B/C) as thin wrappers
-//! over the scenario catalog: each constructor selects a named
-//! [`crate::catalog::ScenarioParams`] entry and compiles it with
-//! [`crate::builder::compile`]. The platform/tenant values themselves
-//! live in [`crate::catalog::describe`] — a scenario is data, not a
-//! module — and the committed captures pin the compiled output
-//! byte-for-byte.
+//! The vocabulary the paper's experimental setups (Sec. VI-A/B/C) are
+//! written in: NIC constants, the policy menu, the application choices
+//! of the co-run experiments, and the measurement window. The setups
+//! themselves are data in [`crate::catalog`]; figures compile them with
+//! [`crate::catalog::build`].
 
-use crate::catalog::{build, ScenarioParams};
 use crate::harness::Managed;
 use iat::{IatConfig, IatDaemon, IatFlags, LlcPolicy, StaticCat};
 use iat_perf::IntervalDeltas;
-use iat_platform::{Platform, PlatformConfig, TenantId};
+use iat_platform::{PlatformConfig, TenantId};
 use iat_workloads::{SpecProfile, WorkloadMetrics, YcsbMix};
 
 /// Rx/Tx descriptor ring depth (the paper's default of 1024 entries).
@@ -94,101 +91,6 @@ pub fn make_policy(kind: PolicyKind, ways: u8, config: &PlatformConfig) -> Box<d
     }
 }
 
-/// Tenant ids of the aggregation microbenchmark (Fig. 8/9).
-#[derive(Debug, Clone, Copy)]
-pub struct AggregationIds {
-    /// The OVS software stack.
-    pub ovs: TenantId,
-    /// The two testpmd tenants behind the switch.
-    pub pmd: [TenantId; 2],
-}
-
-/// Builds the paper's Fig. 8/9 setup: two NIC ports into OVS (2 cores,
-/// 2 ways, stack priority), two `testpmd` tenants behind virtio channels
-/// (2 cores, 1 way each), single-flow (Fig. 8) or multi-flow (Fig. 9)
-/// line-rate traffic.
-pub fn fwd_aggregation(
-    packet_bytes: u32,
-    flows_per_port: u32,
-    policy: PolicyKind,
-    seed: u64,
-) -> (Managed, AggregationIds) {
-    let params = ScenarioParams::Aggregation {
-        packet_bytes,
-        flows_per_port,
-        policy,
-    };
-    (
-        build(&params, seed).into_managed(),
-        AggregationIds {
-            ovs: TenantId(0),
-            pmd: [TenantId(1), TenantId(2)],
-        },
-    )
-}
-
-/// Builds the Fig. 3 setup: one `l3fwd` tenant on one core and two LLC
-/// ways, a 1M-flow table, and an Rx ring of `ring_entries` slots fed at
-/// `rate_bps`. No management policy (static CAT, default DDIO).
-pub fn l3fwd_slicing(
-    ring_entries: usize,
-    packet_bytes: u32,
-    rate_bps: u64,
-    seed: u64,
-) -> (Platform, TenantId) {
-    let params = ScenarioParams::L3fwdSlicing {
-        ring_entries,
-        packet_bytes,
-        rate_bps,
-    };
-    (build(&params, seed).into_platform(), TenantId(0))
-}
-
-/// Builds the Fig. 4 setup: `l3fwd` at 40 Gb/s on ways {0,1} plus an X-Mem
-/// tenant either on dedicated ways {2,3} or on DDIO's default ways {9,10}.
-pub fn latent_contender(
-    working_set: u64,
-    ddio_overlap: bool,
-    packet_bytes: u32,
-    seed: u64,
-) -> (Platform, TenantId, TenantId) {
-    let params = ScenarioParams::LatentContender {
-        working_set,
-        ddio_overlap,
-        packet_bytes,
-    };
-    (build(&params, seed).into_platform(), TenantId(0), TenantId(1))
-}
-
-/// Tenant ids of the Fig. 10/11 slicing setup.
-#[derive(Debug, Clone, Copy)]
-pub struct SlicingIds {
-    /// The testpmd PC pair (containers 0/1).
-    pub pmd: TenantId,
-    /// Best-effort X-Mem containers 2 and 3.
-    pub be: [TenantId; 2],
-    /// Performance-critical X-Mem container 4.
-    pub pc: TenantId,
-}
-
-/// Builds the Fig. 10/11 setup: a PC `testpmd` pair on two VFs (2 cores,
-/// 3 ways), two BE X-Mem containers and one PC X-Mem container (1 core,
-/// 2 ways each), all X-Mem at a 2 MB working set initially.
-pub fn slicing_pmd_xmem(packet_bytes: u32, policy: PolicyKind, seed: u64) -> (Managed, SlicingIds) {
-    let params = ScenarioParams::SlicingPmdXmem {
-        packet_bytes,
-        policy,
-    };
-    (
-        build(&params, seed).into_managed(),
-        SlicingIds {
-            pmd: TenantId(0),
-            be: [TenantId(1), TenantId(2)],
-            pc: TenantId(3),
-        },
-    )
-}
-
 /// The networking side of the Sec. VI-C application experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetApp {
@@ -209,77 +111,6 @@ pub enum PcApp {
     None,
 }
 
-/// Tenant ids of the application co-run scenario.
-#[derive(Debug, Clone, Copy)]
-pub struct AppIds {
-    /// Networking tenants (OVS + 2 Redis, or the NF chain).
-    pub net: [Option<TenantId>; 3],
-    /// The PC container, when present.
-    pub pc: Option<TenantId>,
-    /// The two BE X-Mem containers, when present.
-    pub be: [Option<TenantId>; 2],
-}
-
-/// Builds the Sec. VI-C co-run scenario.
-///
-/// `with_be` adds the two best-effort X-Mem containers (1 MB and 10 MB
-/// working sets). Solo runs pass `PcApp::None` (networking solo) or
-/// `NetApp`-less via [`pc_solo`].
-pub fn app_scenario(
-    net: NetApp,
-    pc: PcApp,
-    mix: YcsbMix,
-    with_be: bool,
-    policy: PolicyKind,
-    seed: u64,
-) -> (Managed, AppIds) {
-    let params = ScenarioParams::AppCorun {
-        net,
-        pc,
-        mix,
-        with_be,
-        policy,
-    };
-    let managed = build(&params, seed).into_managed();
-
-    // Tenant ids follow declaration order (see the catalog entry).
-    let mut ids = AppIds {
-        net: [None; 3],
-        pc: None,
-        be: [None; 2],
-    };
-    let mut next_id = 0u16;
-    match net {
-        NetApp::Redis => {
-            for slot in &mut ids.net {
-                *slot = Some(TenantId(next_id));
-                next_id += 1;
-            }
-        }
-        NetApp::FastClick => {
-            ids.net[0] = Some(TenantId(next_id));
-            next_id += 1;
-        }
-    }
-    if !matches!(pc, PcApp::None) {
-        ids.pc = Some(TenantId(next_id));
-        next_id += 1;
-    }
-    if with_be {
-        for slot in &mut ids.be {
-            *slot = Some(TenantId(next_id));
-            next_id += 1;
-        }
-    }
-    (managed, ids)
-}
-
-/// A solo run of just the PC workload (for Fig. 12/13 normalization).
-pub fn pc_solo(pc: PcApp, seed: u64) -> (Managed, TenantId) {
-    let params = ScenarioParams::PcSolo { pc };
-    (build(&params, seed).into_managed(), TenantId(0))
-}
-
 /// A measurement window over a managed run.
 #[derive(Debug, Clone)]
 pub struct Window {
@@ -288,19 +119,19 @@ pub struct Window {
     /// Counter deltas over the window.
     pub deltas: IntervalDeltas,
     /// Per-tenant workload metrics accumulated during the window, in
-    /// registration order.
+    /// registration order (tenant ids are positional).
     pub metrics: Vec<WorkloadMetrics>,
 }
 
 impl Window {
-    /// Workload metrics of the `i`-th registered tenant.
-    pub fn tenant(&self, i: usize) -> &WorkloadMetrics {
-        &self.metrics[i]
+    /// Workload metrics of tenant `id`.
+    pub fn tenant(&self, id: TenantId) -> &WorkloadMetrics {
+        &self.metrics[usize::from(id.0)]
     }
 
-    /// Operations per modelled second of the `i`-th tenant.
-    pub fn ops_per_s(&self, i: usize) -> f64 {
-        self.metrics[i].ops as f64 / self.seconds
+    /// Operations per modelled second of tenant `id`.
+    pub fn ops_per_s(&self, id: TenantId) -> f64 {
+        self.tenant(id).ops as f64 / self.seconds
     }
 }
 

@@ -4,12 +4,13 @@
 use crate::config::IatConfig;
 use crate::fsm::{self, Signals, State};
 use crate::layout::{LayoutPlanner, Placement, PlanInput};
+use crate::policies::LlcPolicy;
 use crate::tenant_info::{Priority, TenantInfo};
 use crate::trend::Trend;
 use iat_cachesim::WayMask;
 use iat_perf::{CostModel, DeltaWindow, IntervalDeltas, Poll};
 use iat_rdt::Rdt;
-use iat_telemetry::{Event, NullRecorder, Recorder, Stamp};
+use iat_telemetry::{Event, Recorder, Stamp};
 
 /// Feature flags selecting which parts of the engine are active. The
 /// paper's baselines and ablations are expressed as flag combinations.
@@ -169,32 +170,11 @@ impl IatDaemon {
 
     /// Current per-tenant way counts, in daemon (registration) order.
     ///
-    /// Empty until [`IatDaemon::set_tenants`] runs. This is the
+    /// Empty until [`LlcPolicy::set_tenants`] runs. This is the
     /// allocation vector observability consumers (the decision flight
     /// recorder, dashboards) snapshot per iteration.
     pub fn way_counts(&self) -> &[u8] {
         &self.way_counts
-    }
-
-    /// **Get Tenant Info + LLC Alloc** (steps 1–2): registers the tenant
-    /// set and programs the initial layout.
-    ///
-    /// Tenant order must match the monitor's [`iat_perf::MonitorSpec`]
-    /// order — samples are matched positionally, as the paper's daemon
-    /// matches pqos monitoring groups.
-    ///
-    /// # Panics
-    ///
-    /// Panics if initial way counts exceed the LLC (tenants may not share
-    /// ways with each other in this implementation, following Sec. V).
-    pub fn set_tenants(&mut self, tenants: Vec<TenantInfo>, rdt: &mut Rdt) {
-        self.way_counts = tenants.iter().map(|t| t.initial_ways).collect();
-        self.tenants = tenants;
-        self.window.reset();
-        self.prev = None;
-        self.state = State::LowKeep;
-        let placements = self.plan(&[], rdt.ddio_ways());
-        apply(&placements, rdt);
     }
 
     /// Builds planner inputs from current way counts and the latest
@@ -221,14 +201,43 @@ impl IatDaemon {
     fn ddio_mask_for(&self, count: u8) -> WayMask {
         WayMask::contiguous(self.planner.ways() - count, count).expect("count <= ways")
     }
+}
+
+impl LlcPolicy for IatDaemon {
+    fn name(&self) -> &str {
+        let f = &self.flags;
+        if f.exclude_ddio {
+            "io-iso"
+        } else if !f.io_demand && !f.shuffle {
+            "core-only"
+        } else {
+            "iat"
+        }
+    }
+
+    /// **Get Tenant Info + LLC Alloc** (steps 1–2): registers the tenant
+    /// set and programs the initial layout.
+    ///
+    /// Tenant order must match the monitor's [`iat_perf::MonitorSpec`]
+    /// order — samples are matched positionally, as the paper's daemon
+    /// matches pqos monitoring groups.
+    ///
+    /// # Panics
+    ///
+    /// Panics if initial way counts exceed the LLC (tenants may not share
+    /// ways with each other in this implementation, following Sec. V).
+    fn set_tenants(&mut self, tenants: Vec<TenantInfo>, rdt: &mut Rdt) {
+        self.way_counts = tenants.iter().map(|t| t.initial_ways).collect();
+        self.tenants = tenants;
+        self.window.reset();
+        self.prev = None;
+        self.state = State::LowKeep;
+        let placements = self.plan(&[], rdt.ddio_ways());
+        apply(&placements, rdt);
+    }
 
     /// **Poll Prof Data → State Transition → LLC Re-alloc** (steps 3–5):
     /// one daemon iteration, driven by a fresh cumulative `poll`.
-    pub fn step(&mut self, rdt: &mut Rdt, poll: Poll) -> StepReport {
-        self.step_traced(rdt, poll, 0, &mut NullRecorder)
-    }
-
-    /// [`IatDaemon::step`] with a structured decision trace.
     ///
     /// Every iteration ends in one [`Event::Decision`]; unstable
     /// iterations that reach the FSM additionally emit an
@@ -236,9 +245,10 @@ impl IatDaemon {
     /// re-allocation emits its resize/shuffle event plus one
     /// [`Event::MaskWrite`] per register actually written (drained from
     /// the [`Rdt`] write journal). `now_ns` stamps the events with
-    /// simulated time. With a [`NullRecorder`] this is `step` exactly:
-    /// the journal stays off and no event is ever constructed.
-    pub fn step_traced(
+    /// simulated time. With a [`iat_telemetry::NullRecorder`] (what
+    /// [`LlcPolicy::step`] passes) the journal stays off and no event is
+    /// ever constructed.
+    fn step_traced(
         &mut self,
         rdt: &mut Rdt,
         poll: Poll,
@@ -554,7 +564,9 @@ impl IatDaemon {
         }
         self.finish(rdt, action, false, cost_ns, writes_before, stamp, rec)
     }
+}
 
+impl IatDaemon {
     #[allow(clippy::too_many_arguments)]
     fn finish(
         &mut self,

@@ -9,7 +9,7 @@
 //!
 //! 1. **Get Tenant Info** — learn each tenant's cores, priority
 //!    (performance-critical vs. best-effort vs. the software stack) and
-//!    whether it is an I/O workload ([`IatDaemon::set_tenants`]);
+//!    whether it is an I/O workload ([`LlcPolicy::set_tenants`]);
 //! 2. **LLC Alloc** — program the initial CAT layout;
 //! 3. **Poll Prof Data** — read IPC, LLC reference/miss per tenant and
 //!    chip-wide DDIO hit/miss from the performance counters;

@@ -2,17 +2,17 @@
 //!
 //! * **baseline** — [`StaticCat`]: default DDIO configuration, basic static
 //!   CAT for cores, never adjusted (paper Sec. VI-B).
-//! * **Core-only** — [`IatDaemon`] with [`crate::IatFlags::core_only`].
-//! * **I/O-iso** — [`IatDaemon`] with [`crate::IatFlags::io_iso`].
-//! * **IAT** — [`IatDaemon`] with [`crate::IatFlags::full`].
+//! * **Core-only** — [`crate::IatDaemon`] with [`crate::IatFlags::core_only`].
+//! * **I/O-iso** — [`crate::IatDaemon`] with [`crate::IatFlags::io_iso`].
+//! * **IAT** — [`crate::IatDaemon`] with [`crate::IatFlags::full`].
 
-use crate::daemon::{Action, IatDaemon, StepReport};
+use crate::daemon::{Action, StepReport};
 use crate::fsm::State;
 use crate::layout::LayoutPlanner;
 use crate::tenant_info::TenantInfo;
 use iat_perf::Poll;
 use iat_rdt::Rdt;
-use iat_telemetry::Recorder;
+use iat_telemetry::{NullRecorder, Recorder};
 
 /// An LLC management policy stepped once per polling interval.
 pub trait LlcPolicy {
@@ -22,53 +22,21 @@ pub trait LlcPolicy {
     /// Registers the tenant set and programs the initial allocation.
     fn set_tenants(&mut self, tenants: Vec<TenantInfo>, rdt: &mut Rdt);
 
-    /// One management iteration given a fresh cumulative counter poll.
-    fn step(&mut self, rdt: &mut Rdt, poll: Poll) -> StepReport;
-
-    /// [`LlcPolicy::step`] with a structured decision trace.
-    ///
-    /// The default ignores the recorder — static policies have no
-    /// decisions to narrate; [`IatDaemon`] overrides it.
+    /// One management iteration given a fresh cumulative counter poll,
+    /// narrating its decision to `rec` with events stamped at `now_ns`
+    /// of simulated time. Static policies have no decisions to narrate
+    /// and ignore the recorder.
     fn step_traced(
         &mut self,
         rdt: &mut Rdt,
         poll: Poll,
         now_ns: u64,
         rec: &mut dyn Recorder,
-    ) -> StepReport {
-        let _ = (now_ns, rec);
-        self.step(rdt, poll)
-    }
-}
+    ) -> StepReport;
 
-impl LlcPolicy for IatDaemon {
-    fn name(&self) -> &str {
-        let f = self.flags();
-        if f.exclude_ddio {
-            "io-iso"
-        } else if !f.io_demand && !f.shuffle {
-            "core-only"
-        } else {
-            "iat"
-        }
-    }
-
-    fn set_tenants(&mut self, tenants: Vec<TenantInfo>, rdt: &mut Rdt) {
-        IatDaemon::set_tenants(self, tenants, rdt)
-    }
-
+    /// [`LlcPolicy::step_traced`] with a [`NullRecorder`] at time zero.
     fn step(&mut self, rdt: &mut Rdt, poll: Poll) -> StepReport {
-        IatDaemon::step(self, rdt, poll)
-    }
-
-    fn step_traced(
-        &mut self,
-        rdt: &mut Rdt,
-        poll: Poll,
-        now_ns: u64,
-        rec: &mut dyn Recorder,
-    ) -> StepReport {
-        IatDaemon::step_traced(self, rdt, poll, now_ns, rec)
+        self.step_traced(rdt, poll, 0, &mut NullRecorder)
     }
 }
 
@@ -140,7 +108,13 @@ impl LlcPolicy for StaticCat {
         }
     }
 
-    fn step(&mut self, _rdt: &mut Rdt, poll: Poll) -> StepReport {
+    fn step_traced(
+        &mut self,
+        _rdt: &mut Rdt,
+        poll: Poll,
+        _now_ns: u64,
+        _rec: &mut dyn Recorder,
+    ) -> StepReport {
         StepReport {
             state: State::LowKeep,
             action: Action::None,
@@ -155,7 +129,7 @@ impl LlcPolicy for StaticCat {
 mod tests {
     use super::*;
     use crate::config::IatConfig;
-    use crate::daemon::IatFlags;
+    use crate::daemon::{IatDaemon, IatFlags};
     use crate::tenant_info::Priority;
     use iat_cachesim::AgentId;
     use iat_perf::{CoreCounters, SystemSample, TenantSample};

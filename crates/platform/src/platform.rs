@@ -221,16 +221,19 @@ impl Platform {
         &self.config
     }
 
-    /// Registers a tenant.
+    /// Registers a tenant. Tenant ids are positional: the `i`-th
+    /// registered tenant is `TenantId(i)`, so per-tenant vectors in
+    /// registration order (window metrics, counter deltas) index by id.
     ///
     /// # Panics
     ///
-    /// Panics if the tenant's id or agent collides with an existing one, or
-    /// if a core index is out of range.
+    /// Panics if the tenant's id is not the next position, if its agent
+    /// collides with an existing one, or if a core index is out of range.
     pub fn add_tenant(&mut self, tenant: Tenant) {
-        assert!(
-            self.tenants.iter().all(|t| t.id != tenant.id),
-            "duplicate tenant id {}",
+        assert_eq!(
+            usize::from(tenant.id.0),
+            self.tenants.len(),
+            "tenant ids are positional: {} registered out of order",
             tenant.id
         );
         assert!(
@@ -244,18 +247,9 @@ impl Platform {
         self.tenants.push(tenant);
     }
 
-    /// Removes a tenant, returning it (tenant departure).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no such tenant exists.
-    pub fn remove_tenant(&mut self, id: TenantId) -> Tenant {
-        let idx = self
-            .tenants
-            .iter()
-            .position(|t| t.id == id)
-            .unwrap_or_else(|| panic!("no tenant {id}"));
-        self.tenants.remove(idx)
+    /// The id of the tenant registered under `name`, if any.
+    pub fn tenant_id(&self, name: &str) -> Option<TenantId> {
+        self.tenants.iter().find(|t| t.name == name).map(|t| t.id)
     }
 
     /// Immutable access to a tenant.
@@ -264,7 +258,7 @@ impl Platform {
     ///
     /// Panics if no such tenant exists.
     pub fn tenant(&self, id: TenantId) -> &Tenant {
-        self.tenants.iter().find(|t| t.id == id).unwrap_or_else(|| panic!("no tenant {id}"))
+        &self.tenants[usize::from(id.0)]
     }
 
     /// Mutable access to a tenant.
@@ -273,7 +267,7 @@ impl Platform {
     ///
     /// Panics if no such tenant exists.
     pub fn tenant_mut(&mut self, id: TenantId) -> &mut Tenant {
-        self.tenants.iter_mut().find(|t| t.id == id).unwrap_or_else(|| panic!("no tenant {id}"))
+        &mut self.tenants[usize::from(id.0)]
     }
 
     /// All tenants, in registration order.
@@ -733,16 +727,21 @@ mod tests {
             p.add_tenant(xmem_tenant(0, 1, 2));
         }));
         assert!(result.is_err());
+        // Ids are positional: skipping a position is rejected too.
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            p.add_tenant(xmem_tenant(2, 1, 2));
+        }));
+        assert!(result.is_err());
     }
 
     #[test]
-    fn remove_tenant() {
+    fn tenant_id_looks_up_registered_names() {
         let mut p = Platform::new(PlatformConfig::tiny());
         p.add_tenant(xmem_tenant(0, 0, 1));
         p.add_tenant(xmem_tenant(1, 1, 2));
-        let t = p.remove_tenant(TenantId(0));
-        assert_eq!(t.id, TenantId(0));
-        assert_eq!(p.tenants().len(), 1);
+        assert_eq!(p.tenant_id("xmem1"), Some(TenantId(1)));
+        assert_eq!(p.tenant(TenantId(1)).name, "xmem1");
+        assert_eq!(p.tenant_id("xmem2"), None);
     }
 
     #[test]

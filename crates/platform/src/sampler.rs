@@ -145,16 +145,9 @@ impl Sampler {
         self.interval_len - self.plan.warm - self.plan.measure
     }
 
-    /// Converts pending fast-forward epochs into functional warmup at
-    /// the flat `reconverge_epochs` rate — the un-scaled budget the two
-    /// magnitude-aware variants below cap at.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn force_reconverge(&mut self) {
-        self.forced_warm = self.forced_warm.max(self.spec.reconverge_epochs as u64);
-    }
-
-    /// [`Sampler::force_reconverge`] scaled by the magnitude of the
-    /// capacity event: a change that moved `moved` of `total` ways owes
+    /// Converts pending fast-forward epochs into functional warmup,
+    /// scaled by the magnitude of the capacity event: a change that
+    /// moved `moved` of `total` ways owes
     /// `ceil(reconverge_epochs * moved / total)` warm epochs, with the
     /// flat `reconverge_epochs` as the ceiling. Moving one way out of
     /// eleven invalidates a sliver of the working set and earns a sliver
@@ -173,9 +166,9 @@ impl Sampler {
         self.forced_warm = self.forced_warm.max(scaled);
     }
 
-    /// [`Sampler::force_reconverge`] scaled by how novel the phase is:
-    /// a phase whose fingerprint sat `distance` per-mille from the
-    /// nearest known centroid owes
+    /// Converts pending fast-forward epochs into functional warmup,
+    /// scaled by how novel the phase is: a phase whose fingerprint sat
+    /// `distance` per-mille from the nearest known centroid owes
     /// `ceil(reconverge_epochs * min(distance, 1000) / 1000)` warm
     /// epochs. A barely-over-threshold phase shares most of its
     /// residency with a known phase and owes a sliver; a wholesale
@@ -381,8 +374,9 @@ mod tests {
             })
             .collect();
         assert_eq!(second.iter().filter(|a| **a == EpochAction::Skip).count(), 40);
-        // Re-arming mid-stream tops forced warmup back up to 30.
-        s.force_reconverge();
+        // Re-arming mid-stream (every way moved: the flat budget) tops
+        // forced warmup back up to 30.
+        s.force_reconverge_scaled(1, 1);
         let third: Vec<EpochAction> = (0..100)
             .map(|_| {
                 let a = s.begin_epoch(0, 0);

@@ -20,9 +20,9 @@
 //! the same drain-per-job pattern as the platform's access counters.
 
 use crate::event::{Event, Stamp};
-use crate::recorder::Recorder;
+use crate::recorder::{Recorder, RingRecorder};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Ring capacity used by the per-thread capture recorders.
@@ -44,9 +44,7 @@ const TREND_HYSTERESIS: f64 = 0.10;
 /// first resize.
 #[derive(Debug, Clone)]
 pub struct DecisionRecorder {
-    ring: VecDeque<Event>,
-    capacity: usize,
-    dropped: u64,
+    ring: RingRecorder,
     // -- tracked allocation / FSM state --
     state: String,
     ddio_ways: u8,
@@ -67,11 +65,8 @@ impl DecisionRecorder {
     ///
     /// Panics when `capacity` is 0.
     pub fn new(capacity: usize) -> DecisionRecorder {
-        assert!(capacity > 0, "DecisionRecorder capacity must be non-zero");
         DecisionRecorder {
-            ring: VecDeque::new(),
-            capacity,
-            dropped: 0,
+            ring: RingRecorder::new(capacity),
             state: INITIAL_STATE.to_owned(),
             ddio_ways: 0,
             tenant_ways: BTreeMap::new(),
@@ -111,31 +106,23 @@ impl DecisionRecorder {
 
     /// Maximum records held before eviction starts.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.ring.capacity()
     }
 
     /// Records evicted so far to make room for newer ones.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.ring.dropped()
     }
 
     /// Copies the buffered records, oldest first.
     pub fn snapshot(&self) -> Vec<Event> {
-        self.ring.iter().cloned().collect()
+        self.ring.snapshot()
     }
 
     /// Moves the buffered records out, oldest first (the dropped count
     /// and tracked allocation state are preserved).
     pub fn drain(&mut self) -> Vec<Event> {
-        self.ring.drain(..).collect()
-    }
-
-    fn push(&mut self, record: Event) {
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-        self.ring.push_back(record);
+        self.ring.drain()
     }
 
     fn assemble(&mut self, stamp: Stamp, state: String, action: String, stable: bool, msr_writes: u64, cost_ns: u64) {
@@ -171,7 +158,7 @@ impl DecisionRecorder {
         };
         self.state = state;
         self.occ_peak_pct = 0;
-        self.push(record);
+        self.ring.record(record);
     }
 }
 

@@ -65,7 +65,9 @@ impl RingRecorder {
     /// Panics when `capacity` is 0.
     pub fn new(capacity: usize) -> RingRecorder {
         assert!(capacity > 0, "RingRecorder capacity must be non-zero");
-        RingRecorder { buf: VecDeque::with_capacity(capacity), capacity, dropped: 0 }
+        // The buffer grows on demand: a generous bound (the per-thread
+        // decision capture keeps 64 Ki records) costs nothing unused.
+        RingRecorder { buf: VecDeque::new(), capacity, dropped: 0 }
     }
 
     /// Events currently buffered.

@@ -17,6 +17,7 @@ use iat_repro::netsim::{FlowDist, FlowId, Nic, TrafficGen, TrafficPattern, VfId}
 use iat_repro::perf::{DdioSampleMode, DeltaWindow, Monitor, Poll};
 use iat_repro::platform::{Platform, PlatformConfig, Tenant, TenantId, TrafficBinding};
 use iat_repro::rdt::{ClosId, Rdt};
+use iat_repro::telemetry::Recorder;
 use iat_repro::workloads::TestPmd;
 
 struct PingPong {
@@ -38,7 +39,15 @@ impl LlcPolicy for PingPong {
         }
     }
 
-    fn step(&mut self, rdt: &mut Rdt, poll: Poll) -> StepReport {
+    // A policy implements the traced step; `LlcPolicy::step` calls it
+    // with a `NullRecorder`. This toy narrates nothing.
+    fn step_traced(
+        &mut self,
+        rdt: &mut Rdt,
+        poll: Poll,
+        _now_ns: u64,
+        _rec: &mut dyn Recorder,
+    ) -> StepReport {
         let cost_ns = poll.cost_ns;
         let Some(d) = self.window.advance(poll) else {
             return StepReport {

@@ -6,7 +6,7 @@
 //! ```
 
 use iat_repro::cachesim::AgentId;
-use iat_repro::iat::{IatConfig, IatDaemon, IatFlags, Priority, TenantInfo};
+use iat_repro::iat::{IatConfig, IatDaemon, IatFlags, LlcPolicy, Priority, TenantInfo};
 use iat_repro::netsim::{FlowDist, FlowId, Nic, TrafficGen, TrafficPattern, VfId};
 use iat_repro::perf::{DdioSampleMode, Monitor};
 use iat_repro::platform::{Platform, PlatformConfig, Tenant, TenantId, TrafficBinding};

@@ -4,7 +4,7 @@
 //! emerge.
 
 use iat_repro::cachesim::AgentId;
-use iat_repro::iat::{IatConfig, IatDaemon, IatFlags, Priority, State, TenantInfo};
+use iat_repro::iat::{IatConfig, IatDaemon, IatFlags, LlcPolicy, Priority, State, TenantInfo};
 use iat_repro::netsim::{FlowDist, FlowId, Nic, TrafficGen, TrafficPattern, VfId};
 use iat_repro::perf::{DdioSampleMode, Monitor};
 use iat_repro::platform::{Platform, PlatformConfig, Tenant, TenantId, TrafficBinding};
