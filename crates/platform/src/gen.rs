@@ -14,10 +14,10 @@
 //!    depend only on ring occupancy, never on cache outcomes), enqueued
 //!    into the hierarchy's batched pipeline, then one flush.
 //! 2. Core windows in canonical (tenant, core, window) order; each
-//!    window flushes itself, and the lent reuse sketch (sampled mode)
-//!    observes in the same order, so sampled-mode schedules are
-//!    reproducible. Finished slices retire into the counter bank in the
-//!    same order.
+//!    window flushes itself, and the lent reuse sketch (sampled mode,
+//!    workloads that feed it) observes in the same order, so sampled-mode
+//!    schedules are reproducible. Finished slices retire into the counter
+//!    bank in the same order.
 //! 3. Every tenant's device reads in tenant order, then one flush.
 
 use crate::tenant::Tenant;
@@ -73,7 +73,7 @@ fn deliver(tenants: &mut [Tenant], p: &EpochParams, hierarchy: &mut MemoryHierar
 
 /// Runs every core of every tenant for one chunk's budget, in canonical
 /// (tenant, core) order, retiring measured slices into `bank` and lending
-/// `sketch` to every slice. Cores never halt (busy polling / continuous
+/// `sketch` to every slice whose workload feeds the phase sketch. Cores never halt (busy polling / continuous
 /// compute), so the full budget elapses as cycles.
 fn execute(
     tenants: &mut [Tenant],
@@ -88,7 +88,7 @@ fn execute(
         for &core in &t.cores {
             let mut ctx = ExecCtx {
                 cache: &mut *hierarchy,
-                sketch: sketch.as_deref_mut(),
+                sketch: if t.workload.feeds_phase_sketch() { sketch.as_deref_mut() } else { None },
                 channels: &mut *channels,
                 core,
                 agent: t.agent,

@@ -107,7 +107,8 @@ pub struct JobReport {
     /// Wall-clock phase breakdown of the job body: warmup / measure /
     /// flush come from the platform and cache layers' per-thread
     /// accounting; merge is the whole wall of dependency-consuming
-    /// jobs; setup is the unattributed remainder.
+    /// jobs that ran no epoch; setup is the unattributed remainder of
+    /// every other job.
     pub phases: PhaseBreakdown,
     /// Decision flight-recorder records captured while the job ran
     /// (empty unless `repro --trace-out` armed capture).
@@ -419,19 +420,21 @@ pub fn run(mut reg: Registry, opts: &RunOptions) -> RunOutput {
                 let mut job_phases = phases::take_phases();
                 let job_decisions = decision::take_thread_records();
                 // Attribute the body time the layers below didn't claim:
-                // dependency-consuming jobs merge artifacts (no platform
-                // of their own counts as setup), leaves spend the
-                // remainder constructing scenarios. Flush time nests
-                // inside the epoch buckets, so it is not subtracted.
+                // a dependency-consuming job that ran no epoch merges
+                // artifacts; every other job (a dependent point job that
+                // builds its own platform included) spends the remainder
+                // constructing scenarios. Flush time nests inside the
+                // epoch buckets, so it is not subtracted.
                 let wall_ns = wall.as_nanos() as u64;
                 let epoch_ns = job_phases.warmup_ns
                     + job_phases.fast_warm_ns
                     + job_phases.restore_ns
                     + job_phases.measure_ns;
-                if job.deps.is_empty() {
-                    job_phases.setup_ns = wall_ns.saturating_sub(epoch_ns);
+                let residual_ns = wall_ns.saturating_sub(epoch_ns);
+                if job.deps.is_empty() || epoch_ns > 0 {
+                    job_phases.setup_ns = residual_ns;
                 } else {
-                    job_phases.merge_ns = wall_ns.saturating_sub(epoch_ns);
+                    job_phases.merge_ns = residual_ns;
                 }
                 crate::checkpoint::clear();
                 iat_cachesim::config::set_thread_sampling(None);
@@ -714,5 +717,46 @@ fn human_count(n: u64) -> String {
         format!("{:.1}k", n / 1e3)
     } else {
         format!("{n:.0}")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::job::JobSpec;
+    use iat_telemetry::phases::Phase;
+
+    /// A dependent job that builds and steps a platform (here: sleeps to
+    /// stand in for scenario compilation, then books epoch time the way
+    /// the platform does) reports its residual as setup, not merge; a
+    /// dependent job that runs no epoch still reports merge.
+    #[test]
+    fn dependent_point_job_books_its_residual_as_setup() {
+        let mut reg = Registry::new();
+        reg.add(JobSpec::new("g/solo", "g", |_| Ok(Value::Null)));
+        reg.add(
+            JobSpec::new("g/point", "g", |_| {
+                std::thread::sleep(Duration::from_millis(5));
+                phases::phase_add(Phase::Measure, 1_000);
+                Ok(Value::Null)
+            })
+            .deps(&["g/solo"]),
+        );
+        reg.add(
+            JobSpec::new("g", "g", |_| {
+                std::thread::sleep(Duration::from_millis(2));
+                Ok(Value::Null)
+            })
+            .deps(&["g/point"]),
+        );
+        let out = run(reg, &RunOptions { jobs: 1, ..RunOptions::default() });
+        assert!(!out.failed());
+        let point = &out.reports[1].phases;
+        assert_eq!(point.measure_ns, 1_000);
+        assert!(point.setup_ns >= 4_000_000, "setup {}", point.setup_ns);
+        assert_eq!(point.merge_ns, 0);
+        let merge = &out.reports[2].phases;
+        assert!(merge.merge_ns >= 2_000_000, "merge {}", merge.merge_ns);
+        assert_eq!(merge.setup_ns, 0);
     }
 }

@@ -52,8 +52,8 @@ pub struct PhaseBreakdown {
     pub measure_ns: u64,
     /// LLC batch flushes (nested inside the epoch buckets).
     pub flush_ns: u64,
-    /// Whole wall clock of merge jobs (jobs with dependencies, which
-    /// run no simulation; derived by the runner).
+    /// Whole wall clock of merge jobs (jobs with dependencies that run
+    /// no epoch; derived by the runner).
     pub merge_ns: u64,
 }
 

@@ -80,15 +80,13 @@ impl Channels {
 /// Everything a workload may touch during one scheduling slice.
 #[derive(Debug)]
 pub struct ExecCtx<'a> {
-    /// The memory hierarchy every access resolves against. Direct use
-    /// (`core_access_cycles`) bypasses [`ExecCtx::sketch`]: the OVS, KVS
-    /// and channel-echo per-packet paths resolve this way and are never
-    /// observed.
+    /// The memory hierarchy every access resolves against, through
+    /// [`ExecCtx::access_batch`].
     pub cache: &'a mut MemoryHierarchy,
-    /// The sampler's reuse-distance sketch, fed at enqueue order by
-    /// [`ExecCtx::read`], [`ExecCtx::write`] and [`ExecCtx::access_batch`].
-    /// `Some` only on the epochs a sampled platform executes; exact runs
-    /// pass `None`.
+    /// The sampler's reuse-distance sketch, fed in enqueue order by
+    /// [`ExecCtx::access_batch`]. `Some` only on the epochs a sampled
+    /// platform executes, and only for workloads whose
+    /// [`Workload::feeds_phase_sketch`] is `true`; exact runs pass `None`.
     pub sketch: Option<&'a mut ReuseSketch>,
     /// Inter-workload channels.
     pub channels: &'a mut Channels,
@@ -103,7 +101,10 @@ pub struct ExecCtx<'a> {
 }
 
 impl ExecCtx<'_> {
-    /// Convenience: performs a core read and returns its cycle cost.
+    /// Performs one core read and returns its cycle cost: the
+    /// access-at-a-time route the workloads' reference loops use to check
+    /// their windowed loops against.
+    #[cfg(test)]
     pub fn read(&mut self, addr: u64) -> u32 {
         if let Some(sketch) = self.sketch.as_deref_mut() {
             sketch.observe(addr);
@@ -111,7 +112,9 @@ impl ExecCtx<'_> {
         self.cache.core_access_cycles(self.core, self.agent, self.mask, addr, CoreOp::Read)
     }
 
-    /// Convenience: performs a core write and returns its cycle cost.
+    /// Performs one core write and returns its cycle cost (test-only, as
+    /// [`ExecCtx::read`]).
+    #[cfg(test)]
     pub fn write(&mut self, addr: u64) -> u32 {
         if let Some(sketch) = self.sketch.as_deref_mut() {
             sketch.observe(addr);
@@ -142,8 +145,8 @@ impl ExecCtx<'_> {
 
     /// Resolves a window of core accesses in one batched LLC flush,
     /// overwriting `costs` with per-access cycle costs in op order.
-    /// Bit-identical to issuing [`ExecCtx::read`]/[`ExecCtx::write`] per
-    /// element.
+    /// Bit-identical to resolving each element one at a time through the
+    /// hierarchy's access-at-a-time API.
     #[inline]
     pub fn access_batch(&mut self, ops: &[(u64, CoreOp)], costs: &mut Vec<u32>) {
         if let Some(sketch) = self.sketch.as_deref_mut() {
@@ -202,6 +205,17 @@ pub trait Workload {
 
     /// Runs one scheduling slice.
     fn run(&mut self, ctx: &mut ExecCtx<'_>) -> ExecResult;
+
+    /// Whether a sampled platform lends this workload the sampler's reuse
+    /// sketch ([`ExecCtx::sketch`]), so that its accesses shape phase
+    /// detection. A fixed property of the workload type, not a run
+    /// option. The virtual switch, the key-value store and the channel
+    /// echo return `false`: the sampled presets were tuned on phase
+    /// fingerprints that never saw their accesses, and feeding them moves
+    /// the fig08/09 sampled error past its bound.
+    fn feeds_phase_sketch(&self) -> bool {
+        true
+    }
 
     /// Cumulative application metrics since the last reset.
     fn metrics(&self) -> WorkloadMetrics;

@@ -4,7 +4,7 @@
 
 use crate::ctx::{ChannelId, ExecCtx, ExecResult, Workload, WorkloadKind, WorkloadMetrics};
 use crate::latency::LatencySampler;
-use iat_cachesim::CoreOp;
+use crate::window::AccessWindow;
 use iat_netsim::PacketSlot;
 
 /// Cycles per empty poll iteration.
@@ -25,6 +25,7 @@ pub struct ChannelEcho {
     forwarded: u64,
     drops: u64,
     latency: LatencySampler,
+    win: AccessWindow,
 }
 
 impl ChannelEcho {
@@ -36,6 +37,7 @@ impl ChannelEcho {
             forwarded: 0,
             drops: 0,
             latency: LatencySampler::new(0xec40),
+            win: AccessWindow::default(),
         }
     }
 
@@ -58,28 +60,41 @@ impl Workload for ChannelEcho {
         WorkloadKind::Network
     }
 
+    fn feeds_phase_sketch(&self) -> bool {
+        false
+    }
+
     fn run(&mut self, ctx: &mut ExecCtx<'_>) -> ExecResult {
-        let core = ctx.core;
-        let agent = ctx.agent;
-        let mask = ctx.mask;
         let mut used = 0u64;
         let mut instructions = 0u64;
         let accrue = ctx.accrue();
-        while used < ctx.cycle_budget {
-            let cache = &mut *ctx.cache;
-            let channels = &mut *ctx.channels;
-            let rx = &mut channels.get_mut(self.rx).ring;
+        // The certain-bound window protocol of `window.rs`: the header
+        // read is the only access, channel pops and pushes happen at
+        // enqueue time.
+        let budget = ctx.cycle_budget;
+        let max_access = ctx.max_access_cycles() as u64;
+        let mut win = std::mem::take(&mut self.win);
+        loop {
+            if win.upper_bound(used, max_access) >= budget {
+                win.flush(ctx, &mut used, Some(&mut self.latency));
+                if used >= budget {
+                    break;
+                }
+            }
+            let rx = &mut ctx.channels.get_mut(self.rx).ring;
             let Some((idx, slot)) = rx.pop() else {
-                let iters = (ctx.cycle_budget - used) / POLL_CYCLES;
+                win.flush(ctx, &mut used, Some(&mut self.latency));
+                let iters = (budget - used) / POLL_CYCLES;
                 instructions += iters * POLL_INSTR;
                 used += iters * POLL_CYCLES;
                 break;
             };
             let buf = slot.ext_buf.unwrap_or_else(|| rx.buf_addr(idx));
-            let mut cost = PKT_CYCLES;
             // Touch the header, re-post zero-copy.
-            cost += cache.core_access_cycles(core, agent, mask, buf, CoreOp::Read) as u64;
-            let tx = &mut channels.get_mut(self.tx).ring;
+            win.begin_item(PKT_CYCLES);
+            win.read(buf);
+            win.end_item();
+            let tx = &mut ctx.channels.get_mut(self.tx).ring;
             let pushed = tx
                 .push(PacketSlot::with_ext_buf(slot.flow, slot.size, buf))
                 .is_some();
@@ -89,14 +104,13 @@ impl Workload for ChannelEcho {
                 } else {
                     self.drops += 1;
                 }
-                self.latency.record(cost);
             }
-            used += cost;
             instructions += PKT_INSTR;
         }
+        self.win = win;
         ExecResult {
             instructions,
-            cycles_used: used.min(ctx.cycle_budget),
+            cycles_used: used.min(budget),
         }
     }
 
@@ -120,8 +134,107 @@ impl Workload for ChannelEcho {
 mod tests {
     use super::*;
     use crate::ctx::Channels;
-    use iat_cachesim::{AgentId, MemoryHierarchy, WayMask};
+    use iat_cachesim::{AgentId, LatencyModel, MemoryHierarchy, WayMask};
     use iat_netsim::{FlowId, RxRing};
+    use proptest::prelude::*;
+
+    /// Access-at-a-time reference loop of [`ChannelEcho::run`].
+    fn reference(echo: &mut ChannelEcho, ctx: &mut ExecCtx<'_>) -> ExecResult {
+        let mut used = 0u64;
+        let mut instructions = 0u64;
+        let accrue = ctx.accrue();
+        while used < ctx.cycle_budget {
+            let rx = &mut ctx.channels.get_mut(echo.rx).ring;
+            let Some((idx, slot)) = rx.pop() else {
+                let iters = (ctx.cycle_budget - used) / POLL_CYCLES;
+                instructions += iters * POLL_INSTR;
+                used += iters * POLL_CYCLES;
+                break;
+            };
+            let buf = slot.ext_buf.unwrap_or_else(|| rx.buf_addr(idx));
+            let cost = PKT_CYCLES + ctx.read(buf) as u64;
+            let tx = &mut ctx.channels.get_mut(echo.tx).ring;
+            let pushed = tx.push(PacketSlot::with_ext_buf(slot.flow, slot.size, buf)).is_some();
+            if accrue {
+                if pushed {
+                    echo.forwarded += 1;
+                } else {
+                    echo.drops += 1;
+                }
+                echo.latency.record(cost);
+            }
+            used += cost;
+            instructions += PKT_INSTR;
+        }
+        ExecResult { instructions, cycles_used: used.min(ctx.cycle_budget) }
+    }
+
+    type Trace = (Vec<ExecResult>, WorkloadMetrics, String, String, u64, u64);
+
+    /// Runs an echo tenant through `rounds` of (packets, budget) with a
+    /// 6-slot outbound channel and statistics frozen every fifth round.
+    fn trace(
+        step: fn(&mut ChannelEcho, &mut ExecCtx<'_>) -> ExecResult,
+        latency: LatencyModel,
+        rounds: &[(u8, u64)],
+    ) -> Trace {
+        let mut h = crate::tiny_hierarchy(latency);
+        let mut ch = Channels::new();
+        let rx = ch.add(RxRing::new(0x8000_0000, 32, 2048));
+        let tx = ch.add(RxRing::new(0x9000_0000, 6, 2048));
+        let mut echo = ChannelEcho::new(rx, tx);
+        let mut results = Vec::new();
+        for (r, &(n, budget)) in rounds.iter().enumerate() {
+            let r = r as u64;
+            for i in 0..n as u64 {
+                let flow = FlowId((r * 13 + i) as u32);
+                let slot = if i % 3 == 0 {
+                    PacketSlot::with_ext_buf(flow, 64, 0xC000_0000 + (r * 7 + i) % 40 * 2048)
+                } else {
+                    PacketSlot::new(flow, 64)
+                };
+                let _ = ch.get_mut(rx).ring.push(slot);
+            }
+            h.set_stats_frozen(r % 5 == 4);
+            results.push(crate::run_slice(&mut h, &mut ch, &mut echo, budget, step));
+            h.set_stats_frozen(false);
+            for _ in 0..r % 4 {
+                ch.get_mut(tx).ring.pop();
+            }
+        }
+        (
+            results,
+            echo.metrics(),
+            format!("{:?}", echo.latency),
+            format!("{ch:?}"),
+            h.accesses(),
+            h.llc().state_digest(),
+        )
+    }
+
+    /// The windowed loop must match the access-at-a-time reference
+    /// bit-for-bit, including drops at a full outbound channel.
+    #[test]
+    fn batched_matches_serial() {
+        let rounds: Vec<(u8, u64)> = (0..16u64).map(|r| ((r * 5 % 17) as u8, 150 + r * 197)).collect();
+        let lat = LatencyModel::default();
+        let batched = trace(ChannelEcho::run, lat, &rounds);
+        assert!(batched.1.drops > 0 && batched.1.ops > 0);
+        assert_eq!(batched, trace(reference, lat, &rounds));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// Random arrivals and budgets under two cost models.
+        #[test]
+        fn batched_matches_serial_under_random_schedules(
+            rounds in proptest::collection::vec((0u8..30, 50u64..5_000), 1..12),
+            default_costs in any::<bool>(),
+        ) {
+            let lat = if default_costs { LatencyModel::default() } else { LatencyModel::new(1, 2, 3) };
+            prop_assert_eq!(trace(ChannelEcho::run, lat, &rounds), trace(reference, lat, &rounds));
+        }
+    }
 
     #[test]
     fn bounces_zero_copy() {

@@ -91,7 +91,7 @@ impl Workload for TestPmd {
         let mut win = std::mem::take(&mut self.win);
         'outer: loop {
             if win.upper_bound(used, max_access) >= budget {
-                win.flush(ctx, &mut used, &mut self.latency);
+                win.flush(ctx, &mut used, Some(&mut self.latency));
                 if used >= budget {
                     break;
                 }
@@ -99,7 +99,7 @@ impl Workload for TestPmd {
             let mut progress = false;
             for p in 0..self.ports.len() {
                 if win.upper_bound(used, max_access) >= budget {
-                    win.flush(ctx, &mut used, &mut self.latency);
+                    win.flush(ctx, &mut used, Some(&mut self.latency));
                     if used >= budget {
                         // The access-at-a-time loop breaks the port scan
                         // here and its outer `while` then exits (a mid-scan
@@ -127,7 +127,7 @@ impl Workload for TestPmd {
             }
             if !progress {
                 // Stragglers must resolve before sizing the spin.
-                win.flush(ctx, &mut used, &mut self.latency);
+                win.flush(ctx, &mut used, Some(&mut self.latency));
                 let (i, c) = busy_poll(budget - used);
                 instructions += i;
                 used += c;
@@ -221,13 +221,13 @@ impl Workload for L3Fwd {
         let mut win = std::mem::take(&mut self.win);
         loop {
             if win.upper_bound(used, max_access) >= budget {
-                win.flush(ctx, &mut used, &mut self.latency);
+                win.flush(ctx, &mut used, Some(&mut self.latency));
                 if used >= budget {
                     break;
                 }
             }
             let Some((idx, slot)) = self.vf.rx.pop() else {
-                win.flush(ctx, &mut used, &mut self.latency);
+                win.flush(ctx, &mut used, Some(&mut self.latency));
                 let (i, c) = busy_poll(budget - used);
                 instructions += i;
                 used += c;
@@ -277,7 +277,7 @@ impl Workload for L3Fwd {
 mod tests {
     use super::*;
     use crate::ctx::Channels;
-    use iat_cachesim::{AgentId, MemoryHierarchy, WayMask};
+    use iat_cachesim::{MemoryHierarchy, WayMask};
     use iat_netsim::{FlowId, Nic, VfId};
 
     fn vf() -> VirtualFunction {
@@ -285,28 +285,8 @@ mod tests {
         nic.vf_mut(VfId(0)).clone()
     }
 
-    /// Runs one slice of `step` on core 0 with a full mask.
-    fn run_with<W>(
-        h: &mut MemoryHierarchy,
-        w: &mut W,
-        budget: u64,
-        step: fn(&mut W, &mut ExecCtx<'_>) -> ExecResult,
-    ) -> ExecResult {
-        let mut ch = Channels::new();
-        let mut ctx = ExecCtx {
-            cache: h,
-            sketch: None,
-            channels: &mut ch,
-            core: 0,
-            agent: AgentId::new(0),
-            mask: WayMask::all(4),
-            cycle_budget: budget,
-        };
-        step(w, &mut ctx)
-    }
-
     fn run<W: Workload>(h: &mut MemoryHierarchy, w: &mut W, budget: u64) -> ExecResult {
-        run_with(h, w, budget, W::run)
+        crate::run_slice(h, &mut Channels::new(), w, budget, W::run)
     }
 
     fn deliver(h: &mut MemoryHierarchy, w: &mut dyn Workload, n: usize, size: u32) {
@@ -465,7 +445,8 @@ mod tests {
                     let flows = (0..n as u64).map(|i| FlowId((round * 31 + i) as u32 % 5));
                     crate::deliver(&mut h, ddio, &mut pmd.ports_mut()[p], flows, 64);
                 }
-                results.push(run_with(&mut h, &mut pmd, 900 + round * 517, step));
+                let budget = 900 + round * 517;
+                results.push(crate::run_slice(&mut h, &mut Channels::new(), &mut pmd, budget, step));
             }
             (pmd.forwarded(), pmd.metrics(), results, h.accesses(), h.llc().state_digest())
         }
@@ -480,7 +461,8 @@ mod tests {
                 let n = (round as usize * 5) % 9;
                 let flows = (0..n as u64).map(|i| FlowId((round * 17 + i) as u32 % 7));
                 crate::deliver(&mut h, ddio, &mut fwd.ports_mut()[0], flows, 64);
-                results.push(run_with(&mut h, &mut fwd, 1_100 + round * 431, step));
+                let budget = 1_100 + round * 431;
+                results.push(crate::run_slice(&mut h, &mut Channels::new(), &mut fwd, budget, step));
             }
             (fwd.forwarded, fwd.metrics(), results, h.accesses(), h.llc().state_digest())
         }

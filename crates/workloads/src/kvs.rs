@@ -4,8 +4,9 @@
 use crate::ctx::{ChannelId, ExecCtx, ExecResult, Workload, WorkloadKind, WorkloadMetrics};
 use crate::latency::LatencySampler;
 use crate::region::HashRegion;
+use crate::window::AccessWindow;
 use crate::ycsb::{OpKind, YcsbMix};
-use iat_cachesim::{CoreOp, LINE_BYTES};
+use iat_cachesim::LINE_BYTES;
 use iat_netsim::PacketSlot;
 
 /// Cycles per empty poll iteration (DPDK-ANS event loop).
@@ -56,7 +57,7 @@ pub struct KvStore {
     state: u64,
     ops: u64,
     latency: LatencySampler,
-    read_latency: LatencySampler,
+    win: AccessWindow,
 }
 
 impl KvStore {
@@ -88,7 +89,7 @@ impl KvStore {
             state: seed | 1,
             ops: 0,
             latency: LatencySampler::new(seed ^ 0x6b76),
-            read_latency: LatencySampler::new(seed ^ 0x1234),
+            win: AccessWindow::default(),
         }
     }
 
@@ -137,35 +138,41 @@ impl Workload for KvStore {
         WorkloadKind::Network
     }
 
+    fn feeds_phase_sketch(&self) -> bool {
+        false
+    }
+
     fn run(&mut self, ctx: &mut ExecCtx<'_>) -> ExecResult {
-        let core = ctx.core;
-        let agent = ctx.agent;
-        let mask = ctx.mask;
         let mut used = 0u64;
         let mut instructions = 0u64;
         let accrue = ctx.accrue();
-        while used < ctx.cycle_budget {
-            let cache = &mut *ctx.cache;
-            let channels = &mut *ctx.channels;
-            let rx = &mut channels.get_mut(self.rx).ring;
+        // The certain-bound window protocol of `window.rs`: channel pops
+        // and pushes, the op draw and op counts do not depend on access
+        // costs, so requests enqueue until the bound reaches the budget.
+        let budget = ctx.cycle_budget;
+        let max_access = ctx.max_access_cycles() as u64;
+        let mut win = std::mem::take(&mut self.win);
+        loop {
+            if win.upper_bound(used, max_access) >= budget {
+                win.flush(ctx, &mut used, Some(&mut self.latency));
+                if used >= budget {
+                    break;
+                }
+            }
+            let rx = &mut ctx.channels.get_mut(self.rx).ring;
             let Some((ridx, req)) = rx.pop() else {
-                let iters = (ctx.cycle_budget - used) / POLL_CYCLES;
+                win.flush(ctx, &mut used, Some(&mut self.latency));
+                let iters = (budget - used) / POLL_CYCLES;
                 instructions += iters * POLL_INSTR;
                 used += iters * POLL_CYCLES;
                 break;
             };
             let key = req.flow.0 as u64 % self.config.records;
-            let mut cost = REQ_CYCLES;
+            win.begin_item(REQ_CYCLES);
             // Parse the request (header line of the channel buffer).
-            cost += cache.core_access_cycles(core, agent, mask, rx.buf_addr(ridx), CoreOp::Read) as u64;
+            win.read(rx.buf_addr(ridx));
             // Hash-bucket probe.
-            cost += cache.core_access_cycles(
-                core,
-                agent,
-                mask,
-                self.buckets.entry_line(key, 0),
-                CoreOp::Read,
-            ) as u64;
+            win.read(self.buckets.entry_line(key, 0));
             let u = self.next_uniform();
             let op = self.mix.pick(u);
             let vlines = self.value_lines();
@@ -179,23 +186,11 @@ impl Workload for KvStore {
             for i in 0..touched {
                 let vaddr = self.value_addr((key + i) % self.config.records);
                 for l in 0..vlines {
-                    cost += cache.core_access_cycles(
-                        core,
-                        agent,
-                        mask,
-                        vaddr + l * LINE_BYTES,
-                        CoreOp::Read,
-                    ) as u64;
+                    win.read(vaddr + l * LINE_BYTES);
                 }
                 if writes {
                     for l in 0..vlines {
-                        cost += cache.core_access_cycles(
-                            core,
-                            agent,
-                            mask,
-                            vaddr + l * LINE_BYTES,
-                            CoreOp::Write,
-                        ) as u64;
+                        win.write(vaddr + l * LINE_BYTES);
                     }
                 } else {
                     resp_bytes += self.config.value_bytes;
@@ -203,32 +198,26 @@ impl Workload for KvStore {
             }
             // RMW reads back what it wrote before responding.
             if op == OpKind::ReadModifyWrite {
-                cost += cache.core_access_cycles(core, agent, mask, self.value_addr(key), CoreOp::Read)
-                    as u64;
+                win.read(self.value_addr(key));
             }
             // Build and enqueue the response.
-            let txc = &mut channels.get_mut(self.tx).ring;
+            let txc = &mut ctx.channels.get_mut(self.tx).ring;
             if let Some(tidx) = txc.push(PacketSlot::new(req.flow, resp_bytes.min(1500))) {
                 let dst = txc.buf_addr(tidx);
                 for l in 0..iat_cachesim::lines_for(resp_bytes.min(1500) as u64) {
-                    cost +=
-                        cache.core_access_cycles(core, agent, mask, dst + l * LINE_BYTES, CoreOp::Write)
-                            as u64;
+                    win.write(dst + l * LINE_BYTES);
                 }
             }
-            used += cost;
+            win.end_item();
             instructions += REQ_INSTR * touched.max(1);
             if accrue {
                 self.ops += 1;
-                self.latency.record(cost);
-                if op == OpKind::Read {
-                    self.read_latency.record(cost);
-                }
             }
         }
+        self.win = win;
         ExecResult {
             instructions,
-            cycles_used: used.min(ctx.cycle_budget),
+            cycles_used: used.min(budget),
         }
     }
 
@@ -244,7 +233,6 @@ impl Workload for KvStore {
     fn reset_metrics(&mut self) {
         self.ops = 0;
         self.latency.reset();
-        self.read_latency.reset();
     }
 }
 
@@ -252,8 +240,144 @@ impl Workload for KvStore {
 mod tests {
     use super::*;
     use crate::ctx::Channels;
-    use iat_cachesim::{AgentId, MemoryHierarchy, WayMask};
+    use iat_cachesim::{AgentId, LatencyModel, MemoryHierarchy, WayMask};
     use iat_netsim::{FlowId, RxRing};
+    use proptest::prelude::*;
+
+    /// Access-at-a-time reference loop of [`KvStore::run`]: every access
+    /// resolves as it is issued, so each budget decision sees exact costs.
+    fn reference(kv: &mut KvStore, ctx: &mut ExecCtx<'_>) -> ExecResult {
+        let mut used = 0u64;
+        let mut instructions = 0u64;
+        let accrue = ctx.accrue();
+        while used < ctx.cycle_budget {
+            let rx = &mut ctx.channels.get_mut(kv.rx).ring;
+            let Some((ridx, req)) = rx.pop() else {
+                let iters = (ctx.cycle_budget - used) / POLL_CYCLES;
+                instructions += iters * POLL_INSTR;
+                used += iters * POLL_CYCLES;
+                break;
+            };
+            let req_line = rx.buf_addr(ridx);
+            let key = req.flow.0 as u64 % kv.config.records;
+            let mut cost = REQ_CYCLES;
+            cost += ctx.read(req_line) as u64;
+            cost += ctx.read(kv.buckets.entry_line(key, 0)) as u64;
+            let u = kv.next_uniform();
+            let op = kv.mix.pick(u);
+            let vlines = kv.value_lines();
+            let (touched, writes) = match op {
+                OpKind::Read => (1, false),
+                OpKind::Update | OpKind::Insert | OpKind::ReadModifyWrite => (1, true),
+                OpKind::Scan => (kv.config.scan_len as u64, false),
+            };
+            let mut resp_bytes = 16u32;
+            for i in 0..touched {
+                let vaddr = kv.value_addr((key + i) % kv.config.records);
+                for l in 0..vlines {
+                    cost += ctx.read(vaddr + l * LINE_BYTES) as u64;
+                }
+                if writes {
+                    for l in 0..vlines {
+                        cost += ctx.write(vaddr + l * LINE_BYTES) as u64;
+                    }
+                } else {
+                    resp_bytes += kv.config.value_bytes;
+                }
+            }
+            if op == OpKind::ReadModifyWrite {
+                cost += ctx.read(kv.value_addr(key)) as u64;
+            }
+            let txc = &mut ctx.channels.get_mut(kv.tx).ring;
+            let dst = txc.push(PacketSlot::new(req.flow, resp_bytes.min(1500))).map(|t| txc.buf_addr(t));
+            if let Some(dst) = dst {
+                for l in 0..iat_cachesim::lines_for(resp_bytes.min(1500) as u64) {
+                    cost += ctx.write(dst + l * LINE_BYTES) as u64;
+                }
+            }
+            used += cost;
+            instructions += REQ_INSTR * touched.max(1);
+            if accrue {
+                kv.ops += 1;
+                kv.latency.record(cost);
+            }
+        }
+        ExecResult { instructions, cycles_used: used.min(ctx.cycle_budget) }
+    }
+
+    /// Per-slice results, metrics, the latency reservoir, channel state,
+    /// accesses and the LLC state digest.
+    type Trace = (Vec<ExecResult>, WorkloadMetrics, String, String, u64, u64);
+
+    /// Runs a store through `rounds` of (requests, budget) with a 4-slot
+    /// response channel (so responses drop when the client lags) and
+    /// statistics frozen every fifth round.
+    fn trace(
+        step: fn(&mut KvStore, &mut ExecCtx<'_>) -> ExecResult,
+        latency: LatencyModel,
+        mix: YcsbMix,
+        rounds: &[(u8, u64)],
+    ) -> Trace {
+        let mut h = crate::tiny_hierarchy(latency);
+        let mut ch = Channels::new();
+        let rx = ch.add(RxRing::new(0x8000_0000, 32, 2048));
+        let tx = ch.add(RxRing::new(0x9000_0000, 4, 2048));
+        let config = KvConfig { records: 300, value_bytes: 192, scan_len: 3 };
+        let mut kv = KvStore::new(rx, tx, 0xA000_0000, config, mix, 7);
+        let mut results = Vec::new();
+        for (r, &(n, budget)) in rounds.iter().enumerate() {
+            let r = r as u32;
+            for i in 0..n as u32 {
+                let _ = ch.get_mut(rx).ring.push(PacketSlot::new(FlowId((r * 37 + i * i) % 500), 64));
+            }
+            h.set_stats_frozen(r % 5 == 4);
+            results.push(crate::run_slice(&mut h, &mut ch, &mut kv, budget, step));
+            h.set_stats_frozen(false);
+            for _ in 0..r % 3 {
+                ch.get_mut(tx).ring.pop();
+            }
+        }
+        (
+            results,
+            kv.metrics(),
+            format!("{:?}", kv.latency),
+            format!("{ch:?}"),
+            h.accesses(),
+            h.llc().state_digest(),
+        )
+    }
+
+    /// The windowed loop must match the access-at-a-time reference
+    /// bit-for-bit for every YCSB mix (scans and read-modify-writes
+    /// included), with responses dropped at a full channel.
+    #[test]
+    fn batched_matches_serial() {
+        let rounds: Vec<(u8, u64)> = (0..14u64).map(|r| ((r * 7 % 13) as u8, 900 + r * 2_311)).collect();
+        for mix in YcsbMix::all() {
+            let lat = LatencyModel::default();
+            let batched = trace(KvStore::run, lat, mix, &rounds);
+            assert!(batched.1.ops > 0);
+            assert_eq!(batched, trace(reference, lat, mix, &rounds), "{mix:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// Random request arrivals and budgets under two cost models.
+        #[test]
+        fn batched_matches_serial_under_random_schedules(
+            rounds in proptest::collection::vec((0u8..20, 100u64..40_000), 1..10),
+            mix in 0usize..6,
+            default_costs in any::<bool>(),
+        ) {
+            let lat = if default_costs { LatencyModel::default() } else { LatencyModel::new(1, 2, 3) };
+            let mix = YcsbMix::all()[mix];
+            prop_assert_eq!(
+                trace(KvStore::run, lat, mix, &rounds),
+                trace(reference, lat, mix, &rounds)
+            );
+        }
+    }
 
     fn setup(mix: YcsbMix) -> (MemoryHierarchy, Channels, KvStore) {
         let h = MemoryHierarchy::tiny(1);

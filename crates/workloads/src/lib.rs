@@ -71,3 +71,35 @@ pub(crate) fn deliver(
         h.io_write(ddio, a);
     });
 }
+
+/// Test support: a two-core tiny hierarchy with the given access costs.
+#[cfg(test)]
+pub(crate) fn tiny_hierarchy(latency: iat_cachesim::LatencyModel) -> iat_cachesim::MemoryHierarchy {
+    iat_cachesim::MemoryHierarchy::new(
+        iat_cachesim::CacheGeometry::tiny(),
+        iat_cachesim::CacheGeometry::new(2, 8, 1).expect("valid geometry"),
+        2,
+        latency,
+    )
+}
+
+/// Test support: runs one slice of `step` on core 0 with a full mask.
+#[cfg(test)]
+pub(crate) fn run_slice<W>(
+    h: &mut iat_cachesim::MemoryHierarchy,
+    channels: &mut Channels,
+    w: &mut W,
+    budget: u64,
+    step: fn(&mut W, &mut ExecCtx<'_>) -> ExecResult,
+) -> ExecResult {
+    let mut ctx = ExecCtx {
+        cache: h,
+        sketch: None,
+        channels,
+        core: 0,
+        agent: iat_cachesim::AgentId::new(0),
+        mask: iat_cachesim::WayMask::all(4),
+        cycle_budget: budget,
+    };
+    step(w, &mut ctx)
+}

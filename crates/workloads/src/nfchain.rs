@@ -4,6 +4,7 @@
 use crate::ctx::{ExecCtx, ExecResult, Workload, WorkloadKind, WorkloadMetrics};
 use crate::latency::LatencySampler;
 use crate::region::HashRegion;
+use crate::window::AccessWindow;
 use iat_netsim::{PacketSlot, VirtualFunction};
 
 /// Cycles per empty poll iteration.
@@ -44,6 +45,7 @@ pub struct NfChain {
     napt: HashRegion,
     processed: u64,
     latency: LatencySampler,
+    win: AccessWindow,
 }
 
 impl NfChain {
@@ -69,7 +71,15 @@ impl NfChain {
         let stats = HashRegion::new(stats_base, config.stat_entries, 1);
         let napt_base = stats_base + stats.footprint_bytes() + (1 << 20);
         let napt = HashRegion::new(napt_base, config.napt_entries, 1);
-        NfChain { ports, firewall, stats, napt, processed: 0, latency: LatencySampler::new(0xc11c) }
+        NfChain {
+            ports,
+            firewall,
+            stats,
+            napt,
+            processed: 0,
+            latency: LatencySampler::new(0xc11c),
+            win: AccessWindow::default(),
+        }
     }
 
     /// Packets fully processed by the chain.
@@ -95,50 +105,67 @@ impl Workload for NfChain {
         let mut used = 0u64;
         let mut instructions = 0u64;
         let accrue = ctx.accrue();
-        while used < ctx.cycle_budget {
-            let mut progress = false;
-            for p in 0..self.ports.len() {
-                if used >= ctx.cycle_budget {
+        // TestPmd's certain-bound window protocol (see `window.rs`) over
+        // the chain's nine accesses per packet.
+        let budget = ctx.cycle_budget;
+        let max_access = ctx.max_access_cycles() as u64;
+        let mut win = std::mem::take(&mut self.win);
+        'outer: loop {
+            if win.upper_bound(used, max_access) >= budget {
+                win.flush(ctx, &mut used, Some(&mut self.latency));
+                if used >= budget {
                     break;
                 }
-                let Some((idx, slot)) = self.ports[p].rx.pop() else { continue };
+            }
+            let mut progress = false;
+            for p in 0..self.ports.len() {
+                if win.upper_bound(used, max_access) >= budget {
+                    win.flush(ctx, &mut used, Some(&mut self.latency));
+                    if used >= budget {
+                        // A mid-scan stop implies a packet was processed,
+                        // so the access-at-a-time loop exits too.
+                        break 'outer;
+                    }
+                }
+                let port = &mut self.ports[p];
+                let Some((idx, slot)) = port.rx.pop() else { continue };
                 progress = true;
                 let key = slot.flow.0 as u64;
-                let mut cost = CHAIN_CYCLES;
-                cost += ctx.read(self.ports[p].rx.desc_addr(idx)) as u64;
-                let buf = self.ports[p].rx.buf_addr(idx);
+                win.begin_item(CHAIN_CYCLES);
+                win.read(port.rx.desc_addr(idx));
+                let buf = port.rx.buf_addr(idx);
                 // Firewall: parse header, walk two classifier lines.
-                cost += ctx.read(buf) as u64;
-                cost += ctx.read(self.firewall.entry_line(key, 0)) as u64;
-                cost += ctx.read(self.firewall.entry_line(key.rotate_left(11), 0)) as u64;
+                win.read(buf);
+                win.read(self.firewall.entry_line(key, 0));
+                win.read(self.firewall.entry_line(key.rotate_left(11), 0));
                 // Flow stats: read-modify-write the per-flow counter line.
-                cost += ctx.read(self.stats.entry_line(key, 0)) as u64;
-                cost += ctx.write(self.stats.entry_line(key, 0)) as u64;
+                win.read(self.stats.entry_line(key, 0));
+                win.write(self.stats.entry_line(key, 0));
                 // NAPT: translation lookup, then header rewrite.
-                cost += ctx.read(self.napt.entry_line(key, 0)) as u64;
-                cost += ctx.write(buf) as u64;
+                win.read(self.napt.entry_line(key, 0));
+                win.write(buf);
                 // Transmit zero-copy.
                 let tx_slot = PacketSlot::with_ext_buf(slot.flow, slot.size, buf);
-                if let Some(tidx) = self.ports[p].tx.push(tx_slot) {
-                    cost += ctx.write(self.ports[p].tx.desc_addr(tidx)) as u64;
+                if let Some(tidx) = port.tx.push(tx_slot) {
+                    win.write(port.tx.desc_addr(tidx));
                     if accrue {
                         self.processed += 1;
                     }
                 }
-                used += cost;
+                win.end_item();
                 instructions += CHAIN_INSTR;
-                if accrue {
-                    self.latency.record(cost);
-                }
             }
             if !progress {
-                let iters = (ctx.cycle_budget - used) / POLL_CYCLES;
+                // Stragglers must resolve before sizing the spin.
+                win.flush(ctx, &mut used, Some(&mut self.latency));
+                let iters = (budget - used) / POLL_CYCLES;
                 instructions += iters * POLL_INSTR;
                 used += iters * POLL_CYCLES;
                 break;
             }
         }
-        ExecResult { instructions, cycles_used: used.min(ctx.cycle_budget) }
+        self.win = win;
+        ExecResult { instructions, cycles_used: used.min(budget) }
     }
 
     fn metrics(&self) -> WorkloadMetrics {
@@ -167,8 +194,123 @@ impl Workload for NfChain {
 mod tests {
     use super::*;
     use crate::ctx::Channels;
-    use iat_cachesim::{AgentId, MemoryHierarchy, WayMask};
+    use iat_cachesim::{AgentId, LatencyModel, MemoryHierarchy, WayMask};
     use iat_netsim::{FlowId, Nic, VfId};
+    use proptest::prelude::*;
+
+    /// Access-at-a-time reference loop of [`NfChain::run`].
+    fn reference(nf: &mut NfChain, ctx: &mut ExecCtx<'_>) -> ExecResult {
+        let mut used = 0u64;
+        let mut instructions = 0u64;
+        let accrue = ctx.accrue();
+        while used < ctx.cycle_budget {
+            let mut progress = false;
+            for p in 0..nf.ports.len() {
+                if used >= ctx.cycle_budget {
+                    break;
+                }
+                let Some((idx, slot)) = nf.ports[p].rx.pop() else { continue };
+                progress = true;
+                let key = slot.flow.0 as u64;
+                let mut cost = CHAIN_CYCLES;
+                cost += ctx.read(nf.ports[p].rx.desc_addr(idx)) as u64;
+                let buf = nf.ports[p].rx.buf_addr(idx);
+                cost += ctx.read(buf) as u64;
+                cost += ctx.read(nf.firewall.entry_line(key, 0)) as u64;
+                cost += ctx.read(nf.firewall.entry_line(key.rotate_left(11), 0)) as u64;
+                cost += ctx.read(nf.stats.entry_line(key, 0)) as u64;
+                cost += ctx.write(nf.stats.entry_line(key, 0)) as u64;
+                cost += ctx.read(nf.napt.entry_line(key, 0)) as u64;
+                cost += ctx.write(buf) as u64;
+                let tx_slot = PacketSlot::with_ext_buf(slot.flow, slot.size, buf);
+                if let Some(tidx) = nf.ports[p].tx.push(tx_slot) {
+                    cost += ctx.write(nf.ports[p].tx.desc_addr(tidx)) as u64;
+                    if accrue {
+                        nf.processed += 1;
+                    }
+                }
+                used += cost;
+                instructions += CHAIN_INSTR;
+                if accrue {
+                    nf.latency.record(cost);
+                }
+            }
+            if !progress {
+                let iters = (ctx.cycle_budget - used) / POLL_CYCLES;
+                instructions += iters * POLL_INSTR;
+                used += iters * POLL_CYCLES;
+                break;
+            }
+        }
+        ExecResult { instructions, cycles_used: used.min(ctx.cycle_budget) }
+    }
+
+    type Trace = (Vec<ExecResult>, WorkloadMetrics, String, String, u64, u64);
+
+    /// Runs a two-port chain through `rounds` of (port 0 packets, port 1
+    /// packets, budget) with 16-slot rings, so Tx fills when the wire
+    /// lags, and statistics frozen every fifth round.
+    fn trace(
+        step: fn(&mut NfChain, &mut ExecCtx<'_>) -> ExecResult,
+        latency: LatencyModel,
+        rounds: &[(u8, u8, u64)],
+    ) -> Trace {
+        let mut h = crate::tiny_hierarchy(latency);
+        let mut nic = Nic::new(0x4000_0000, 2, 16, 2048);
+        let ports = vec![nic.vf_mut(VfId(0)).clone(), nic.vf_mut(VfId(1)).clone()];
+        let config = NfChainConfig { firewall_rules: 64, stat_entries: 256, napt_entries: 256 };
+        let mut nf = NfChain::with_ports(ports, 0xC000_0000, config);
+        let mut ch = Channels::new();
+        let ddio = WayMask::contiguous(2, 2).unwrap();
+        let mut results = Vec::new();
+        for (r, &(n0, n1, budget)) in rounds.iter().enumerate() {
+            let r = r as u32;
+            for (p, n) in [n0, n1].into_iter().enumerate() {
+                let fl = (0..n as u32).map(|i| FlowId((r * 29 + i * 3 + p as u32) % 50));
+                crate::deliver(&mut h, ddio, &mut nf.ports_mut()[p], fl, 64);
+            }
+            h.set_stats_frozen(r % 5 == 4);
+            results.push(crate::run_slice(&mut h, &mut ch, &mut nf, budget, step));
+            h.set_stats_frozen(false);
+            for _ in 0..r % 4 {
+                nf.ports_mut()[0].tx.pop();
+            }
+        }
+        (
+            results,
+            nf.metrics(),
+            format!("{:?}", nf.latency),
+            format!("{:?}", nf.ports),
+            h.accesses(),
+            h.llc().state_digest(),
+        )
+    }
+
+    /// The windowed loop must match the access-at-a-time reference
+    /// bit-for-bit: mid-scan budget stops, straggler flush plus busy
+    /// poll, and backlog carried between slices.
+    #[test]
+    fn batched_matches_serial() {
+        let rounds: Vec<(u8, u8, u64)> =
+            (0..16u64).map(|r| ((r * 7 % 13) as u8, (r * 5 % 9) as u8, 700 + r * 521)).collect();
+        let lat = LatencyModel::default();
+        let batched = trace(NfChain::run, lat, &rounds);
+        assert!(batched.1.ops > 0);
+        assert_eq!(batched, trace(reference, lat, &rounds));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// Random deliveries and budgets under two cost models.
+        #[test]
+        fn batched_matches_serial_under_random_schedules(
+            rounds in proptest::collection::vec((0u8..16, 0u8..16, 100u64..12_000), 1..12),
+            default_costs in any::<bool>(),
+        ) {
+            let lat = if default_costs { LatencyModel::default() } else { LatencyModel::new(1, 2, 3) };
+            prop_assert_eq!(trace(NfChain::run, lat, &rounds), trace(reference, lat, &rounds));
+        }
+    }
 
     fn chain() -> NfChain {
         let mut nic = Nic::new(0x4000_0000, 1, 64, 2048);

@@ -13,7 +13,8 @@ use crate::ctx::{ChannelId, ExecCtx, ExecResult, Workload, WorkloadKind,
                  WorkloadMetrics};
 use crate::latency::LatencySampler;
 use crate::region::HashRegion;
-use iat_cachesim::{AgentId, CoreOp, MemoryHierarchy, WayMask, LINE_BYTES};
+use crate::window::AccessWindow;
+use iat_cachesim::LINE_BYTES;
 use iat_netsim::{PacketSlot, VirtualFunction};
 
 /// Cycles per empty poll iteration.
@@ -73,6 +74,7 @@ pub struct OvsSwitch {
     emc_misses: u64,
     chan_drops: u64,
     latency: LatencySampler,
+    win: AccessWindow,
 }
 
 impl OvsSwitch {
@@ -105,6 +107,7 @@ impl OvsSwitch {
             emc_misses: 0,
             chan_drops: 0,
             latency: LatencySampler::new(0x0175),
+            win: AccessWindow::default(),
         }
     }
 
@@ -118,79 +121,41 @@ impl OvsSwitch {
         self.emc_misses
     }
 
-    /// Looks a flow up: returns `(cycle_cost, instructions)`, touching the
-    /// EMC line and, on a miss, the megaflow entry.
-    #[allow(clippy::too_many_arguments)]
-    fn lookup(
-        &mut self,
-        cache: &mut MemoryHierarchy,
-        core: usize,
-        agent: AgentId,
-        mask: WayMask,
-        flow: u32,
-        accrue: bool,
-    ) -> (u64, u64) {
+    /// Looks a flow up as part of `win`'s open item: charges the fixed
+    /// cost, enqueues the EMC line read and, on a miss, the megaflow walk
+    /// and the EMC install. Returns the instructions retired. The EMC tag
+    /// check decides the path, so no access cost is needed to take it.
+    fn lookup(&mut self, win: &mut AccessWindow, flow: u32, accrue: bool) -> u64 {
         let key = flow as u64;
         let slot = self.emc.slot_of_key(key) as usize;
-        let mut cost = EMC_HIT_CYCLES
-            + cache.core_access_cycles(core, agent, mask, self.emc.entry_line(key, 0), CoreOp::Read)
-                as u64;
-        let mut instr = PKT_INSTR;
+        win.add_fixed(EMC_HIT_CYCLES);
+        win.read(self.emc.entry_line(key, 0));
         if self.emc_tags[slot] == flow {
             if accrue {
                 self.emc_hits += 1;
             }
-        } else {
-            if accrue {
-                self.emc_misses += 1;
-            }
-            cost += MEGAFLOW_CYCLES;
-            instr += MEGAFLOW_INSTR;
-            // Wildcard lookup walks the megaflow table, then installs the
-            // EMC entry.
-            cost += cache.core_access_cycles(
-                core,
-                agent,
-                mask,
-                self.megaflow.entry_line(key, 0),
-                CoreOp::Read,
-            ) as u64;
-            cost += cache.core_access_cycles(
-                core,
-                agent,
-                mask,
-                self.megaflow.entry_line(key.rotate_left(17), 0),
-                CoreOp::Read,
-            ) as u64;
-            cost += cache.core_access_cycles(
-                core,
-                agent,
-                mask,
-                self.emc.entry_line(key, 0),
-                CoreOp::Write,
-            ) as u64;
-            self.emc_tags[slot] = flow;
+            return PKT_INSTR;
         }
-        (cost, instr)
+        if accrue {
+            self.emc_misses += 1;
+        }
+        // Wildcard lookup walks the megaflow table, then installs the EMC
+        // entry.
+        win.add_fixed(MEGAFLOW_CYCLES);
+        win.read(self.megaflow.entry_line(key, 0));
+        win.read(self.megaflow.entry_line(key.rotate_left(17), 0));
+        win.write(self.emc.entry_line(key, 0));
+        self.emc_tags[slot] = flow;
+        PKT_INSTR + MEGAFLOW_INSTR
     }
 }
 
-/// Copies `lines` payload lines from `src` to `dst`, returning cycles.
-fn copy_lines(
-    cache: &mut MemoryHierarchy,
-    core: usize,
-    agent: AgentId,
-    mask: WayMask,
-    src: u64,
-    dst: u64,
-    lines: u64,
-) -> u64 {
-    let mut cost = 0u64;
+/// Enqueues the copy of `lines` payload lines from `src` to `dst`.
+fn copy_lines(win: &mut AccessWindow, src: u64, dst: u64, lines: u64) {
     for l in 0..lines {
-        cost += cache.core_access_cycles(core, agent, mask, src + l * LINE_BYTES, CoreOp::Read) as u64;
-        cost += cache.core_access_cycles(core, agent, mask, dst + l * LINE_BYTES, CoreOp::Write) as u64;
+        win.read(src + l * LINE_BYTES);
+        win.write(dst + l * LINE_BYTES);
     }
-    cost
 }
 
 impl Workload for OvsSwitch {
@@ -206,107 +171,107 @@ impl Workload for OvsSwitch {
         WorkloadKind::Network
     }
 
+    fn feeds_phase_sketch(&self) -> bool {
+        false
+    }
+
     fn run(&mut self, ctx: &mut ExecCtx<'_>) -> ExecResult {
-        let core = ctx.core;
-        let agent = ctx.agent;
-        let mask = ctx.mask;
         let mut used = 0u64;
         let mut instructions = 0u64;
         let accrue = ctx.accrue();
-
-        while used < ctx.cycle_budget {
+        // The certain-bound window protocol of `window.rs`, with TestPmd's
+        // per-port checks on both scans: ring pops, EMC tag updates and
+        // channel pushes do not depend on access costs, so they happen at
+        // enqueue time.
+        let budget = ctx.cycle_budget;
+        let max_access = ctx.max_access_cycles() as u64;
+        let mut win = std::mem::take(&mut self.win);
+        'outer: loop {
+            if win.upper_bound(used, max_access) >= budget {
+                win.flush(ctx, &mut used, Some(&mut self.latency));
+                if used >= budget {
+                    break;
+                }
+            }
             let mut progress = false;
-            let cache = &mut *ctx.cache;
-            let channels = &mut *ctx.channels;
 
             // Inbound: port -> tenant channel.
             for p in 0..self.ports.len() {
-                if used >= ctx.cycle_budget {
-                    break;
+                if win.upper_bound(used, max_access) >= budget {
+                    win.flush(ctx, &mut used, Some(&mut self.latency));
+                    if used >= budget {
+                        // A mid-scan stop implies a packet was processed,
+                        // so the access-at-a-time loop skips the outbound
+                        // scan and exits too.
+                        break 'outer;
+                    }
                 }
                 let Some((idx, slot)) = self.ports[p].rx.pop() else {
                     continue;
                 };
                 progress = true;
-                let mut cost = cache.core_access_cycles(
-                    core,
-                    agent,
-                    mask,
-                    self.ports[p].rx.desc_addr(idx),
-                    CoreOp::Read,
-                ) as u64;
-                let (lk_cost, lk_instr) =
-                    self.lookup(cache, core, agent, mask, slot.flow.0, accrue);
-                cost += lk_cost;
+                win.begin_item(0);
+                win.read(self.ports[p].rx.desc_addr(idx));
+                instructions += self.lookup(&mut win, slot.flow.0, accrue);
                 let att = self.attachments[p % self.attachments.len()];
-                let chan = &mut channels.get_mut(att.to_tenant).ring;
+                let chan = &mut ctx.channels.get_mut(att.to_tenant).ring;
                 if let Some(cidx) = chan.push(PacketSlot::new(slot.flow, slot.size)) {
                     let dst = chan.buf_addr(cidx);
                     let src = self.ports[p].rx.buf_addr(idx);
-                    cost += copy_lines(cache, core, agent, mask, src, dst, slot.payload_lines());
+                    copy_lines(&mut win, src, dst, slot.payload_lines());
                     if accrue {
                         self.forwarded += 1;
                     }
                 } else if accrue {
                     self.chan_drops += 1;
                 }
-                used += cost;
-                instructions += lk_instr;
-                if accrue {
-                    self.latency.record(cost);
-                }
+                win.end_item();
             }
 
             // Outbound: tenant channel -> port Tx (one copy into the mbuf).
             for i in 0..self.attachments.len() {
-                if used >= ctx.cycle_budget {
-                    break;
+                if win.upper_bound(used, max_access) >= budget {
+                    win.flush(ctx, &mut used, Some(&mut self.latency));
+                    if used >= budget {
+                        break 'outer;
+                    }
                 }
                 let att = self.attachments[i];
-                let chan = &mut channels.get_mut(att.from_tenant).ring;
+                let chan = &mut ctx.channels.get_mut(att.from_tenant).ring;
                 let Some((cidx, slot)) = chan.pop() else {
                     continue;
                 };
                 progress = true;
                 let src = slot.ext_buf.unwrap_or_else(|| chan.buf_addr(cidx));
-                let (lk_cost, lk_instr) =
-                    self.lookup(cache, core, agent, mask, slot.flow.0, accrue);
-                let mut cost = lk_cost;
+                win.begin_item(0);
+                instructions += self.lookup(&mut win, slot.flow.0, accrue);
                 let port_idx = i % self.ports.len();
                 let port = &mut self.ports[port_idx];
                 if let Some(tidx) = port.tx.push(PacketSlot::new(slot.flow, slot.size)) {
-                    let dst = port.tx.buf_addr(tidx);
-                    cost += copy_lines(cache, core, agent, mask, src, dst, slot.payload_lines());
-                    cost += cache.core_access_cycles(
-                        core,
-                        agent,
-                        mask,
-                        port.tx.desc_addr(tidx),
-                        CoreOp::Write,
-                    ) as u64;
+                    copy_lines(&mut win, src, port.tx.buf_addr(tidx), slot.payload_lines());
+                    win.write(port.tx.desc_addr(tidx));
                     if accrue {
                         self.forwarded += 1;
                     }
                 } else if accrue {
                     self.chan_drops += 1;
                 }
-                used += cost;
-                instructions += lk_instr;
-                if accrue {
-                    self.latency.record(cost);
-                }
+                win.end_item();
             }
 
             if !progress {
-                let iters = (ctx.cycle_budget - used) / POLL_CYCLES;
+                // Stragglers must resolve before sizing the spin.
+                win.flush(ctx, &mut used, Some(&mut self.latency));
+                let iters = (budget - used) / POLL_CYCLES;
                 instructions += iters * POLL_INSTR;
                 used += iters * POLL_CYCLES;
                 break;
             }
         }
+        self.win = win;
         ExecResult {
             instructions,
-            cycles_used: used.min(ctx.cycle_budget),
+            cycles_used: used.min(budget),
         }
     }
 
@@ -344,7 +309,229 @@ impl Workload for OvsSwitch {
 mod tests {
     use super::*;
     use crate::ctx::Channels;
+    use iat_cachesim::{AgentId, LatencyModel, MemoryHierarchy, WayMask};
     use iat_netsim::{FlowId, Nic, RxRing, VfId};
+    use proptest::prelude::*;
+
+    /// Access-at-a-time reference of [`OvsSwitch::lookup`]: returns
+    /// `(cycle_cost, instructions)`.
+    fn lookup_reference(
+        ovs: &mut OvsSwitch,
+        ctx: &mut ExecCtx<'_>,
+        flow: u32,
+        accrue: bool,
+    ) -> (u64, u64) {
+        let key = flow as u64;
+        let slot = ovs.emc.slot_of_key(key) as usize;
+        let mut cost = EMC_HIT_CYCLES + ctx.read(ovs.emc.entry_line(key, 0)) as u64;
+        let mut instr = PKT_INSTR;
+        if ovs.emc_tags[slot] == flow {
+            if accrue {
+                ovs.emc_hits += 1;
+            }
+        } else {
+            if accrue {
+                ovs.emc_misses += 1;
+            }
+            cost += MEGAFLOW_CYCLES;
+            instr += MEGAFLOW_INSTR;
+            cost += ctx.read(ovs.megaflow.entry_line(key, 0)) as u64;
+            cost += ctx.read(ovs.megaflow.entry_line(key.rotate_left(17), 0)) as u64;
+            cost += ctx.write(ovs.emc.entry_line(key, 0)) as u64;
+            ovs.emc_tags[slot] = flow;
+        }
+        (cost, instr)
+    }
+
+    fn copy_reference(ctx: &mut ExecCtx<'_>, src: u64, dst: u64, lines: u64) -> u64 {
+        let mut cost = 0u64;
+        for l in 0..lines {
+            cost += ctx.read(src + l * LINE_BYTES) as u64;
+            cost += ctx.write(dst + l * LINE_BYTES) as u64;
+        }
+        cost
+    }
+
+    /// Access-at-a-time reference loop of [`OvsSwitch::run`]: every access
+    /// resolves as it is issued, so each budget decision sees exact costs.
+    fn reference(ovs: &mut OvsSwitch, ctx: &mut ExecCtx<'_>) -> ExecResult {
+        let mut used = 0u64;
+        let mut instructions = 0u64;
+        let accrue = ctx.accrue();
+        while used < ctx.cycle_budget {
+            let mut progress = false;
+            for p in 0..ovs.ports.len() {
+                if used >= ctx.cycle_budget {
+                    break;
+                }
+                let Some((idx, slot)) = ovs.ports[p].rx.pop() else {
+                    continue;
+                };
+                progress = true;
+                let mut cost = ctx.read(ovs.ports[p].rx.desc_addr(idx)) as u64;
+                let (lk_cost, lk_instr) = lookup_reference(ovs, ctx, slot.flow.0, accrue);
+                cost += lk_cost;
+                let att = ovs.attachments[p % ovs.attachments.len()];
+                let chan = &mut ctx.channels.get_mut(att.to_tenant).ring;
+                let dst = chan.push(PacketSlot::new(slot.flow, slot.size)).map(|c| chan.buf_addr(c));
+                if let Some(dst) = dst {
+                    let src = ovs.ports[p].rx.buf_addr(idx);
+                    cost += copy_reference(ctx, src, dst, slot.payload_lines());
+                    if accrue {
+                        ovs.forwarded += 1;
+                    }
+                } else if accrue {
+                    ovs.chan_drops += 1;
+                }
+                used += cost;
+                instructions += lk_instr;
+                if accrue {
+                    ovs.latency.record(cost);
+                }
+            }
+            for i in 0..ovs.attachments.len() {
+                if used >= ctx.cycle_budget {
+                    break;
+                }
+                let att = ovs.attachments[i];
+                let chan = &mut ctx.channels.get_mut(att.from_tenant).ring;
+                let Some((cidx, slot)) = chan.pop() else {
+                    continue;
+                };
+                progress = true;
+                let src = slot.ext_buf.unwrap_or_else(|| chan.buf_addr(cidx));
+                let (lk_cost, lk_instr) = lookup_reference(ovs, ctx, slot.flow.0, accrue);
+                let mut cost = lk_cost;
+                let port_idx = i % ovs.ports.len();
+                let port = &mut ovs.ports[port_idx];
+                if let Some(tidx) = port.tx.push(PacketSlot::new(slot.flow, slot.size)) {
+                    let (dst, desc) = (port.tx.buf_addr(tidx), port.tx.desc_addr(tidx));
+                    cost += copy_reference(ctx, src, dst, slot.payload_lines());
+                    cost += ctx.write(desc) as u64;
+                    if accrue {
+                        ovs.forwarded += 1;
+                    }
+                } else if accrue {
+                    ovs.chan_drops += 1;
+                }
+                used += cost;
+                instructions += lk_instr;
+                if accrue {
+                    ovs.latency.record(cost);
+                }
+            }
+            if !progress {
+                let iters = (ctx.cycle_budget - used) / POLL_CYCLES;
+                instructions += iters * POLL_INSTR;
+                used += iters * POLL_CYCLES;
+                break;
+            }
+        }
+        ExecResult { instructions, cycles_used: used.min(ctx.cycle_budget) }
+    }
+
+    /// Per-slice results, metrics, EMC counters, the latency reservoir,
+    /// channel and port ring state, accesses and the LLC state digest.
+    type Trace = (Vec<ExecResult>, WorkloadMetrics, (u64, u64), String, String, String, u64, u64);
+
+    /// Runs a two-port, two-attachment switch through `rounds` of
+    /// (port 0 packets, port 1 packets, outbound packets, budget), with
+    /// small tenant channels and Tx rings so both fill up, a 16-slot EMC
+    /// over `flows` flows, and statistics frozen every fifth round.
+    fn trace(
+        step: fn(&mut OvsSwitch, &mut ExecCtx<'_>) -> ExecResult,
+        latency: LatencyModel,
+        rounds: &[(u8, u8, u8, u64)],
+        flows: u32,
+    ) -> Trace {
+        let mut h = crate::tiny_hierarchy(latency);
+        let mut nic = Nic::new(0x4000_0000, 2, 16, 2048);
+        let ports = vec![nic.vf_mut(VfId(0)).clone(), nic.vf_mut(VfId(1)).clone()];
+        let mut ch = Channels::new();
+        let mut atts = Vec::new();
+        for a in 0..2u64 {
+            let to_tenant = ch.add(RxRing::new(0x8000_0000 + a * 0x10_0000, 8, 2048));
+            let from_tenant = ch.add(RxRing::new(0x8800_0000 + a * 0x10_0000, 8, 2048));
+            atts.push(Attachment { to_tenant, from_tenant });
+        }
+        let config = OvsConfig { emc_entries: 16, megaflow_entries: 256 };
+        let mut ovs = OvsSwitch::new(ports, atts.clone(), 0xA000_0000, 0xB000_0000, config);
+        let ddio = WayMask::contiguous(2, 2).unwrap();
+        let mut results = Vec::new();
+        for (r, &(n0, n1, out, budget)) in rounds.iter().enumerate() {
+            let r = r as u32;
+            for (p, n) in [n0, n1].into_iter().enumerate() {
+                let fl = (0..n as u32).map(|i| FlowId((r * 31 + i * 7 + p as u32) % flows));
+                let size = if (r + p as u32).is_multiple_of(3) { 256 } else { 64 };
+                crate::deliver(&mut h, ddio, &mut ovs.ports_mut()[p], fl, size);
+            }
+            for i in 0..out as u32 {
+                let att = atts[(i % 2) as usize];
+                let flow = FlowId((r + i) % flows);
+                let slot = if i % 2 == 0 {
+                    PacketSlot::new(flow, 128)
+                } else {
+                    PacketSlot::with_ext_buf(flow, 64, 0xC000_0000 + i as u64 * 2048)
+                };
+                let _ = ch.get_mut(att.from_tenant).ring.push(slot);
+            }
+            h.set_stats_frozen(r % 5 == 4);
+            results.push(crate::run_slice(&mut h, &mut ch, &mut ovs, budget, step));
+            h.set_stats_frozen(false);
+            // The tenant and the wire consume part of what was forwarded.
+            for _ in 0..r % 3 {
+                ch.get_mut(atts[0].to_tenant).ring.pop();
+                ovs.ports_mut()[1].tx.pop();
+            }
+        }
+        (
+            results,
+            ovs.metrics(),
+            (ovs.emc_hits, ovs.emc_misses),
+            format!("{:?}", ovs.latency),
+            format!("{ch:?}"),
+            format!("{:?}", ovs.ports),
+            h.accesses(),
+            h.llc().state_digest(),
+        )
+    }
+
+    /// The windowed loop must match the access-at-a-time reference
+    /// bit-for-bit across EMC hits and misses, full tenant channels and
+    /// Tx rings, the outbound path and mid-scan budget stops.
+    #[test]
+    fn batched_matches_serial() {
+        let rounds: Vec<(u8, u8, u8, u64)> = (0..16u64)
+            .map(|r| ((r * 5 % 11) as u8, (r * 3 % 7) as u8, (r % 4) as u8, 400 + r * 613))
+            .collect();
+        for flows in [1, 5, 40] {
+            let lat = LatencyModel::default();
+            let batched = trace(OvsSwitch::run, lat, &rounds, flows);
+            assert_eq!(batched, trace(reference, lat, &rounds, flows));
+            let (hits, misses) = batched.2;
+            assert!(misses > 0 && (flows > 16 || hits > 0), "flows {flows}: {hits}/{misses}");
+            assert!(batched.1.drops > 0, "a tenant channel or Tx ring must fill");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// Random deliveries and budgets under two cost models: moving
+        /// every access cost moves every stopping point, and the windowed
+        /// loop must still equal its reference.
+        #[test]
+        fn batched_matches_serial_under_random_schedules(
+            rounds in proptest::collection::vec((0u8..12, 0u8..12, 0u8..6, 100u64..12_000), 1..12),
+            flows in 1u32..40,
+            default_costs in any::<bool>(),
+        ) {
+            let lat = if default_costs { LatencyModel::default() } else { LatencyModel::new(1, 2, 3) };
+            prop_assert_eq!(
+                trace(OvsSwitch::run, lat, &rounds, flows),
+                trace(reference, lat, &rounds, flows)
+            );
+        }
+    }
 
     fn setup(flows: u32) -> (MemoryHierarchy, OvsSwitch, Channels, ChannelId, ChannelId) {
         let h = MemoryHierarchy::tiny(2);

@@ -5,6 +5,7 @@
 use crate::ctx::{ExecCtx, ExecResult, Workload, WorkloadKind, WorkloadMetrics};
 use crate::latency::LatencySampler;
 use crate::region::HashRegion;
+use crate::window::AccessWindow;
 use crate::ycsb::{OpKind, YcsbMix};
 use iat_cachesim::LINE_BYTES;
 use iat_netsim::ZipfTable;
@@ -54,6 +55,7 @@ pub struct RocksLike {
     state: u64,
     ops: u64,
     latency: LatencySampler,
+    win: AccessWindow,
 }
 
 impl RocksLike {
@@ -81,6 +83,7 @@ impl RocksLike {
             state: seed | 1,
             ops: 0,
             latency: LatencySampler::new(seed ^ 0x70c6),
+            win: AccessWindow::default(),
         }
     }
 
@@ -115,9 +118,9 @@ impl RocksLike {
         self.values_base + slot * self.config.value_bytes as u64
     }
 
-    /// Executes one op; returns its cycle cost.
-    fn execute(&mut self, ctx: &mut ExecCtx<'_>, op: OpKind, key: u64) -> u64 {
-        let mut cost = OP_CYCLES;
+    /// Enqueues one op's accesses into `win` as one item.
+    fn enqueue(&self, win: &mut AccessWindow, op: OpKind, key: u64) {
+        win.begin_item(OP_CYCLES);
         // Skiplist descent: hot tower nodes, then key-dependent nodes.
         for l in 0..self.levels {
             let addr = if l < HOT_LEVELS {
@@ -125,25 +128,25 @@ impl RocksLike {
             } else {
                 self.nodes.entry_line(key.wrapping_mul(31).wrapping_add(l), 0)
             };
-            cost += ctx.read(addr) as u64;
+            win.read(addr);
         }
         let vaddr = self.value_addr(key);
         let vlines = iat_cachesim::lines_for(self.config.value_bytes as u64);
         match op {
             OpKind::Read => {
                 for l in 0..vlines {
-                    cost += ctx.read(vaddr + l * LINE_BYTES) as u64;
+                    win.read(vaddr + l * LINE_BYTES);
                 }
             }
             OpKind::Update | OpKind::Insert => {
                 for l in 0..vlines {
-                    cost += ctx.write(vaddr + l * LINE_BYTES) as u64;
+                    win.write(vaddr + l * LINE_BYTES);
                 }
             }
             OpKind::ReadModifyWrite => {
                 for l in 0..vlines {
-                    cost += ctx.read(vaddr + l * LINE_BYTES) as u64;
-                    cost += ctx.write(vaddr + l * LINE_BYTES) as u64;
+                    win.read(vaddr + l * LINE_BYTES);
+                    win.write(vaddr + l * LINE_BYTES);
                 }
             }
             OpKind::Scan => {
@@ -151,12 +154,12 @@ impl RocksLike {
                     let k = (key + i) % self.config.records;
                     let a = self.value_addr(k);
                     for l in 0..vlines {
-                        cost += ctx.read(a + l * LINE_BYTES) as u64;
+                        win.read(a + l * LINE_BYTES);
                     }
                 }
             }
         }
-        cost
+        win.end_item();
     }
 }
 
@@ -177,19 +180,30 @@ impl Workload for RocksLike {
         let mut used = 0u64;
         let mut instructions = 0u64;
         let accrue = ctx.accrue();
-        while used < ctx.cycle_budget {
+        // The certain-bound window protocol of `window.rs`: op and key
+        // draws do not depend on access costs, so ops enqueue until the
+        // bound reaches the budget.
+        let budget = ctx.cycle_budget;
+        let max_access = ctx.max_access_cycles() as u64;
+        let mut win = std::mem::take(&mut self.win);
+        loop {
+            if win.upper_bound(used, max_access) >= budget {
+                win.flush(ctx, &mut used, Some(&mut self.latency));
+                if used >= budget {
+                    break;
+                }
+            }
             let u = (self.next_rand() >> 11) as f64 / (1u64 << 53) as f64;
             let op = self.mix.pick(u);
             let key = self.sample_key();
-            let cost = self.execute(ctx, op, key);
-            used += cost;
+            self.enqueue(&mut win, op, key);
             instructions += OP_INSTR;
             if accrue {
                 self.ops += 1;
-                self.latency.record(cost);
             }
         }
-        ExecResult { instructions, cycles_used: used.min(ctx.cycle_budget) }
+        self.win = win;
+        ExecResult { instructions, cycles_used: used.min(budget) }
     }
 
     fn metrics(&self) -> WorkloadMetrics {
@@ -211,7 +225,126 @@ impl Workload for RocksLike {
 mod tests {
     use super::*;
     use crate::ctx::Channels;
-    use iat_cachesim::{AgentId, MemoryHierarchy, WayMask};
+    use iat_cachesim::{AgentId, LatencyModel, MemoryHierarchy, WayMask};
+    use proptest::prelude::*;
+
+    /// Access-at-a-time reference of [`RocksLike::enqueue`]: executes one
+    /// op and returns its cycle cost.
+    fn execute_reference(r: &RocksLike, ctx: &mut ExecCtx<'_>, op: OpKind, key: u64) -> u64 {
+        let mut cost = OP_CYCLES;
+        for l in 0..r.levels {
+            let addr = if l < HOT_LEVELS {
+                r.hot.entry_line(l, 0)
+            } else {
+                r.nodes.entry_line(key.wrapping_mul(31).wrapping_add(l), 0)
+            };
+            cost += ctx.read(addr) as u64;
+        }
+        let vaddr = r.value_addr(key);
+        let vlines = iat_cachesim::lines_for(r.config.value_bytes as u64);
+        match op {
+            OpKind::Read => {
+                for l in 0..vlines {
+                    cost += ctx.read(vaddr + l * LINE_BYTES) as u64;
+                }
+            }
+            OpKind::Update | OpKind::Insert => {
+                for l in 0..vlines {
+                    cost += ctx.write(vaddr + l * LINE_BYTES) as u64;
+                }
+            }
+            OpKind::ReadModifyWrite => {
+                for l in 0..vlines {
+                    cost += ctx.read(vaddr + l * LINE_BYTES) as u64;
+                    cost += ctx.write(vaddr + l * LINE_BYTES) as u64;
+                }
+            }
+            OpKind::Scan => {
+                for i in 0..8u64 {
+                    let a = r.value_addr((key + i) % r.config.records);
+                    for l in 0..vlines {
+                        cost += ctx.read(a + l * LINE_BYTES) as u64;
+                    }
+                }
+            }
+        }
+        cost
+    }
+
+    /// Access-at-a-time reference loop of [`RocksLike::run`].
+    fn reference(r: &mut RocksLike, ctx: &mut ExecCtx<'_>) -> ExecResult {
+        let mut used = 0u64;
+        let mut instructions = 0u64;
+        let accrue = ctx.accrue();
+        while used < ctx.cycle_budget {
+            let u = (r.next_rand() >> 11) as f64 / (1u64 << 53) as f64;
+            let op = r.mix.pick(u);
+            let key = r.sample_key();
+            let cost = execute_reference(r, ctx, op, key);
+            used += cost;
+            instructions += OP_INSTR;
+            if accrue {
+                r.ops += 1;
+                r.latency.record(cost);
+            }
+        }
+        ExecResult { instructions, cycles_used: used.min(ctx.cycle_budget) }
+    }
+
+    type Trace = (Vec<ExecResult>, WorkloadMetrics, String, u64, u64);
+
+    /// Runs a small store through `budgets`, alternating two masks and
+    /// freezing statistics every fifth slice.
+    fn trace(
+        step: fn(&mut RocksLike, &mut ExecCtx<'_>) -> ExecResult,
+        latency: LatencyModel,
+        mix: YcsbMix,
+        budgets: &[u64],
+    ) -> Trace {
+        let mut h = crate::tiny_hierarchy(latency);
+        let mut r = RocksLike::new(0xA000_0000, small(), mix, 3);
+        let mut ch = Channels::new();
+        let mut results = Vec::new();
+        for (i, &budget) in budgets.iter().enumerate() {
+            h.set_stats_frozen(i % 5 == 4);
+            results.push(crate::run_slice(&mut h, &mut ch, &mut r, budget, step));
+            h.set_stats_frozen(false);
+        }
+        (results, r.metrics(), format!("{:?}", r.latency), h.accesses(), h.llc().state_digest())
+    }
+
+    /// The windowed loop must match the access-at-a-time reference
+    /// bit-for-bit for every YCSB mix.
+    #[test]
+    fn batched_matches_serial() {
+        let budgets: Vec<u64> = (0..10u64).map(|i| 2_000 + i * 9_973).collect();
+        for mix in YcsbMix::all() {
+            let lat = LatencyModel::default();
+            assert_eq!(
+                trace(RocksLike::run, lat, mix, &budgets),
+                trace(reference, lat, mix, &budgets),
+                "{mix:?}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// Random budgets under two cost models.
+        #[test]
+        fn batched_matches_serial_under_random_schedules(
+            budgets in proptest::collection::vec(1u64..60_000, 1..8),
+            mix in 0usize..6,
+            default_costs in any::<bool>(),
+        ) {
+            let lat = if default_costs { LatencyModel::default() } else { LatencyModel::new(1, 2, 3) };
+            let mix = YcsbMix::all()[mix];
+            prop_assert_eq!(
+                trace(RocksLike::run, lat, mix, &budgets),
+                trace(reference, lat, mix, &budgets)
+            );
+        }
+    }
 
     fn run(h: &mut MemoryHierarchy, r: &mut RocksLike, mask: WayMask, budget: u64) {
         let mut ch = Channels::new();

@@ -9,6 +9,7 @@
 //! exercise (see DESIGN.md, substitution table).
 
 use crate::ctx::{ExecCtx, ExecResult, Workload, WorkloadKind, WorkloadMetrics};
+use crate::window::AccessWindow;
 use iat_cachesim::LINE_BYTES;
 
 /// Instructions per simulated block.
@@ -117,12 +118,21 @@ pub struct SpecWorkload {
     state: u64,
     blocks: u64,
     access_residue: f64,
+    win: AccessWindow,
 }
 
 impl SpecWorkload {
     /// Creates an instance with its data region at `base`.
     pub fn new(base: u64, profile: SpecProfile, seed: u64) -> Self {
-        SpecWorkload { profile, base, cursor: 0, state: seed | 1, blocks: 0, access_residue: 0.0 }
+        SpecWorkload {
+            profile,
+            base,
+            cursor: 0,
+            state: seed | 1,
+            blocks: 0,
+            access_residue: 0.0,
+            win: AccessWindow::default(),
+        }
     }
 
     /// The profile being executed.
@@ -166,11 +176,23 @@ impl Workload for SpecWorkload {
         let mut used = 0u64;
         let mut instructions = 0u64;
         let accrue = ctx.accrue();
-        while used < ctx.cycle_budget {
-            let mut cost = compute;
+        // The certain-bound window protocol of `window.rs`, one item per
+        // block: address draws do not depend on access costs, and blocks
+        // record no latency.
+        let budget = ctx.cycle_budget;
+        let max_access = ctx.max_access_cycles() as u64;
+        let mut win = std::mem::take(&mut self.win);
+        loop {
+            if win.upper_bound(used, max_access) >= budget {
+                win.flush(ctx, &mut used, None);
+                if used >= budget {
+                    break;
+                }
+            }
             let exact = self.profile.apki as f64 + self.access_residue;
             let accesses = exact as u64;
             self.access_residue = exact - accesses as f64;
+            win.begin_item(compute);
             for _ in 0..accesses {
                 let r = self.next_rand();
                 let u = (r >> 32) as f64 / u32::MAX as f64;
@@ -187,15 +209,16 @@ impl Workload for SpecWorkload {
                     self.cursor = (self.cursor + 1) % lines;
                     self.cursor
                 };
-                cost += ctx.read(self.base + line * LINE_BYTES) as u64;
+                win.read(self.base + line * LINE_BYTES);
             }
-            used += cost;
+            win.end_item();
             instructions += BLOCK_INSTR;
             if accrue {
                 self.blocks += 1;
             }
         }
-        ExecResult { instructions, cycles_used: used.min(ctx.cycle_budget) }
+        self.win = win;
+        ExecResult { instructions, cycles_used: used.min(budget) }
     }
 
     fn metrics(&self) -> WorkloadMetrics {
@@ -211,7 +234,103 @@ impl Workload for SpecWorkload {
 mod tests {
     use super::*;
     use crate::ctx::Channels;
-    use iat_cachesim::{AgentId, MemoryHierarchy, WayMask};
+    use iat_cachesim::{AgentId, LatencyModel, MemoryHierarchy, WayMask};
+    use proptest::prelude::*;
+
+    /// Access-at-a-time reference loop of [`SpecWorkload::run`].
+    fn reference(w: &mut SpecWorkload, ctx: &mut ExecCtx<'_>) -> ExecResult {
+        let lines = w.profile.footprint / LINE_BYTES;
+        let hot_lines = (w.profile.hot_bytes / LINE_BYTES).clamp(1, lines);
+        let compute = (BLOCK_INSTR as f64 / w.profile.base_ipc) as u64;
+        let mut used = 0u64;
+        let mut instructions = 0u64;
+        let accrue = ctx.accrue();
+        while used < ctx.cycle_budget {
+            let mut cost = compute;
+            let exact = w.profile.apki as f64 + w.access_residue;
+            let accesses = exact as u64;
+            w.access_residue = exact - accesses as f64;
+            for _ in 0..accesses {
+                let r = w.next_rand();
+                let u = (r >> 32) as f64 / u32::MAX as f64;
+                let line = if u < w.profile.random_frac {
+                    let v = (r & 0xFFFF_FFFF) as f64 / u32::MAX as f64;
+                    if v < w.profile.hot_frac {
+                        w.next_rand() % hot_lines
+                    } else {
+                        w.next_rand() % lines
+                    }
+                } else {
+                    w.cursor = (w.cursor + 1) % lines;
+                    w.cursor
+                };
+                cost += ctx.read(w.base + line * LINE_BYTES) as u64;
+            }
+            used += cost;
+            instructions += BLOCK_INSTR;
+            if accrue {
+                w.blocks += 1;
+            }
+        }
+        ExecResult { instructions, cycles_used: used.min(ctx.cycle_budget) }
+    }
+
+    type Trace = (Vec<ExecResult>, WorkloadMetrics, u64, u64, u64);
+
+    /// Runs `profile` through `budgets`, freezing statistics every fifth
+    /// slice.
+    fn trace(
+        step: fn(&mut SpecWorkload, &mut ExecCtx<'_>) -> ExecResult,
+        latency: LatencyModel,
+        profile: SpecProfile,
+        budgets: &[u64],
+    ) -> Trace {
+        let mut h = crate::tiny_hierarchy(latency);
+        let mut w = SpecWorkload::new(0xD000_0000, profile, 9);
+        let mut ch = Channels::new();
+        let mut results = Vec::new();
+        for (i, &budget) in budgets.iter().enumerate() {
+            h.set_stats_frozen(i % 5 == 4);
+            results.push(crate::run_slice(&mut h, &mut ch, &mut w, budget, step));
+            h.set_stats_frozen(false);
+        }
+        (results, w.metrics(), w.cursor, h.accesses(), h.llc().state_digest())
+    }
+
+    /// The windowed loop must match the access-at-a-time reference
+    /// bit-for-bit on a pointer-chasing (mcf), a streaming (lbm) and a
+    /// mostly L2-resident (bzip2) profile.
+    #[test]
+    fn batched_matches_serial() {
+        let budgets: Vec<u64> = (0..10u64).map(|i| 3_000 + i * 17_389).collect();
+        for profile in [SpecProfile::mcf(), SpecProfile::lbm(), SpecProfile::bzip2()] {
+            let lat = LatencyModel::default();
+            assert_eq!(
+                trace(SpecWorkload::run, lat, profile, &budgets),
+                trace(reference, lat, profile, &budgets),
+                "{}",
+                profile.name
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// Random budgets and profiles under two cost models.
+        #[test]
+        fn batched_matches_serial_under_random_schedules(
+            budgets in proptest::collection::vec(1u64..80_000, 1..8),
+            profile in 0usize..10,
+            default_costs in any::<bool>(),
+        ) {
+            let lat = if default_costs { LatencyModel::default() } else { LatencyModel::new(1, 2, 3) };
+            let profile = SpecProfile::memory_sensitive()[profile];
+            prop_assert_eq!(
+                trace(SpecWorkload::run, lat, profile, &budgets),
+                trace(reference, lat, profile, &budgets)
+            );
+        }
+    }
 
     fn run(h: &mut MemoryHierarchy, w: &mut SpecWorkload, mask: WayMask, budget: u64) -> ExecResult {
         let mut ch = Channels::new();

@@ -1,20 +1,27 @@
-//! Windowed access batching for budget-looped workloads.
+//! Windowed access batching: the one route by which every budget-looped
+//! workload resolves its cache accesses.
 //!
-//! The poll-mode workloads all share one loop shape: pop work, pay a fixed
+//! The workloads share one loop shape: pop or draw work, pay a fixed
 //! per-item cost plus a handful of cache accesses whose *addresses* are
 //! independent of access outcomes, spend the summed cost from the cycle
-//! budget, and re-check the budget between items. Because each access costs
-//! at most `max_access_cycles`, the loop's control decisions are often
-//! *certain* long before the exact costs are known: as long as the upper
-//! bound `used + pending_fixed + max_cost · pending_accesses` stays below
-//! the budget, the serial schedule could not have stopped either, so items
-//! can keep enqueueing. Only when the bound crosses the budget (or the loop
-//! must make a cost-dependent decision, e.g. how long to busy-poll) does
-//! the window flush: all pending accesses resolve in one slice-bucketed
-//! LLC batch, exact per-item costs are reconstructed **in item order** —
-//! which also keeps the order-sensitive latency-reservoir sampling
-//! identical — and the budget advances exactly as the serial loop would
-//! have. Results are therefore bit-identical to access-at-a-time execution.
+//! budget, and re-check the budget between items. TestPmd, L3Fwd, OVS,
+//! the KVS, the channel echo, RocksDB, the NF chain and SPEC all run this
+//! loop through an [`AccessWindow`]; X-Mem, whose items are single
+//! accesses, cuts its windows directly from the same bound.
+//!
+//! Because each access costs at most `max_access_cycles`, the loop's
+//! control decisions are often *certain* long before the exact costs are
+//! known: as long as the upper bound `used + pending_fixed + max_cost ·
+//! pending_accesses` stays below the budget, the serial schedule could not
+//! have stopped either, so items can keep enqueueing. Only when the bound
+//! crosses the budget (or the loop must make a cost-dependent decision,
+//! e.g. how long to busy-poll) does the window flush: all pending accesses
+//! resolve in one slice-bucketed LLC batch, exact per-item costs are
+//! reconstructed **in item order** — which also keeps the order-sensitive
+//! latency-reservoir sampling identical — and the budget advances exactly
+//! as the serial loop would have. Results are therefore bit-identical to
+//! access-at-a-time execution; each workload keeps its access-at-a-time
+//! loop as a test-only reference and checks this.
 
 use crate::ctx::ExecCtx;
 use crate::latency::LatencySampler;
@@ -43,6 +50,14 @@ impl AccessWindow {
         self.cur_fixed = fixed;
         self.cur_ops = 0;
         self.open = true;
+    }
+
+    /// Adds `cycles` of non-memory cost to the current item (for costs
+    /// known only part-way through it, e.g. after a table tag check).
+    #[inline]
+    pub fn add_fixed(&mut self, cycles: u64) {
+        debug_assert!(self.open);
+        self.cur_fixed += cycles;
     }
 
     /// Enqueues a read for the current item.
@@ -79,27 +94,33 @@ impl AccessWindow {
         used + self.fixed_sum + max_access * self.ops.len() as u64
     }
 
-    /// Resolves every pending access in one batched LLC flush, adds each
-    /// item's exact cost to `used` and records it in `latency`, in item
-    /// order. No-op when nothing is pending.
-    pub fn flush(&mut self, ctx: &mut ExecCtx<'_>, used: &mut u64, latency: &mut LatencySampler) {
+    /// Resolves every pending access in one batched LLC flush and adds
+    /// each item's exact cost to `used`, in item order. With a `latency`
+    /// sampler, each cost is also recorded there while metrics accrue.
+    /// No-op when nothing is pending.
+    pub fn flush(
+        &mut self,
+        ctx: &mut ExecCtx<'_>,
+        used: &mut u64,
+        mut latency: Option<&mut LatencySampler>,
+    ) {
         debug_assert!(!self.open, "flush with an item still open");
         if self.items.is_empty() {
             debug_assert!(self.ops.is_empty());
             return;
         }
         ctx.access_batch(&self.ops, &mut self.costs);
-        let accrue = ctx.accrue();
+        if !ctx.accrue() {
+            latency = None;
+        }
         let mut ci = 0usize;
         for &(fixed, n) in &self.items {
-            let mut cost = fixed;
-            for _ in 0..n {
-                cost += self.costs[ci] as u64;
-                ci += 1;
-            }
+            let end = ci + n as usize;
+            let cost = fixed + self.costs[ci..end].iter().map(|&c| c as u64).sum::<u64>();
+            ci = end;
             *used += cost;
-            if accrue {
-                latency.record(cost);
+            if let Some(l) = latency.as_deref_mut() {
+                l.record(cost);
             }
         }
         debug_assert_eq!(ci, self.costs.len());

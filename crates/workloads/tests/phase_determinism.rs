@@ -31,9 +31,8 @@ fn to_addr(raw: u64) -> u64 {
 
 proptest! {
     /// The fingerprint a stream drains to is invariant to how the
-    /// stream is executed: one access at a time through
-    /// [`ExecCtx::read`]/[`ExecCtx::write`], or cut into
-    /// [`ExecCtx::access_batch`] windows at any flush placement. Both
+    /// stream is cut into [`ExecCtx::access_batch`] windows: one access
+    /// per window, or windows at any flush placement. Both
     /// runs go through a real `ExecCtx` holding the sketch, the way a
     /// sampled platform lends it, so the observation point under test is
     /// the production one.
@@ -73,11 +72,9 @@ proptest! {
                     all_costs.extend_from_slice(&costs);
                 }
             } else {
-                for &(addr, op) in &stream {
-                    all_costs.push(match op {
-                        CoreOp::Read => ctx.read(addr),
-                        CoreOp::Write => ctx.write(addr),
-                    });
+                for op in &stream {
+                    ctx.access_batch(std::slice::from_ref(op), &mut costs);
+                    all_costs.extend_from_slice(&costs);
                 }
             }
             (sketch.drain(miss_permille), all_costs, cache.llc().state_digest())

@@ -300,7 +300,7 @@ fn null_recorder_overhead_stays_under_two_percent() {
         (rdt, daemon, acc)
     }
 
-    const ITERS: u64 = 20_000;
+    const ITERS: u64 = 5_000;
     let timed_untraced = || {
         let (mut rdt, mut daemon, mut acc) = fresh();
         let t0 = Instant::now();
@@ -325,25 +325,47 @@ fn null_recorder_overhead_stays_under_two_percent() {
         t0.elapsed()
     };
 
-    // Interleave rounds and take each side's minimum, which filters
-    // scheduler noise; identical code paths land within a fraction of a
-    // percent of each other. The 2% bound is a release property — debug
-    // keeps the un-inlined virtual-call cost visible (a consistent few
-    // percent), so there the guard only catches gross regressions.
+    // Identical code paths land within a fraction of a percent of each
+    // other; the paired median (see `paired_median_ratio`) keeps host
+    // noise out of the comparison. The 2% bound is a release property —
+    // debug keeps the un-inlined virtual-call cost visible (a consistent
+    // few percent), so there the guard only catches gross regressions.
     let bound = if cfg!(debug_assertions) { 1.25 } else { 1.02 };
-    let mut best_untraced = f64::INFINITY;
-    let mut best_null = f64::INFINITY;
-    for _ in 0..5 {
-        best_untraced = best_untraced.min(timed_untraced().as_secs_f64());
-        best_null = best_null.min(timed_null().as_secs_f64());
-    }
+    let ratio = paired_median_ratio(timed_untraced, timed_null);
     assert!(
-        best_null <= best_untraced * bound,
-        "NullRecorder loop must stay within {:.0}% of uninstrumented: {:.3} ms vs {:.3} ms",
+        ratio <= bound,
+        "NullRecorder loop must stay within {:.0}% of uninstrumented: median ratio {ratio:.4}",
         (bound - 1.0) * 100.0,
-        best_null * 1e3,
-        best_untraced * 1e3
     );
+}
+
+/// Median over paired rounds of the ratio `measured / baseline` wall
+/// time. Each round times both sides back to back, alternating which one
+/// goes first, so load on a shared host that drifts between rounds (or
+/// favours the first or second slot) lands on both sides of a ratio; the
+/// median then drops the rounds a burst still splits. Many short rounds
+/// keep each pair closer in time than a few long ones, which is what
+/// holds the median inside 2% while the other tests of this binary load
+/// the second core.
+fn paired_median_ratio(
+    baseline: impl Fn() -> std::time::Duration,
+    measured: impl Fn() -> std::time::Duration,
+) -> f64 {
+    const ROUNDS: usize = 61;
+    let mut ratios: Vec<f64> = (0..ROUNDS)
+        .map(|round| {
+            let (base, meas) = if round % 2 == 0 {
+                let base = baseline();
+                (base, measured())
+            } else {
+                let meas = measured();
+                (baseline(), meas)
+            };
+            meas.as_secs_f64() / base.as_secs_f64()
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[ROUNDS / 2]
 }
 
 #[test]
@@ -405,7 +427,7 @@ fn disabled_span_tracer_overhead_stays_under_two_percent() {
         (rdt, daemon, acc)
     }
 
-    const CHUNKS: u64 = 200;
+    const CHUNKS: u64 = 50;
     const STEPS_PER_CHUNK: u64 = 100;
     let timed_bare = || {
         let (mut rdt, mut daemon, mut acc) = fresh();
@@ -436,17 +458,10 @@ fn disabled_span_tracer_overhead_stays_under_two_percent() {
     // Same bound split as the NullRecorder guard above: 2% is the
     // release claim; debug only guards against gross regressions.
     let bound = if cfg!(debug_assertions) { 1.25 } else { 1.02 };
-    let mut best_bare = f64::INFINITY;
-    let mut best_scoped = f64::INFINITY;
-    for _ in 0..5 {
-        best_bare = best_bare.min(timed_bare().as_secs_f64());
-        best_scoped = best_scoped.min(timed_scoped().as_secs_f64());
-    }
+    let ratio = paired_median_ratio(timed_bare, timed_scoped);
     assert!(
-        best_scoped <= best_bare * bound,
-        "disabled span scopes must stay within {:.0}% of the bare loop: {:.3} ms vs {:.3} ms",
+        ratio <= bound,
+        "disabled span scopes must stay within {:.0}% of the bare loop: median ratio {ratio:.4}",
         (bound - 1.0) * 100.0,
-        best_scoped * 1e3,
-        best_bare * 1e3
     );
 }
