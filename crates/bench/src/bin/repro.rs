@@ -394,17 +394,23 @@ fn main() {
             }
         };
         if let Some(prev) = prev {
+            // Earlier records carry over as they are, so a stale one (e.g.
+            // holding a retired option's key) fails validation here.
             let doc = trajectory_update(&prev, &report);
-            validate_trajectory(&doc).expect("self-emitted trajectory validates");
-            let json = serde_json::to_string_pretty(&doc).expect("trajectory serializes");
-            match std::fs::write(&trajectory_path, format!("{json}\n")) {
-                Ok(()) => progress(&format!("wrote {}", trajectory_path.display())),
-                Err(e) => {
-                    progress(&format!(
-                        "error: writing {}: {e}",
-                        trajectory_path.display()
-                    ));
-                    exit = 1;
+            if let Err(e) = validate_trajectory(&doc) {
+                progress(&format!("error: committed trajectory does not validate: {e}"));
+                exit = 1;
+            } else {
+                let json = serde_json::to_string_pretty(&doc).expect("trajectory serializes");
+                match std::fs::write(&trajectory_path, format!("{json}\n")) {
+                    Ok(()) => progress(&format!("wrote {}", trajectory_path.display())),
+                    Err(e) => {
+                        progress(&format!(
+                            "error: writing {}: {e}",
+                            trajectory_path.display()
+                        ));
+                        exit = 1;
+                    }
                 }
             }
         }

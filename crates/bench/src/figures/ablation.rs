@@ -1,9 +1,9 @@
-//! Quality-shaped ablations of IAT's design choices (DESIGN.md §4):
+//! Quality-shaped ablations of IAT's design choices (DESIGN.md §4), probed
+//! on the Fig. 10 phase change (reaction time in intervals and container
+//! 4's throughput):
 //!
-//! * shuffle policy: BE-sorted (paper) vs DDIO-unaware layout;
-//! * one-way-per-iteration DDIO growth vs the step response it produces;
-//! * `THRESHOLD_STABLE` sensitivity;
-//! * sleep-interval sensitivity (reaction time in intervals).
+//! * layout: BE-sorted shuffle (paper) vs DDIO-unaware layout;
+//! * `THRESHOLD_STABLE` sensitivity (1%, 3%, 10%, 30%).
 //!
 //! One leaf job per ablated variant.
 

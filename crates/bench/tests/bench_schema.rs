@@ -1,22 +1,32 @@
-//! Guards the committed `results/BENCH_repro.json` wall-clock bench
-//! report: it must parse and satisfy the `iat-bench-repro/v2` schema,
-//! and its figure list must cover every job group the registry defines.
+//! Guards the committed wall-clock bench artifacts: `results/BENCH_repro.json`
+//! must parse and satisfy the current report schema, and its figure list
+//! must cover every job group the registry defines;
+//! `results/BENCH_trajectory.json` must satisfy the trajectory schema.
 //! (Timings themselves are machine-dependent and deliberately not
 //! byte-compared — see `iat_runner::bench_report`.)
 
-use iat_runner::validate_bench_report;
+use iat_runner::{validate_bench_report, validate_trajectory};
 use std::path::Path;
 
-fn committed_report() -> serde_json::Value {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../results/BENCH_repro.json");
+fn committed(name: &str) -> serde_json::Value {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results").join(name);
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
             "{} missing ({e}); regenerate with `cargo run --release -p iat-bench --bin repro`",
             path.display()
         )
     });
-    serde_json::from_str(&text).expect("BENCH_repro.json parses")
+    serde_json::from_str(&text).unwrap_or_else(|e| panic!("{name} parses: {e}"))
+}
+
+fn committed_report() -> serde_json::Value {
+    committed("BENCH_repro.json")
+}
+
+#[test]
+fn committed_trajectory_is_schema_valid() {
+    let doc = committed("BENCH_trajectory.json");
+    validate_trajectory(&doc).expect("committed BENCH_trajectory.json validates");
 }
 
 #[test]

@@ -1,22 +1,5 @@
 //! IAT parameters (the paper's Table II).
 
-/// How many ways LLC Re-alloc moves per iteration.
-///
-/// The paper uses one way per iteration and notes that "miss-curve-based
-/// increment like UCP can also be explored" (Sec. IV-D); `Proportional`
-/// implements that exploration: the grow step scales with how far the DDIO
-/// miss rate sits above `THRESHOLD_MISS_LOW`, capped per iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GrowthPolicy {
-    /// One way per iteration (the paper's default).
-    OneWay,
-    /// Up to `max_step` ways per iteration, proportional to miss pressure.
-    Proportional {
-        /// Upper bound on ways moved in one iteration.
-        max_step: u8,
-    },
-}
-
 /// Tunable parameters of the IAT daemon.
 ///
 /// Defaults are the paper's Table II values. `threshold_miss_low_per_s` is
@@ -36,8 +19,6 @@ pub struct IatConfig {
     pub ddio_ways_max: u8,
     /// Polling interval in nanoseconds (Table II: 1 s).
     pub sleep_interval_ns: u64,
-    /// Re-allocation step sizing (paper default: one way per iteration).
-    pub growth: GrowthPolicy,
 }
 
 impl IatConfig {
@@ -49,7 +30,6 @@ impl IatConfig {
             ddio_ways_min: 1,
             ddio_ways_max: 6,
             sleep_interval_ns: 1_000_000_000,
-            growth: GrowthPolicy::OneWay,
         }
     }
 
@@ -91,7 +71,6 @@ mod tests {
         assert_eq!(c.ddio_ways_min, 1);
         assert_eq!(c.ddio_ways_max, 6);
         assert_eq!(c.sleep_interval_ns, 1_000_000_000);
-        assert_eq!(c.growth, GrowthPolicy::OneWay);
         c.validate(11);
     }
 

@@ -487,8 +487,7 @@ impl LlcPolicy for IatDaemon {
             State::LowKeep | State::HighKeep => Action::None,
             State::IoDemand => {
                 if ddio_ways < self.config.ddio_ways_max {
-                    let step = self.growth_step(miss_rate);
-                    let target = (ddio_ways + step).min(self.config.ddio_ways_max);
+                    let target = ddio_ways + 1;
                     rdt.set_ddio_mask(self.ddio_mask_for(target))
                         .expect("valid ddio mask");
                     if rec.enabled() {
@@ -605,20 +604,6 @@ impl IatDaemon {
         };
         flush_trace(rdt, stamp, &report, rec);
         report
-    }
-
-    /// Ways to move this iteration under the configured growth policy.
-    fn growth_step(&self, miss_rate: f64) -> u8 {
-        match self.config.growth {
-            crate::config::GrowthPolicy::OneWay => 1,
-            crate::config::GrowthPolicy::Proportional { max_step } => {
-                // Pressure ratio over the low-miss threshold, on a decade
-                // scale: 10x over => 2 ways, 100x => 3 ways, ...
-                let ratio = (miss_rate / self.config.threshold_miss_low_per_s).max(1.0);
-                let step = 1 + ratio.log10().floor() as u8;
-                step.clamp(1, max_step.max(1))
-            }
-        }
     }
 
     /// Grows the tenant at `idx` by one way if total allocation allows.
@@ -897,27 +882,6 @@ mod tests {
         assert_eq!(r.action, Action::GrowTenant(0));
         assert_eq!(d.tenant_ways(0), 3);
         assert_eq!(rdt.clos_mask(ClosId::new(1)).count(), 3);
-    }
-
-    #[test]
-    fn proportional_growth_takes_bigger_steps() {
-        let mut rdt = Rdt::new(11, 8);
-        let config = IatConfig {
-            growth: crate::config::GrowthPolicy::Proportional { max_step: 3 },
-            ..IatConfig::paper()
-        };
-        let mut d = IatDaemon::new(config, IatFlags::full(), 11);
-        d.set_tenants(
-            vec![tenant(0, Priority::Pc, true, 2), tenant(1, Priority::Be, false, 2)],
-            &mut rdt,
-        );
-        let mut drv = Driver::new();
-        d.step(&mut rdt, drv.interval(CALM, CALM, 1_000, 1_000));
-        d.step(&mut rdt, drv.interval(CALM, CALM, 1_000, 1_000));
-        // 100M misses/s is two decades over the 1M/s threshold: +3 ways.
-        let r = d.step(&mut rdt, drv.interval(CALM, CALM, 50_000, 100_000_000));
-        assert_eq!(r.action, Action::GrowDdio);
-        assert_eq!(rdt.ddio_ways(), 5, "UCP-style growth should jump by max_step");
     }
 
     #[test]

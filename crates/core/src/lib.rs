@@ -41,7 +41,7 @@ pub mod policies;
 mod tenant_info;
 mod trend;
 
-pub use config::{GrowthPolicy, IatConfig};
+pub use config::IatConfig;
 pub use daemon::{Action, IatDaemon, IatFlags, StepReport};
 pub use fsm::State;
 pub use layout::{LayoutPlanner, Placement, PlanInput};

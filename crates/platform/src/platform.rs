@@ -372,15 +372,7 @@ impl Platform {
         let action = match &mut self.sampler {
             None => EpochAction::Measure,
             Some(s) => {
-                let (refs, misses) = {
-                    let st = self.hierarchy.llc().stats();
-                    let mut r = (0u64, 0u64);
-                    for (_, a) in st.agents() {
-                        r.0 += a.references;
-                        r.1 += a.misses;
-                    }
-                    r
-                };
+                let (refs, misses) = llc_references_misses(&self.hierarchy);
                 s.begin_epoch(refs, misses)
             }
         };
@@ -419,19 +411,9 @@ impl Platform {
                 r
             }
         };
-        if self.sampler.is_some() {
-            let (refs, misses) = {
-                let st = self.hierarchy.llc().stats();
-                let mut r = (0u64, 0u64);
-                for (_, a) in st.agents() {
-                    r.0 += a.references;
-                    r.1 += a.misses;
-                }
-                r
-            };
-            if let Some(s) = &mut self.sampler {
-                s.end_epoch(refs, misses);
-            }
+        if let Some(s) = &mut self.sampler {
+            let (refs, misses) = llc_references_misses(&self.hierarchy);
+            s.end_epoch(refs, misses);
         }
         report
     }
@@ -631,6 +613,16 @@ impl Platform {
             }
         }
     }
+}
+
+/// LLC references and misses summed over every agent: the totals the
+/// sampler brackets each epoch with.
+fn llc_references_misses(hierarchy: &MemoryHierarchy) -> (u64, u64) {
+    hierarchy
+        .llc()
+        .stats()
+        .agents()
+        .fold((0, 0), |(r, m), (_, a)| (r + a.references, m + a.misses))
 }
 
 #[cfg(test)]

@@ -308,6 +308,13 @@ pub fn validate_history(line: &Value) -> Result<(), String> {
     if schema != HISTORY_SCHEMA {
         return Err(format!("unknown history schema {schema:?} (expected {HISTORY_SCHEMA:?})"));
     }
+    validate_record(line)
+}
+
+/// Validates the headline fields of a [`history_record`]: shared by
+/// history lines and trajectory records, which are the same record
+/// without its schema tag.
+fn validate_record(line: &Value) -> Result<(), String> {
     match line["profile"].as_str() {
         Some("release" | "debug") => {}
         other => return Err(format!("bad profile {other:?}")),
@@ -427,27 +434,15 @@ pub fn validate_trajectory(doc: &Value) -> Result<(), String> {
     if runs.len() > TRAJECTORY_CAP {
         return Err(format!("runs must hold at most {TRAJECTORY_CAP} records"));
     }
+    // A record holds exactly the history record's fields, less the schema
+    // tag: keys of retired options must not linger.
+    let fields = history_record(&Value::Null);
     for r in runs {
-        for key in ["smoke", "ok"] {
-            if r[key].as_bool().is_none() {
-                return Err(format!("trajectory record: {key} must be a boolean"));
-            }
+        let obj = r.as_object().ok_or("trajectory record must be an object")?;
+        if let Some(key) = obj.keys().find(|k| *k == "schema" || fields.get(k.as_str()).is_none()) {
+            return Err(format!("trajectory record: unexpected key {key:?}"));
         }
-        for key in ["jobs", "root_seed", "accesses", "figures"] {
-            if r[key].as_u64().is_none() {
-                return Err(format!("trajectory record: {key} must be a non-negative integer"));
-            }
-        }
-        for key in ["wall_s", "aggregate_job_cost_s", "accesses_per_s"] {
-            match r[key].as_f64() {
-                Some(v) if v.is_finite() && v >= 0.0 => {}
-                _ => {
-                    return Err(format!(
-                        "trajectory record: {key} must be a finite non-negative number"
-                    ))
-                }
-            }
-        }
+        validate_record(r).map_err(|e| format!("trajectory record: {e}"))?;
     }
     Ok(())
 }
@@ -936,6 +931,22 @@ mod tests {
         validate_trajectory(&t3).expect("two-record trajectory validates");
         assert!(t3["runs"][0].get("schema").is_none(), "record drops the line schema tag");
 
+        // Records are checked field by field like history lines.
+        let record = t3["runs"][0].clone();
+        let with_record = |r: Value| serde_json::json!({ "schema": TRAJECTORY_SCHEMA, "runs": [r] });
+        for (key, value) in [
+            ("profile", serde_json::json!("bench")),
+            ("sampled", serde_json::json!(true)),
+            ("mode", Value::Null),
+            ("wall_s", serde_json::json!(-1.0)),
+            ("slice_workers", Value::Null),
+            ("schema", serde_json::json!(HISTORY_SCHEMA)),
+        ] {
+            let mut bad = record.clone();
+            bad[key] = value;
+            let err = validate_trajectory(&with_record(bad)).unwrap_err();
+            assert!(err.starts_with("trajectory record: "), "{key}: {err}");
+        }
         assert!(validate_trajectory(&serde_json::json!({})).is_err());
         assert!(validate_trajectory(&serde_json::json!({
             "schema": TRAJECTORY_SCHEMA, "runs": [],

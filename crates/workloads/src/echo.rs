@@ -3,7 +3,6 @@
 //! Fig. 8/9).
 
 use crate::ctx::{ChannelId, ExecCtx, ExecResult, Workload, WorkloadKind, WorkloadMetrics};
-use crate::latency::LatencySampler;
 use crate::window::AccessWindow;
 use iat_netsim::PacketSlot;
 
@@ -11,6 +10,8 @@ use iat_netsim::PacketSlot;
 const POLL_CYCLES: u64 = 30;
 /// Instructions per empty poll iteration.
 const POLL_INSTR: u64 = 55;
+/// An idle tenant core busy-polls the rest of its budget.
+const IDLE: Option<(u64, u64)> = Some((POLL_CYCLES, POLL_INSTR));
 /// Base per-packet cost of the bounce.
 const PKT_CYCLES: u64 = 90;
 /// Instructions per bounced packet.
@@ -24,7 +25,6 @@ pub struct ChannelEcho {
     tx: ChannelId,
     forwarded: u64,
     drops: u64,
-    latency: LatencySampler,
     win: AccessWindow,
 }
 
@@ -36,8 +36,7 @@ impl ChannelEcho {
             tx,
             forwarded: 0,
             drops: 0,
-            latency: LatencySampler::new(0xec40),
-            win: AccessWindow::default(),
+            win: AccessWindow::with_latency(0xec40),
         }
     }
 
@@ -65,68 +64,36 @@ impl Workload for ChannelEcho {
     }
 
     fn run(&mut self, ctx: &mut ExecCtx<'_>) -> ExecResult {
-        let mut used = 0u64;
-        let mut instructions = 0u64;
         let accrue = ctx.accrue();
-        // The certain-bound window protocol of `window.rs`: the header
-        // read is the only access, channel pops and pushes happen at
-        // enqueue time.
-        let budget = ctx.cycle_budget;
-        let max_access = ctx.max_access_cycles() as u64;
-        let mut win = std::mem::take(&mut self.win);
-        loop {
-            if win.upper_bound(used, max_access) >= budget {
-                win.flush(ctx, &mut used, Some(&mut self.latency));
-                if used >= budget {
-                    break;
-                }
-            }
-            let rx = &mut ctx.channels.get_mut(self.rx).ring;
-            let Some((idx, slot)) = rx.pop() else {
-                win.flush(ctx, &mut used, Some(&mut self.latency));
-                let iters = (budget - used) / POLL_CYCLES;
-                instructions += iters * POLL_INSTR;
-                used += iters * POLL_CYCLES;
-                break;
-            };
+        AccessWindow::drive(self, |w| &mut w.win, ctx, 1, IDLE, |echo, win, ctx, _| {
+            let rx = &mut ctx.channels.get_mut(echo.rx).ring;
+            let (idx, slot) = rx.pop()?;
             let buf = slot.ext_buf.unwrap_or_else(|| rx.buf_addr(idx));
             // Touch the header, re-post zero-copy.
             win.begin_item(PKT_CYCLES);
             win.read(buf);
             win.end_item();
-            let tx = &mut ctx.channels.get_mut(self.tx).ring;
-            let pushed = tx
-                .push(PacketSlot::with_ext_buf(slot.flow, slot.size, buf))
-                .is_some();
+            let tx = &mut ctx.channels.get_mut(echo.tx).ring;
+            let pushed = tx.push(PacketSlot::with_ext_buf(slot.flow, slot.size, buf)).is_some();
             if accrue {
                 if pushed {
-                    self.forwarded += 1;
+                    echo.forwarded += 1;
                 } else {
-                    self.drops += 1;
+                    echo.drops += 1;
                 }
             }
-            instructions += PKT_INSTR;
-        }
-        self.win = win;
-        ExecResult {
-            instructions,
-            cycles_used: used.min(budget),
-        }
+            Some(PKT_INSTR)
+        })
     }
 
     fn metrics(&self) -> WorkloadMetrics {
-        WorkloadMetrics {
-            ops: self.forwarded,
-            avg_op_cycles: self.latency.mean(),
-            p99_op_cycles: self.latency.percentile(0.99),
-            drops: self.drops,
-        }
+        self.win.metrics(self.forwarded, self.drops)
     }
 
     fn reset_metrics(&mut self) {
         self.forwarded = 0;
         self.drops = 0;
-        self.latency.reset();
+        self.win.reset_latency();
     }
 }
 
@@ -161,7 +128,7 @@ mod tests {
                 } else {
                     echo.drops += 1;
                 }
-                echo.latency.record(cost);
+                echo.win.latency_mut().record(cost);
             }
             used += cost;
             instructions += PKT_INSTR;
@@ -205,7 +172,7 @@ mod tests {
         (
             results,
             echo.metrics(),
-            format!("{:?}", echo.latency),
+            format!("{:?}", echo.win.latency_mut()),
             format!("{ch:?}"),
             h.accesses(),
             h.llc().state_digest(),

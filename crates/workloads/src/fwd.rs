@@ -1,7 +1,6 @@
 //! DPDK-style forwarding microbenchmarks: `testpmd` and `l3fwd`.
 
 use crate::ctx::{ExecCtx, ExecResult, Workload, WorkloadKind, WorkloadMetrics};
-use crate::latency::LatencySampler;
 use crate::region::HashRegion;
 use crate::window::AccessWindow;
 use iat_netsim::{PacketSlot, VirtualFunction};
@@ -11,12 +10,9 @@ const POLL_CYCLES: u64 = 30;
 /// Instructions per empty poll iteration.
 const POLL_INSTR: u64 = 55;
 
-/// Burns leftover budget as busy polling (DPDK cores never sleep) and
-/// returns the instructions retired while spinning.
-fn busy_poll(budget_left: u64) -> (u64, u64) {
-    let iters = budget_left / POLL_CYCLES;
-    (iters * POLL_INSTR, iters * POLL_CYCLES)
-}
+/// An idle DPDK core busy-polls the rest of its budget (DPDK cores never
+/// sleep).
+const IDLE: Option<(u64, u64)> = Some((POLL_CYCLES, POLL_INSTR));
 
 /// `testpmd` in io-forward mode: bounce every received packet back out,
 /// zero-copy (paper Sec. VI-B, the Leaky DMA microbenchmark's tenant).
@@ -27,7 +23,6 @@ fn busy_poll(budget_left: u64) -> (u64, u64) {
 pub struct TestPmd {
     ports: Vec<VirtualFunction>,
     forwarded: u64,
-    latency: LatencySampler,
     win: AccessWindow,
 }
 
@@ -52,8 +47,7 @@ impl TestPmd {
         TestPmd {
             ports,
             forwarded: 0,
-            latency: LatencySampler::new(0x7e57),
-            win: AccessWindow::default(),
+            win: AccessWindow::with_latency(0x7e57),
         }
     }
 
@@ -77,79 +71,34 @@ impl Workload for TestPmd {
     }
 
     fn run(&mut self, ctx: &mut ExecCtx<'_>) -> ExecResult {
-        let mut used = 0u64;
-        let mut instructions = 0u64;
         let accrue = ctx.accrue();
-        // Ring pops, Tx pushes and forward counts do not depend on access
-        // costs, so packets enqueue into the window until a budget
-        // decision is no longer certain from the upper bound; the flush
-        // then resolves pending accesses in one slice-bucketed batch and
-        // the exact decision of the access-at-a-time loop is taken. See
-        // `window.rs` for the argument.
-        let budget = ctx.cycle_budget;
-        let max_access = ctx.max_access_cycles() as u64;
-        let mut win = std::mem::take(&mut self.win);
-        'outer: loop {
-            if win.upper_bound(used, max_access) >= budget {
-                win.flush(ctx, &mut used, Some(&mut self.latency));
-                if used >= budget {
-                    break;
+        let ports = self.ports.len();
+        AccessWindow::drive(self, |w| &mut w.win, ctx, ports, IDLE, |pmd, win, _, p| {
+            let port = &mut pmd.ports[p];
+            let (idx, slot) = port.rx.pop()?;
+            win.begin_item(TESTPMD_PKT_CYCLES);
+            win.read(port.rx.desc_addr(idx));
+            let buf = port.rx.buf_addr(idx);
+            win.read(buf);
+            let tx_slot = PacketSlot::with_ext_buf(slot.flow, slot.size, buf);
+            if let Some(tx_idx) = port.tx.push(tx_slot) {
+                win.write(port.tx.desc_addr(tx_idx));
+                if accrue {
+                    pmd.forwarded += 1;
                 }
             }
-            let mut progress = false;
-            for p in 0..self.ports.len() {
-                if win.upper_bound(used, max_access) >= budget {
-                    win.flush(ctx, &mut used, Some(&mut self.latency));
-                    if used >= budget {
-                        // The access-at-a-time loop breaks the port scan
-                        // here and its outer `while` then exits (a mid-scan
-                        // stop implies a packet was processed, so
-                        // `progress` was true).
-                        break 'outer;
-                    }
-                }
-                let port = &mut self.ports[p];
-                let Some((idx, slot)) = port.rx.pop() else { continue };
-                progress = true;
-                win.begin_item(TESTPMD_PKT_CYCLES);
-                win.read(port.rx.desc_addr(idx));
-                let buf = port.rx.buf_addr(idx);
-                win.read(buf);
-                let tx_slot = PacketSlot::with_ext_buf(slot.flow, slot.size, buf);
-                if let Some(tx_idx) = port.tx.push(tx_slot) {
-                    win.write(port.tx.desc_addr(tx_idx));
-                    if accrue {
-                        self.forwarded += 1;
-                    }
-                }
-                win.end_item();
-                instructions += TESTPMD_PKT_INSTR;
-            }
-            if !progress {
-                // Stragglers must resolve before sizing the spin.
-                win.flush(ctx, &mut used, Some(&mut self.latency));
-                let (i, c) = busy_poll(budget - used);
-                instructions += i;
-                used += c;
-                break;
-            }
-        }
-        self.win = win;
-        ExecResult { instructions, cycles_used: used.min(budget) }
+            win.end_item();
+            Some(TESTPMD_PKT_INSTR)
+        })
     }
 
     fn metrics(&self) -> WorkloadMetrics {
-        WorkloadMetrics {
-            ops: self.forwarded,
-            avg_op_cycles: self.latency.mean(),
-            p99_op_cycles: self.latency.percentile(0.99),
-            drops: self.ports.iter().map(|p| p.rx.drops() + p.tx.drops()).sum(),
-        }
+        self.win.metrics(self.forwarded, self.ports.iter().map(|p| p.rx.drops() + p.tx.drops()).sum())
     }
 
     fn reset_metrics(&mut self) {
         self.forwarded = 0;
-        self.latency.reset();
+        self.win.reset_latency();
         for p in &mut self.ports {
             p.rx.reset_drops();
         }
@@ -168,7 +117,6 @@ pub struct L3Fwd {
     vf: VirtualFunction,
     table: HashRegion,
     forwarded: u64,
-    latency: LatencySampler,
     win: AccessWindow,
 }
 
@@ -185,8 +133,7 @@ impl L3Fwd {
             vf,
             table,
             forwarded: 0,
-            latency: LatencySampler::new(0x13f),
-            win: AccessWindow::default(),
+            win: AccessWindow::with_latency(0x13f),
         }
     }
 
@@ -210,61 +157,35 @@ impl Workload for L3Fwd {
     }
 
     fn run(&mut self, ctx: &mut ExecCtx<'_>) -> ExecResult {
-        let mut used = 0u64;
-        let mut instructions = 0u64;
         let accrue = ctx.accrue();
-        // Same certain-bound-or-flush protocol as TestPmd: read the Rx
-        // descriptor and header, look the flow up, rewrite the header and
-        // post the Tx descriptor.
-        let budget = ctx.cycle_budget;
-        let max_access = ctx.max_access_cycles() as u64;
-        let mut win = std::mem::take(&mut self.win);
-        loop {
-            if win.upper_bound(used, max_access) >= budget {
-                win.flush(ctx, &mut used, Some(&mut self.latency));
-                if used >= budget {
-                    break;
-                }
-            }
-            let Some((idx, slot)) = self.vf.rx.pop() else {
-                win.flush(ctx, &mut used, Some(&mut self.latency));
-                let (i, c) = busy_poll(budget - used);
-                instructions += i;
-                used += c;
-                break;
-            };
+        AccessWindow::drive(self, |w| &mut w.win, ctx, 1, IDLE, |fwd, win, _, _| {
+            let (idx, slot) = fwd.vf.rx.pop()?;
             win.begin_item(L3FWD_PKT_CYCLES);
-            win.read(self.vf.rx.desc_addr(idx));
-            let buf = self.vf.rx.buf_addr(idx);
+            win.read(fwd.vf.rx.desc_addr(idx));
+            let buf = fwd.vf.rx.buf_addr(idx);
+            // Parse the header, look the flow up, rewrite the header.
             win.read(buf);
-            win.read(self.table.entry_line(slot.flow.0 as u64, 0));
+            win.read(fwd.table.entry_line(slot.flow.0 as u64, 0));
             win.write(buf);
             let tx_slot = PacketSlot::with_ext_buf(slot.flow, slot.size, buf);
-            if let Some(tx_idx) = self.vf.tx.push(tx_slot) {
-                win.write(self.vf.tx.desc_addr(tx_idx));
+            if let Some(tx_idx) = fwd.vf.tx.push(tx_slot) {
+                win.write(fwd.vf.tx.desc_addr(tx_idx));
                 if accrue {
-                    self.forwarded += 1;
+                    fwd.forwarded += 1;
                 }
             }
             win.end_item();
-            instructions += L3FWD_PKT_INSTR;
-        }
-        self.win = win;
-        ExecResult { instructions, cycles_used: used.min(budget) }
+            Some(L3FWD_PKT_INSTR)
+        })
     }
 
     fn metrics(&self) -> WorkloadMetrics {
-        WorkloadMetrics {
-            ops: self.forwarded,
-            avg_op_cycles: self.latency.mean(),
-            p99_op_cycles: self.latency.percentile(0.99),
-            drops: self.vf.rx.drops() + self.vf.tx.drops(),
-        }
+        self.win.metrics(self.forwarded, self.vf.rx.drops() + self.vf.tx.drops())
     }
 
     fn reset_metrics(&mut self) {
         self.forwarded = 0;
-        self.latency.reset();
+        self.win.reset_latency();
         self.vf.rx.reset_drops();
     }
 
@@ -325,13 +246,13 @@ mod tests {
                 used += cost;
                 instructions += TESTPMD_PKT_INSTR;
                 if accrue {
-                    pmd.latency.record(cost);
+                    pmd.win.latency_mut().record(cost);
                 }
             }
             if !progress {
-                let (i, c) = busy_poll(ctx.cycle_budget - used);
-                instructions += i;
-                used += c;
+                let iters = (ctx.cycle_budget - used) / POLL_CYCLES;
+                instructions += iters * POLL_INSTR;
+                used += iters * POLL_CYCLES;
                 break;
             }
         }
@@ -345,9 +266,9 @@ mod tests {
         let accrue = ctx.accrue();
         while used < ctx.cycle_budget {
             let Some((idx, slot)) = fwd.vf.rx.pop() else {
-                let (i, c) = busy_poll(ctx.cycle_budget - used);
-                instructions += i;
-                used += c;
+                let iters = (ctx.cycle_budget - used) / POLL_CYCLES;
+                instructions += iters * POLL_INSTR;
+                used += iters * POLL_CYCLES;
                 break;
             };
             let mut cost = L3FWD_PKT_CYCLES;
@@ -367,7 +288,7 @@ mod tests {
             used += cost;
             instructions += L3FWD_PKT_INSTR;
             if accrue {
-                fwd.latency.record(cost);
+                fwd.win.latency_mut().record(cost);
             }
         }
         ExecResult { instructions, cycles_used: used.min(ctx.cycle_budget) }

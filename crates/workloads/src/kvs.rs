@@ -2,7 +2,6 @@
 //! (the paper's aggregation-model networking application, Fig. 14).
 
 use crate::ctx::{ChannelId, ExecCtx, ExecResult, Workload, WorkloadKind, WorkloadMetrics};
-use crate::latency::LatencySampler;
 use crate::region::HashRegion;
 use crate::window::AccessWindow;
 use crate::ycsb::{OpKind, YcsbMix};
@@ -13,6 +12,8 @@ use iat_netsim::PacketSlot;
 const POLL_CYCLES: u64 = 40;
 /// Instructions per empty poll iteration.
 const POLL_INSTR: u64 = 70;
+/// An idle store core busy-polls the rest of its budget.
+const IDLE: Option<(u64, u64)> = Some((POLL_CYCLES, POLL_INSTR));
 /// Base cycles per request (protocol parse, command dispatch, reply build).
 const REQ_CYCLES: u64 = 1_100;
 /// Instructions per request.
@@ -56,7 +57,6 @@ pub struct KvStore {
     mix: YcsbMix,
     state: u64,
     ops: u64,
-    latency: LatencySampler,
     win: AccessWindow,
 }
 
@@ -88,8 +88,7 @@ impl KvStore {
             mix,
             state: seed | 1,
             ops: 0,
-            latency: LatencySampler::new(seed ^ 0x6b76),
-            win: AccessWindow::default(),
+            win: AccessWindow::with_latency(seed ^ 0x6b76),
         }
     }
 
@@ -143,48 +142,28 @@ impl Workload for KvStore {
     }
 
     fn run(&mut self, ctx: &mut ExecCtx<'_>) -> ExecResult {
-        let mut used = 0u64;
-        let mut instructions = 0u64;
         let accrue = ctx.accrue();
-        // The certain-bound window protocol of `window.rs`: channel pops
-        // and pushes, the op draw and op counts do not depend on access
-        // costs, so requests enqueue until the bound reaches the budget.
-        let budget = ctx.cycle_budget;
-        let max_access = ctx.max_access_cycles() as u64;
-        let mut win = std::mem::take(&mut self.win);
-        loop {
-            if win.upper_bound(used, max_access) >= budget {
-                win.flush(ctx, &mut used, Some(&mut self.latency));
-                if used >= budget {
-                    break;
-                }
-            }
-            let rx = &mut ctx.channels.get_mut(self.rx).ring;
-            let Some((ridx, req)) = rx.pop() else {
-                win.flush(ctx, &mut used, Some(&mut self.latency));
-                let iters = (budget - used) / POLL_CYCLES;
-                instructions += iters * POLL_INSTR;
-                used += iters * POLL_CYCLES;
-                break;
-            };
-            let key = req.flow.0 as u64 % self.config.records;
+        AccessWindow::drive(self, |w| &mut w.win, ctx, 1, IDLE, |kv, win, ctx, _| {
+            let rx = &mut ctx.channels.get_mut(kv.rx).ring;
+            let (ridx, req) = rx.pop()?;
+            let key = req.flow.0 as u64 % kv.config.records;
             win.begin_item(REQ_CYCLES);
             // Parse the request (header line of the channel buffer).
             win.read(rx.buf_addr(ridx));
             // Hash-bucket probe.
-            win.read(self.buckets.entry_line(key, 0));
-            let u = self.next_uniform();
-            let op = self.mix.pick(u);
-            let vlines = self.value_lines();
+            win.read(kv.buckets.entry_line(key, 0));
+            let u = kv.next_uniform();
+            let op = kv.mix.pick(u);
+            let vlines = kv.value_lines();
             // Keys touched: `key` alone, or a scan's `scan_len` keys from it.
             let (touched, writes) = match op {
                 OpKind::Read => (1, false),
                 OpKind::Update | OpKind::Insert | OpKind::ReadModifyWrite => (1, true),
-                OpKind::Scan => (self.config.scan_len as u64, false),
+                OpKind::Scan => (kv.config.scan_len as u64, false),
             };
             let mut resp_bytes = 16u32; // status line
             for i in 0..touched {
-                let vaddr = self.value_addr((key + i) % self.config.records);
+                let vaddr = kv.value_addr((key + i) % kv.config.records);
                 for l in 0..vlines {
                     win.read(vaddr + l * LINE_BYTES);
                 }
@@ -193,15 +172,15 @@ impl Workload for KvStore {
                         win.write(vaddr + l * LINE_BYTES);
                     }
                 } else {
-                    resp_bytes += self.config.value_bytes;
+                    resp_bytes += kv.config.value_bytes;
                 }
             }
             // RMW reads back what it wrote before responding.
             if op == OpKind::ReadModifyWrite {
-                win.read(self.value_addr(key));
+                win.read(kv.value_addr(key));
             }
             // Build and enqueue the response.
-            let txc = &mut ctx.channels.get_mut(self.tx).ring;
+            let txc = &mut ctx.channels.get_mut(kv.tx).ring;
             if let Some(tidx) = txc.push(PacketSlot::new(req.flow, resp_bytes.min(1500))) {
                 let dst = txc.buf_addr(tidx);
                 for l in 0..iat_cachesim::lines_for(resp_bytes.min(1500) as u64) {
@@ -209,30 +188,20 @@ impl Workload for KvStore {
                 }
             }
             win.end_item();
-            instructions += REQ_INSTR * touched.max(1);
             if accrue {
-                self.ops += 1;
+                kv.ops += 1;
             }
-        }
-        self.win = win;
-        ExecResult {
-            instructions,
-            cycles_used: used.min(budget),
-        }
+            Some(REQ_INSTR * touched.max(1))
+        })
     }
 
     fn metrics(&self) -> WorkloadMetrics {
-        WorkloadMetrics {
-            ops: self.ops,
-            avg_op_cycles: self.latency.mean(),
-            p99_op_cycles: self.latency.percentile(0.99),
-            drops: 0,
-        }
+        self.win.metrics(self.ops, 0)
     }
 
     fn reset_metrics(&mut self) {
         self.ops = 0;
-        self.latency.reset();
+        self.win.reset_latency();
     }
 }
 
@@ -299,7 +268,7 @@ mod tests {
             instructions += REQ_INSTR * touched.max(1);
             if accrue {
                 kv.ops += 1;
-                kv.latency.record(cost);
+                kv.win.latency_mut().record(cost);
             }
         }
         ExecResult { instructions, cycles_used: used.min(ctx.cycle_budget) }
@@ -340,7 +309,7 @@ mod tests {
         (
             results,
             kv.metrics(),
-            format!("{:?}", kv.latency),
+            format!("{:?}", kv.win.latency_mut()),
             format!("{ch:?}"),
             h.accesses(),
             h.llc().state_digest(),

@@ -2,7 +2,6 @@
 //! per-flow statistics → NAPT (paper Sec. VI-C).
 
 use crate::ctx::{ExecCtx, ExecResult, Workload, WorkloadKind, WorkloadMetrics};
-use crate::latency::LatencySampler;
 use crate::region::HashRegion;
 use crate::window::AccessWindow;
 use iat_netsim::{PacketSlot, VirtualFunction};
@@ -11,6 +10,8 @@ use iat_netsim::{PacketSlot, VirtualFunction};
 const POLL_CYCLES: u64 = 30;
 /// Instructions per empty poll iteration.
 const POLL_INSTR: u64 = 55;
+/// An idle chain core busy-polls the rest of its budget.
+const IDLE: Option<(u64, u64)> = Some((POLL_CYCLES, POLL_INSTR));
 /// Base cycles per packet across the three elements.
 const CHAIN_CYCLES: u64 = 380;
 /// Instructions per packet across the chain.
@@ -44,7 +45,6 @@ pub struct NfChain {
     stats: HashRegion,
     napt: HashRegion,
     processed: u64,
-    latency: LatencySampler,
     win: AccessWindow,
 }
 
@@ -77,8 +77,7 @@ impl NfChain {
             stats,
             napt,
             processed: 0,
-            latency: LatencySampler::new(0xc11c),
-            win: AccessWindow::default(),
+            win: AccessWindow::with_latency(0xc11c),
         }
     }
 
@@ -102,84 +101,45 @@ impl Workload for NfChain {
     }
 
     fn run(&mut self, ctx: &mut ExecCtx<'_>) -> ExecResult {
-        let mut used = 0u64;
-        let mut instructions = 0u64;
         let accrue = ctx.accrue();
-        // TestPmd's certain-bound window protocol (see `window.rs`) over
-        // the chain's nine accesses per packet.
-        let budget = ctx.cycle_budget;
-        let max_access = ctx.max_access_cycles() as u64;
-        let mut win = std::mem::take(&mut self.win);
-        'outer: loop {
-            if win.upper_bound(used, max_access) >= budget {
-                win.flush(ctx, &mut used, Some(&mut self.latency));
-                if used >= budget {
-                    break;
+        let ports = self.ports.len();
+        AccessWindow::drive(self, |w| &mut w.win, ctx, ports, IDLE, |nf, win, _, p| {
+            let port = &mut nf.ports[p];
+            let (idx, slot) = port.rx.pop()?;
+            let key = slot.flow.0 as u64;
+            win.begin_item(CHAIN_CYCLES);
+            win.read(port.rx.desc_addr(idx));
+            let buf = port.rx.buf_addr(idx);
+            // Firewall: parse header, walk two classifier lines.
+            win.read(buf);
+            win.read(nf.firewall.entry_line(key, 0));
+            win.read(nf.firewall.entry_line(key.rotate_left(11), 0));
+            // Flow stats: read-modify-write the per-flow counter line.
+            win.read(nf.stats.entry_line(key, 0));
+            win.write(nf.stats.entry_line(key, 0));
+            // NAPT: translation lookup, then header rewrite.
+            win.read(nf.napt.entry_line(key, 0));
+            win.write(buf);
+            // Transmit zero-copy.
+            let tx_slot = PacketSlot::with_ext_buf(slot.flow, slot.size, buf);
+            if let Some(tidx) = port.tx.push(tx_slot) {
+                win.write(port.tx.desc_addr(tidx));
+                if accrue {
+                    nf.processed += 1;
                 }
             }
-            let mut progress = false;
-            for p in 0..self.ports.len() {
-                if win.upper_bound(used, max_access) >= budget {
-                    win.flush(ctx, &mut used, Some(&mut self.latency));
-                    if used >= budget {
-                        // A mid-scan stop implies a packet was processed,
-                        // so the access-at-a-time loop exits too.
-                        break 'outer;
-                    }
-                }
-                let port = &mut self.ports[p];
-                let Some((idx, slot)) = port.rx.pop() else { continue };
-                progress = true;
-                let key = slot.flow.0 as u64;
-                win.begin_item(CHAIN_CYCLES);
-                win.read(port.rx.desc_addr(idx));
-                let buf = port.rx.buf_addr(idx);
-                // Firewall: parse header, walk two classifier lines.
-                win.read(buf);
-                win.read(self.firewall.entry_line(key, 0));
-                win.read(self.firewall.entry_line(key.rotate_left(11), 0));
-                // Flow stats: read-modify-write the per-flow counter line.
-                win.read(self.stats.entry_line(key, 0));
-                win.write(self.stats.entry_line(key, 0));
-                // NAPT: translation lookup, then header rewrite.
-                win.read(self.napt.entry_line(key, 0));
-                win.write(buf);
-                // Transmit zero-copy.
-                let tx_slot = PacketSlot::with_ext_buf(slot.flow, slot.size, buf);
-                if let Some(tidx) = port.tx.push(tx_slot) {
-                    win.write(port.tx.desc_addr(tidx));
-                    if accrue {
-                        self.processed += 1;
-                    }
-                }
-                win.end_item();
-                instructions += CHAIN_INSTR;
-            }
-            if !progress {
-                // Stragglers must resolve before sizing the spin.
-                win.flush(ctx, &mut used, Some(&mut self.latency));
-                let iters = (budget - used) / POLL_CYCLES;
-                instructions += iters * POLL_INSTR;
-                used += iters * POLL_CYCLES;
-                break;
-            }
-        }
-        self.win = win;
-        ExecResult { instructions, cycles_used: used.min(budget) }
+            win.end_item();
+            Some(CHAIN_INSTR)
+        })
     }
 
     fn metrics(&self) -> WorkloadMetrics {
-        WorkloadMetrics {
-            ops: self.processed,
-            avg_op_cycles: self.latency.mean(),
-            p99_op_cycles: self.latency.percentile(0.99),
-            drops: self.ports.iter().map(|p| p.rx.drops() + p.tx.drops()).sum(),
-        }
+        self.win.metrics(self.processed, self.ports.iter().map(|p| p.rx.drops() + p.tx.drops()).sum())
     }
 
     fn reset_metrics(&mut self) {
         self.processed = 0;
-        self.latency.reset();
+        self.win.reset_latency();
         for p in &mut self.ports {
             p.rx.reset_drops();
         }
@@ -232,7 +192,7 @@ mod tests {
                 used += cost;
                 instructions += CHAIN_INSTR;
                 if accrue {
-                    nf.latency.record(cost);
+                    nf.win.latency_mut().record(cost);
                 }
             }
             if !progress {
@@ -279,7 +239,7 @@ mod tests {
         (
             results,
             nf.metrics(),
-            format!("{:?}", nf.latency),
+            format!("{:?}", nf.win.latency_mut()),
             format!("{:?}", nf.ports),
             h.accesses(),
             h.llc().state_digest(),

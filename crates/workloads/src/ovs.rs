@@ -11,7 +11,6 @@
 
 use crate::ctx::{ChannelId, ExecCtx, ExecResult, Workload, WorkloadKind,
                  WorkloadMetrics};
-use crate::latency::LatencySampler;
 use crate::region::HashRegion;
 use crate::window::AccessWindow;
 use iat_cachesim::LINE_BYTES;
@@ -21,6 +20,8 @@ use iat_netsim::{PacketSlot, VirtualFunction};
 const POLL_CYCLES: u64 = 30;
 /// Instructions per empty poll iteration.
 const POLL_INSTR: u64 = 55;
+/// An idle switch core busy-polls the rest of its budget.
+const IDLE: Option<(u64, u64)> = Some((POLL_CYCLES, POLL_INSTR));
 /// Base cost of an EMC-hit forward (parse, hash, batch overhead).
 const EMC_HIT_CYCLES: u64 = 180;
 /// Additional cost of a megaflow (wildcard) lookup.
@@ -73,7 +74,6 @@ pub struct OvsSwitch {
     emc_hits: u64,
     emc_misses: u64,
     chan_drops: u64,
-    latency: LatencySampler,
     win: AccessWindow,
 }
 
@@ -106,8 +106,7 @@ impl OvsSwitch {
             emc_hits: 0,
             emc_misses: 0,
             chan_drops: 0,
-            latency: LatencySampler::new(0x0175),
-            win: AccessWindow::default(),
+            win: AccessWindow::with_latency(0x0175),
         }
     }
 
@@ -148,6 +147,63 @@ impl OvsSwitch {
         self.emc_tags[slot] = flow;
         PKT_INSTR + MEGAFLOW_INSTR
     }
+
+    /// Inbound: port `p`'s next packet goes to its tenant channel.
+    fn forward_inbound(
+        &mut self,
+        win: &mut AccessWindow,
+        ctx: &mut ExecCtx<'_>,
+        p: usize,
+        accrue: bool,
+    ) -> Option<u64> {
+        let (idx, slot) = self.ports[p].rx.pop()?;
+        win.begin_item(0);
+        win.read(self.ports[p].rx.desc_addr(idx));
+        let instructions = self.lookup(win, slot.flow.0, accrue);
+        let att = self.attachments[p % self.attachments.len()];
+        let chan = &mut ctx.channels.get_mut(att.to_tenant).ring;
+        if let Some(cidx) = chan.push(PacketSlot::new(slot.flow, slot.size)) {
+            let dst = chan.buf_addr(cidx);
+            let src = self.ports[p].rx.buf_addr(idx);
+            copy_lines(win, src, dst, slot.payload_lines());
+            if accrue {
+                self.forwarded += 1;
+            }
+        } else if accrue {
+            self.chan_drops += 1;
+        }
+        win.end_item();
+        Some(instructions)
+    }
+
+    /// Outbound: attachment `i`'s next packet leaves through port Tx (one
+    /// copy into the mbuf).
+    fn forward_outbound(
+        &mut self,
+        win: &mut AccessWindow,
+        ctx: &mut ExecCtx<'_>,
+        i: usize,
+        accrue: bool,
+    ) -> Option<u64> {
+        let chan = &mut ctx.channels.get_mut(self.attachments[i].from_tenant).ring;
+        let (cidx, slot) = chan.pop()?;
+        let src = slot.ext_buf.unwrap_or_else(|| chan.buf_addr(cidx));
+        win.begin_item(0);
+        let instructions = self.lookup(win, slot.flow.0, accrue);
+        let port_idx = i % self.ports.len();
+        let port = &mut self.ports[port_idx];
+        if let Some(tidx) = port.tx.push(PacketSlot::new(slot.flow, slot.size)) {
+            copy_lines(win, src, port.tx.buf_addr(tidx), slot.payload_lines());
+            win.write(port.tx.desc_addr(tidx));
+            if accrue {
+                self.forwarded += 1;
+            }
+        } else if accrue {
+            self.chan_drops += 1;
+        }
+        win.end_item();
+        Some(instructions)
+    }
 }
 
 /// Enqueues the copy of `lines` payload lines from `src` to `dst`.
@@ -176,103 +232,18 @@ impl Workload for OvsSwitch {
     }
 
     fn run(&mut self, ctx: &mut ExecCtx<'_>) -> ExecResult {
-        let mut used = 0u64;
-        let mut instructions = 0u64;
         let accrue = ctx.accrue();
-        // The certain-bound window protocol of `window.rs`, with TestPmd's
-        // per-port checks on both scans: ring pops, EMC tag updates and
-        // channel pushes do not depend on access costs, so they happen at
-        // enqueue time.
-        let budget = ctx.cycle_budget;
-        let max_access = ctx.max_access_cycles() as u64;
-        let mut win = std::mem::take(&mut self.win);
-        'outer: loop {
-            if win.upper_bound(used, max_access) >= budget {
-                win.flush(ctx, &mut used, Some(&mut self.latency));
-                if used >= budget {
-                    break;
-                }
+        // Sources `0..ports` are the inbound scan, the rest the outbound
+        // scan, in the access-at-a-time loop's order.
+        let ports = self.ports.len();
+        let sources = ports + self.attachments.len();
+        AccessWindow::drive(self, |w| &mut w.win, ctx, sources, IDLE, |ovs, win, ctx, s| {
+            if s < ports {
+                ovs.forward_inbound(win, ctx, s, accrue)
+            } else {
+                ovs.forward_outbound(win, ctx, s - ports, accrue)
             }
-            let mut progress = false;
-
-            // Inbound: port -> tenant channel.
-            for p in 0..self.ports.len() {
-                if win.upper_bound(used, max_access) >= budget {
-                    win.flush(ctx, &mut used, Some(&mut self.latency));
-                    if used >= budget {
-                        // A mid-scan stop implies a packet was processed,
-                        // so the access-at-a-time loop skips the outbound
-                        // scan and exits too.
-                        break 'outer;
-                    }
-                }
-                let Some((idx, slot)) = self.ports[p].rx.pop() else {
-                    continue;
-                };
-                progress = true;
-                win.begin_item(0);
-                win.read(self.ports[p].rx.desc_addr(idx));
-                instructions += self.lookup(&mut win, slot.flow.0, accrue);
-                let att = self.attachments[p % self.attachments.len()];
-                let chan = &mut ctx.channels.get_mut(att.to_tenant).ring;
-                if let Some(cidx) = chan.push(PacketSlot::new(slot.flow, slot.size)) {
-                    let dst = chan.buf_addr(cidx);
-                    let src = self.ports[p].rx.buf_addr(idx);
-                    copy_lines(&mut win, src, dst, slot.payload_lines());
-                    if accrue {
-                        self.forwarded += 1;
-                    }
-                } else if accrue {
-                    self.chan_drops += 1;
-                }
-                win.end_item();
-            }
-
-            // Outbound: tenant channel -> port Tx (one copy into the mbuf).
-            for i in 0..self.attachments.len() {
-                if win.upper_bound(used, max_access) >= budget {
-                    win.flush(ctx, &mut used, Some(&mut self.latency));
-                    if used >= budget {
-                        break 'outer;
-                    }
-                }
-                let att = self.attachments[i];
-                let chan = &mut ctx.channels.get_mut(att.from_tenant).ring;
-                let Some((cidx, slot)) = chan.pop() else {
-                    continue;
-                };
-                progress = true;
-                let src = slot.ext_buf.unwrap_or_else(|| chan.buf_addr(cidx));
-                win.begin_item(0);
-                instructions += self.lookup(&mut win, slot.flow.0, accrue);
-                let port_idx = i % self.ports.len();
-                let port = &mut self.ports[port_idx];
-                if let Some(tidx) = port.tx.push(PacketSlot::new(slot.flow, slot.size)) {
-                    copy_lines(&mut win, src, port.tx.buf_addr(tidx), slot.payload_lines());
-                    win.write(port.tx.desc_addr(tidx));
-                    if accrue {
-                        self.forwarded += 1;
-                    }
-                } else if accrue {
-                    self.chan_drops += 1;
-                }
-                win.end_item();
-            }
-
-            if !progress {
-                // Stragglers must resolve before sizing the spin.
-                win.flush(ctx, &mut used, Some(&mut self.latency));
-                let iters = (budget - used) / POLL_CYCLES;
-                instructions += iters * POLL_INSTR;
-                used += iters * POLL_CYCLES;
-                break;
-            }
-        }
-        self.win = win;
-        ExecResult {
-            instructions,
-            cycles_used: used.min(budget),
-        }
+        })
     }
 
     fn metrics(&self) -> WorkloadMetrics {
@@ -281,12 +252,7 @@ impl Workload for OvsSwitch {
             .iter()
             .map(|p| p.rx.drops() + p.tx.drops())
             .sum::<u64>();
-        WorkloadMetrics {
-            ops: self.forwarded,
-            avg_op_cycles: self.latency.mean(),
-            p99_op_cycles: self.latency.percentile(0.99),
-            drops: self.chan_drops + port_drops,
-        }
+        self.win.metrics(self.forwarded, self.chan_drops + port_drops)
     }
 
     fn reset_metrics(&mut self) {
@@ -294,7 +260,7 @@ impl Workload for OvsSwitch {
         self.emc_hits = 0;
         self.emc_misses = 0;
         self.chan_drops = 0;
-        self.latency.reset();
+        self.win.reset_latency();
         for p in &mut self.ports {
             p.rx.reset_drops();
         }
@@ -386,7 +352,7 @@ mod tests {
                 used += cost;
                 instructions += lk_instr;
                 if accrue {
-                    ovs.latency.record(cost);
+                    ovs.win.latency_mut().record(cost);
                 }
             }
             for i in 0..ovs.attachments.len() {
@@ -417,7 +383,7 @@ mod tests {
                 used += cost;
                 instructions += lk_instr;
                 if accrue {
-                    ovs.latency.record(cost);
+                    ovs.win.latency_mut().record(cost);
                 }
             }
             if !progress {
@@ -488,7 +454,7 @@ mod tests {
             results,
             ovs.metrics(),
             (ovs.emc_hits, ovs.emc_misses),
-            format!("{:?}", ovs.latency),
+            format!("{:?}", ovs.win.latency_mut()),
             format!("{ch:?}"),
             format!("{:?}", ovs.ports),
             h.accesses(),

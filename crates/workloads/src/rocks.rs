@@ -3,7 +3,6 @@
 //! Sec. VI-C).
 
 use crate::ctx::{ExecCtx, ExecResult, Workload, WorkloadKind, WorkloadMetrics};
-use crate::latency::LatencySampler;
 use crate::region::HashRegion;
 use crate::window::AccessWindow;
 use crate::ycsb::{OpKind, YcsbMix};
@@ -54,7 +53,6 @@ pub struct RocksLike {
     zipf: Arc<ZipfTable>,
     state: u64,
     ops: u64,
-    latency: LatencySampler,
     win: AccessWindow,
 }
 
@@ -82,8 +80,7 @@ impl RocksLike {
             zipf: Arc::new(ZipfTable::new(config.records as usize, config.zipf_s)),
             state: seed | 1,
             ops: 0,
-            latency: LatencySampler::new(seed ^ 0x70c6),
-            win: AccessWindow::default(),
+            win: AccessWindow::with_latency(seed ^ 0x70c6),
         }
     }
 
@@ -177,47 +174,26 @@ impl Workload for RocksLike {
     }
 
     fn run(&mut self, ctx: &mut ExecCtx<'_>) -> ExecResult {
-        let mut used = 0u64;
-        let mut instructions = 0u64;
         let accrue = ctx.accrue();
-        // The certain-bound window protocol of `window.rs`: op and key
-        // draws do not depend on access costs, so ops enqueue until the
-        // bound reaches the budget.
-        let budget = ctx.cycle_budget;
-        let max_access = ctx.max_access_cycles() as u64;
-        let mut win = std::mem::take(&mut self.win);
-        loop {
-            if win.upper_bound(used, max_access) >= budget {
-                win.flush(ctx, &mut used, Some(&mut self.latency));
-                if used >= budget {
-                    break;
-                }
-            }
-            let u = (self.next_rand() >> 11) as f64 / (1u64 << 53) as f64;
-            let op = self.mix.pick(u);
-            let key = self.sample_key();
-            self.enqueue(&mut win, op, key);
-            instructions += OP_INSTR;
+        AccessWindow::drive(self, |w| &mut w.win, ctx, 1, None, |r, win, _, _| {
+            let u = (r.next_rand() >> 11) as f64 / (1u64 << 53) as f64;
+            let op = r.mix.pick(u);
+            let key = r.sample_key();
+            r.enqueue(win, op, key);
             if accrue {
-                self.ops += 1;
+                r.ops += 1;
             }
-        }
-        self.win = win;
-        ExecResult { instructions, cycles_used: used.min(budget) }
+            Some(OP_INSTR)
+        })
     }
 
     fn metrics(&self) -> WorkloadMetrics {
-        WorkloadMetrics {
-            ops: self.ops,
-            avg_op_cycles: self.latency.mean(),
-            p99_op_cycles: self.latency.percentile(0.99),
-            drops: 0,
-        }
+        self.win.metrics(self.ops, 0)
     }
 
     fn reset_metrics(&mut self) {
         self.ops = 0;
-        self.latency.reset();
+        self.win.reset_latency();
     }
 }
 
@@ -285,7 +261,7 @@ mod tests {
             instructions += OP_INSTR;
             if accrue {
                 r.ops += 1;
-                r.latency.record(cost);
+                r.win.latency_mut().record(cost);
             }
         }
         ExecResult { instructions, cycles_used: used.min(ctx.cycle_budget) }
@@ -310,7 +286,7 @@ mod tests {
             results.push(crate::run_slice(&mut h, &mut ch, &mut r, budget, step));
             h.set_stats_frozen(false);
         }
-        (results, r.metrics(), format!("{:?}", r.latency), h.accesses(), h.llc().state_digest())
+        (results, r.metrics(), format!("{:?}", r.win.latency_mut()), h.accesses(), h.llc().state_digest())
     }
 
     /// The windowed loop must match the access-at-a-time reference

@@ -173,56 +173,40 @@ impl Workload for SpecWorkload {
         let lines = self.profile.footprint / LINE_BYTES;
         let hot_lines = (self.profile.hot_bytes / LINE_BYTES).clamp(1, lines);
         let compute = (BLOCK_INSTR as f64 / self.profile.base_ipc) as u64;
-        let mut used = 0u64;
-        let mut instructions = 0u64;
         let accrue = ctx.accrue();
-        // The certain-bound window protocol of `window.rs`, one item per
-        // block: address draws do not depend on access costs, and blocks
-        // record no latency.
-        let budget = ctx.cycle_budget;
-        let max_access = ctx.max_access_cycles() as u64;
-        let mut win = std::mem::take(&mut self.win);
-        loop {
-            if win.upper_bound(used, max_access) >= budget {
-                win.flush(ctx, &mut used, None);
-                if used >= budget {
-                    break;
-                }
-            }
-            let exact = self.profile.apki as f64 + self.access_residue;
+        AccessWindow::drive(self, |w| &mut w.win, ctx, 1, None, |w, win, _, _| {
+            let exact = w.profile.apki as f64 + w.access_residue;
             let accesses = exact as u64;
-            self.access_residue = exact - accesses as f64;
+            w.access_residue = exact - accesses as f64;
             win.begin_item(compute);
             for _ in 0..accesses {
-                let r = self.next_rand();
+                let r = w.next_rand();
                 let u = (r >> 32) as f64 / u32::MAX as f64;
-                let line = if u < self.profile.random_frac {
+                let line = if u < w.profile.random_frac {
                     // Temporal locality: most random accesses revisit the
                     // hot working set.
                     let v = (r & 0xFFFF_FFFF) as f64 / u32::MAX as f64;
-                    if v < self.profile.hot_frac {
-                        self.next_rand() % hot_lines
+                    if v < w.profile.hot_frac {
+                        w.next_rand() % hot_lines
                     } else {
-                        self.next_rand() % lines
+                        w.next_rand() % lines
                     }
                 } else {
-                    self.cursor = (self.cursor + 1) % lines;
-                    self.cursor
+                    w.cursor = (w.cursor + 1) % lines;
+                    w.cursor
                 };
-                win.read(self.base + line * LINE_BYTES);
+                win.read(w.base + line * LINE_BYTES);
             }
             win.end_item();
-            instructions += BLOCK_INSTR;
             if accrue {
-                self.blocks += 1;
+                w.blocks += 1;
             }
-        }
-        self.win = win;
-        ExecResult { instructions, cycles_used: used.min(budget) }
+            Some(BLOCK_INSTR)
+        })
     }
 
     fn metrics(&self) -> WorkloadMetrics {
-        WorkloadMetrics { ops: self.blocks, avg_op_cycles: 0.0, p99_op_cycles: 0.0, drops: 0 }
+        self.win.metrics(self.blocks, 0)
     }
 
     fn reset_metrics(&mut self) {

@@ -1,34 +1,39 @@
-//! Windowed access batching: the one route by which every budget-looped
-//! workload resolves its cache accesses.
+//! The slice driver: the one route by which every workload spends its
+//! cycle budget and resolves its cache accesses.
 //!
-//! The workloads share one loop shape: pop or draw work, pay a fixed
+//! Every workload runs one loop shape. It scans its *sources* (Rx rings,
+//! channels, or an endless op or address generator) round-robin and
+//! serves at most one item from each: pop or draw work, pay a fixed
 //! per-item cost plus a handful of cache accesses whose *addresses* are
-//! independent of access outcomes, spend the summed cost from the cycle
-//! budget, and re-check the budget between items. TestPmd, L3Fwd, OVS,
-//! the KVS, the channel echo, RocksDB, the NF chain and SPEC all run this
-//! loop through an [`AccessWindow`]; X-Mem, whose items are single
-//! accesses, cuts its windows directly from the same bound.
+//! independent of access outcomes. The summed cost is spent from the
+//! cycle budget, and the budget is re-checked before each source. A full
+//! scan that serves nothing means the core is idle, and a polling core
+//! spins the rest of its budget. [`AccessWindow::drive`] runs that loop
+//! for TestPmd, L3Fwd, OVS, the KVS, the channel echo, the NF chain,
+//! RocksDB, SPEC and X-Mem; each supplies only its per-item body.
 //!
 //! Because each access costs at most `max_access_cycles`, the loop's
 //! control decisions are often *certain* long before the exact costs are
 //! known: as long as the upper bound `used + pending_fixed + max_cost ·
 //! pending_accesses` stays below the budget, the serial schedule could not
 //! have stopped either, so items can keep enqueueing. Only when the bound
-//! crosses the budget (or the loop must make a cost-dependent decision,
-//! e.g. how long to busy-poll) does the window flush: all pending accesses
-//! resolve in one slice-bucketed LLC batch, exact per-item costs are
-//! reconstructed **in item order** — which also keeps the order-sensitive
-//! latency-reservoir sampling identical — and the budget advances exactly
-//! as the serial loop would have. Results are therefore bit-identical to
-//! access-at-a-time execution; each workload keeps its access-at-a-time
+//! crosses the budget (or the core goes idle and must size its spin) does
+//! the window flush: all pending accesses resolve in one slice-bucketed
+//! LLC batch, exact per-item costs are reconstructed **in item order** —
+//! which also keeps the order-sensitive latency-reservoir sampling
+//! identical — and the budget advances exactly as the serial loop would
+//! have. For X-Mem, whose items are single reads, the bound cuts windows
+//! of `ceil(left / max_cost)` items. Results are therefore bit-identical
+//! to access-at-a-time execution; each workload keeps its access-at-a-time
 //! loop as a test-only reference and checks this.
 
-use crate::ctx::ExecCtx;
+use crate::ctx::{ExecCtx, ExecResult, WorkloadMetrics};
 use crate::latency::LatencySampler;
 use iat_cachesim::CoreOp;
 
-/// A window of in-flight items (packets, requests) whose cache accesses are
-/// enqueued but not yet resolved.
+/// A window of in-flight items (packets, requests, blocks) whose cache
+/// accesses are enqueued but not yet resolved, and the latency sampler
+/// their costs land in.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct AccessWindow {
     ops: Vec<(u64, CoreOp)>,
@@ -40,9 +45,72 @@ pub(crate) struct AccessWindow {
     cur_fixed: u64,
     cur_ops: u32,
     open: bool,
+    /// Records each resolved item's cost while metrics accrue; `None` for
+    /// workloads that report no latency (SPEC).
+    latency: Option<LatencySampler>,
 }
 
 impl AccessWindow {
+    /// A window that records item latencies in a sampler seeded `seed`.
+    pub fn with_latency(seed: u64) -> Self {
+        AccessWindow { latency: Some(LatencySampler::new(seed)), ..Self::default() }
+    }
+
+    /// Runs one slice of `w`, whose window `window` selects.
+    ///
+    /// Scans `sources` round-robin, calling `serve(w, win, ctx, source)`.
+    /// A call enqueues at most one item and returns its instructions, or
+    /// `None` if the source had nothing. Before each call the certain-bound
+    /// check runs, flushing once the bound reaches the budget and ending
+    /// the slice once the exact cycles do. A full scan that serves nothing
+    /// flushes the stragglers, then spins the rest of the budget at
+    /// `idle`'s (cycles, instructions) per empty poll; a workload without
+    /// a poll loop (`None`) ends its slice there.
+    pub fn drive<W>(
+        w: &mut W,
+        window: fn(&mut W) -> &mut AccessWindow,
+        ctx: &mut ExecCtx<'_>,
+        sources: usize,
+        idle: Option<(u64, u64)>,
+        mut serve: impl FnMut(&mut W, &mut AccessWindow, &mut ExecCtx<'_>, usize) -> Option<u64>,
+    ) -> ExecResult {
+        let mut win = std::mem::take(window(w));
+        let budget = ctx.cycle_budget;
+        let max_access = ctx.max_access_cycles() as u64;
+        let mut used = 0u64;
+        let mut instructions = 0u64;
+        'slice: loop {
+            let mut progress = false;
+            for source in 0..sources {
+                if win.upper_bound(used, max_access) >= budget {
+                    win.flush(ctx, &mut used);
+                    if used >= budget {
+                        // The access-at-a-time loop stops here too: a
+                        // mid-scan stop implies an earlier source served an
+                        // item, so its scan ends and its outer loop exits.
+                        break 'slice;
+                    }
+                }
+                if let Some(instr) = serve(w, &mut win, ctx, source) {
+                    instructions += instr;
+                    progress = true;
+                }
+            }
+            if !progress {
+                // Stragglers must resolve before sizing the spin.
+                win.flush(ctx, &mut used);
+                if let Some((cycles, instr)) = idle {
+                    let iters = (budget - used) / cycles;
+                    instructions += iters * instr;
+                    used += iters * cycles;
+                }
+                break;
+            }
+        }
+        *window(w) = win;
+        ExecResult { instructions, cycles_used: used.min(budget) }
+    }
+
     /// Starts a new item with `fixed` non-memory cycles.
     #[inline]
     pub fn begin_item(&mut self, fixed: u64) {
@@ -85,34 +153,48 @@ impl AccessWindow {
         self.open = false;
     }
 
+    /// The workload's metrics: `ops` and `drops` with the latency moments
+    /// of the sampler (zero without one).
+    pub fn metrics(&self, ops: u64, drops: u64) -> WorkloadMetrics {
+        let (avg_op_cycles, p99_op_cycles) =
+            self.latency.as_ref().map_or((0.0, 0.0), |l| (l.mean(), l.percentile(0.99)));
+        WorkloadMetrics { ops, avg_op_cycles, p99_op_cycles, drops }
+    }
+
+    /// Clears the latency sampler.
+    pub fn reset_latency(&mut self) {
+        if let Some(l) = self.latency.as_mut() {
+            l.reset();
+        }
+    }
+
+    /// The latency sampler, for the reference loops.
+    #[cfg(test)]
+    pub fn latency_mut(&mut self) -> &mut LatencySampler {
+        self.latency.as_mut().expect("window records latency")
+    }
+
     /// Upper bound on the budget consumed once everything pending
     /// resolves: exact `used` plus pending fixed costs plus `max_access`
     /// per unresolved access. While this stays below the budget, the
     /// serial loop provably would not have stopped.
     #[inline]
-    pub fn upper_bound(&self, used: u64, max_access: u64) -> u64 {
+    fn upper_bound(&self, used: u64, max_access: u64) -> u64 {
         used + self.fixed_sum + max_access * self.ops.len() as u64
     }
 
     /// Resolves every pending access in one batched LLC flush and adds
-    /// each item's exact cost to `used`, in item order. With a `latency`
-    /// sampler, each cost is also recorded there while metrics accrue.
-    /// No-op when nothing is pending.
-    pub fn flush(
-        &mut self,
-        ctx: &mut ExecCtx<'_>,
-        used: &mut u64,
-        mut latency: Option<&mut LatencySampler>,
-    ) {
+    /// each item's exact cost to `used`, in item order, recording it in
+    /// the latency sampler while metrics accrue. No-op when nothing is
+    /// pending.
+    fn flush(&mut self, ctx: &mut ExecCtx<'_>, used: &mut u64) {
         debug_assert!(!self.open, "flush with an item still open");
         if self.items.is_empty() {
             debug_assert!(self.ops.is_empty());
             return;
         }
         ctx.access_batch(&self.ops, &mut self.costs);
-        if !ctx.accrue() {
-            latency = None;
-        }
+        let mut latency = self.latency.as_mut().filter(|_| ctx.accrue());
         let mut ci = 0usize;
         for &(fixed, n) in &self.items {
             let end = ci + n as usize;

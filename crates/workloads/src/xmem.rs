@@ -3,18 +3,14 @@
 //! behaviour (Sec. III-B, Fig. 4 and Fig. 10).
 
 use crate::ctx::{ExecCtx, ExecResult, Workload, WorkloadKind, WorkloadMetrics};
-use crate::latency::LatencySampler;
-use iat_cachesim::{CoreOp, LINE_BYTES};
+use crate::window::AccessWindow;
+use iat_cachesim::LINE_BYTES;
 
 /// Instructions retired per X-Mem read iteration (address generation, load,
 /// loop overhead).
 const INSTR_PER_OP: u64 = 12;
 /// Non-memory cycles per iteration.
 const COMPUTE_CYCLES: u64 = 6;
-
-/// Cap on addresses generated per batched window (bounds scratch memory;
-/// epoch chunk budgets keep real windows far below this).
-const WINDOW_CAP: u64 = 4096;
 
 /// X-Mem with the random-read access pattern.
 ///
@@ -31,10 +27,7 @@ pub struct XMem {
     working_set: u64,
     state: u64,
     ops: u64,
-    latency: LatencySampler,
-    /// Scratch for batched windows (reused across slices).
-    ops_buf: Vec<(u64, CoreOp)>,
-    costs_buf: Vec<u32>,
+    win: AccessWindow,
 }
 
 impl XMem {
@@ -50,9 +43,7 @@ impl XMem {
             working_set,
             state: seed | 1,
             ops: 0,
-            latency: LatencySampler::new(seed ^ 0xA5A5),
-            ops_buf: Vec::new(),
-            costs_buf: Vec::new(),
+            win: AccessWindow::with_latency(seed ^ 0xA5A5),
         }
     }
 
@@ -97,54 +88,27 @@ impl Workload for XMem {
 
     fn run(&mut self, ctx: &mut ExecCtx<'_>) -> ExecResult {
         let lines = self.working_set / LINE_BYTES;
-        let mut used = 0u64;
-        let mut instructions = 0u64;
         let accrue = ctx.accrue();
-        // Batched windows. With `left` budget remaining, an
-        // access-at-a-time loop is guaranteed to run at least
-        // `ceil(left / max_cost)` more iterations (each costs at most
-        // `max_cost`), and the addresses do not depend on access outcomes
-        // — so that window can be generated up front and resolved in one
-        // slice-bucketed flush, bit-identical to the one-by-one schedule.
-        let max_cost = ctx.max_access_cycles() as u64 + COMPUTE_CYCLES;
-        let mut ops_buf = std::mem::take(&mut self.ops_buf);
-        let mut costs = std::mem::take(&mut self.costs_buf);
-        while used < ctx.cycle_budget {
-            let left = ctx.cycle_budget - used;
-            let k = left.div_ceil(max_cost).min(WINDOW_CAP);
-            ops_buf.clear();
-            for _ in 0..k {
-                let line = self.next_rand() % lines;
-                ops_buf.push((self.base + line * LINE_BYTES, CoreOp::Read));
+        // One item per dependent read.
+        AccessWindow::drive(self, |w| &mut w.win, ctx, 1, None, |x, win, _, _| {
+            let line = x.next_rand() % lines;
+            win.begin_item(COMPUTE_CYCLES);
+            win.read(x.base + line * LINE_BYTES);
+            win.end_item();
+            if accrue {
+                x.ops += 1;
             }
-            ctx.access_batch(&ops_buf, &mut costs);
-            for &c in &costs {
-                let cost = c as u64 + COMPUTE_CYCLES;
-                used += cost;
-                instructions += INSTR_PER_OP;
-                if accrue {
-                    self.ops += 1;
-                    self.latency.record(cost);
-                }
-            }
-        }
-        self.ops_buf = ops_buf;
-        self.costs_buf = costs;
-        ExecResult { instructions, cycles_used: used.min(ctx.cycle_budget) }
+            Some(INSTR_PER_OP)
+        })
     }
 
     fn metrics(&self) -> WorkloadMetrics {
-        WorkloadMetrics {
-            ops: self.ops,
-            avg_op_cycles: self.latency.mean(),
-            p99_op_cycles: self.latency.percentile(0.99),
-            drops: 0,
-        }
+        self.win.metrics(self.ops, 0)
     }
 
     fn reset_metrics(&mut self) {
         self.ops = 0;
-        self.latency.reset();
+        self.win.reset_latency();
     }
 }
 
@@ -152,7 +116,8 @@ impl Workload for XMem {
 mod tests {
     use super::*;
     use crate::ctx::Channels;
-    use iat_cachesim::{AgentId, MemoryHierarchy, WayMask};
+    use iat_cachesim::{AgentId, LatencyModel, MemoryHierarchy, WayMask};
+    use proptest::prelude::*;
 
     fn run_with(
         h: &mut MemoryHierarchy,
@@ -192,7 +157,7 @@ mod tests {
             instructions += INSTR_PER_OP;
             if accrue {
                 x.ops += 1;
-                x.latency.record(cost);
+                x.win.latency_mut().record(cost);
             }
         }
         ExecResult { instructions, cycles_used: used.min(ctx.cycle_budget) }
@@ -214,6 +179,51 @@ mod tests {
             (results, x.metrics(), h.accesses(), h.llc().state_digest())
         };
         assert_eq!(trace(XMem::run), trace(reference));
+    }
+
+    /// Per-slice results, metrics, the latency reservoir, accesses and the
+    /// LLC state digest.
+    type Trace = (Vec<ExecResult>, WorkloadMetrics, String, u64, u64);
+
+    /// Runs a `lines`-line working set through `budgets`, alternating two
+    /// masks and freezing statistics every fifth slice.
+    fn trace(
+        step: fn(&mut XMem, &mut ExecCtx<'_>) -> ExecResult,
+        latency: LatencyModel,
+        lines: u64,
+        budgets: &[u64],
+    ) -> Trace {
+        let mut h = crate::tiny_hierarchy(latency);
+        let mut x = XMem::new(0x100000, lines * LINE_BYTES, 5);
+        let mut results = Vec::new();
+        for (i, &budget) in budgets.iter().enumerate() {
+            let mask = if i % 2 == 0 { WayMask::all(4) } else { WayMask::single(1) };
+            h.set_stats_frozen(i % 5 == 4);
+            results.push(run_with(&mut h, &mut x, mask, budget, step));
+            h.set_stats_frozen(false);
+        }
+        let reservoir = format!("{:?}", x.win.latency_mut());
+        (results, x.metrics(), reservoir, h.accesses(), h.llc().state_digest())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// Random budgets and working sets (L2-resident to several times
+        /// the LLC) under two cost models: moving every access cost moves
+        /// every window cut, and the windowed loop must still equal its
+        /// reference.
+        #[test]
+        fn batched_matches_serial_under_random_schedules(
+            budgets in proptest::collection::vec(1u64..60_000, 1..8),
+            lines in 1u64..1024,
+            default_costs in any::<bool>(),
+        ) {
+            let lat = if default_costs { LatencyModel::default() } else { LatencyModel::new(1, 2, 3) };
+            prop_assert_eq!(
+                trace(XMem::run, lat, lines, &budgets),
+                trace(reference, lat, lines, &budgets)
+            );
+        }
     }
 
     #[test]
