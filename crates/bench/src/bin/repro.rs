@@ -311,27 +311,30 @@ fn main() {
         }
     }
 
-    // The wall-clock bench report. Written on every run — including
-    // `--check` and `--smoke` — but never staged through the job files,
+    // The wall-clock bench report. Never staged through the job files,
     // so it is exempt from the byte-compare above (timings vary run to
-    // run; the schema is what CI validates).
+    // run; the schema is what CI validates). Check mode (`--check`, and
+    // `--smoke`, which implies it) is read-only: it builds the report for
+    // the history line below but leaves the committed file alone.
     let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
     let mut report = bench_report(&out, &cli.opts, profile);
     attach_sample_errors(&mut report, &headlines);
-    let json = serde_json::to_string_pretty(&report).expect("bench report serializes");
-    match std::fs::create_dir_all(dir)
-        .and_then(|()| std::fs::write(&bench_path, format!("{json}\n")))
-    {
-        Ok(()) => progress(&format!("wrote {}", bench_path.display())),
-        Err(e) => {
-            progress(&format!("error: writing {}: {e}", bench_path.display()));
-            exit = 1;
+    if !cli.check {
+        let json = serde_json::to_string_pretty(&report).expect("bench report serializes");
+        match std::fs::create_dir_all(dir)
+            .and_then(|()| std::fs::write(&bench_path, format!("{json}\n")))
+        {
+            Ok(()) => progress(&format!("wrote {}", bench_path.display())),
+            Err(e) => {
+                progress(&format!("error: writing {}: {e}", bench_path.display()));
+                exit = 1;
+            }
         }
     }
 
     // The same run metrics in Prometheus text exposition format, for
-    // scraping or ad-hoc `grep`. Like the bench report it is written on
-    // every run and never byte-compared (gitignored).
+    // scraping or ad-hoc `grep`. Gitignored, so unlike the bench report
+    // it is written on every run, check mode included.
     let prom_path = dir.join("BENCH_metrics.prom");
     let prom = iat_telemetry::render_prometheus(&out.metrics.snapshot());
     if let Err(e) = std::fs::write(&prom_path, prom) {

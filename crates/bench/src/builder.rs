@@ -789,7 +789,7 @@ mod tests {
             let mut m = compile(&desc, seed).into_managed();
             m.run_intervals(2);
             let p = m.observe();
-            (m.accesses(), p.system.mem_read_bytes, p.system.mem_write_bytes)
+            (m.platform.hierarchy().accesses(), p.system.mem_read_bytes, p.system.mem_write_bytes)
         };
         assert_eq!(run(7), run(7), "same desc + seed => identical simulation");
         assert_ne!(run(7), run(8), "the seed must actually reach the workloads");

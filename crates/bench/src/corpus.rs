@@ -12,9 +12,9 @@
 //! byte-identical across `--jobs` settings.
 
 use crate::builder::{apply_action, compile, NicDesc, ScenarioAction, ScenarioBuilder, ScenarioDesc, TenantDesc, TrafficDesc, WorkloadDesc};
-use crate::figures::{rows_artifact, rows_from};
-use crate::harness::{take_sim_accesses, Managed};
-use crate::report::{f, record_accesses, Table};
+use crate::figures::{rows_artifact, rows_from, sim_job};
+use crate::harness::Managed;
+use crate::report::{f, Table};
 use crate::scenarios::{PolicyKind, LINE_RATE_40G};
 use iat::Priority;
 use iat_cachesim::config::SamplingLevel;
@@ -421,11 +421,10 @@ pub fn registry(spec: CorpusSpec) -> Registry {
         let leaf_class = class;
         let scenario_name = name.clone();
         reg.add(
-            JobSpec::new(name.clone(), format!("corpus-{class}"), move |ctx| {
+            sim_job(name.clone(), &format!("corpus-{class}"), move |ctx| {
                 let mut dice = Dice::new(ctx.seed("params"));
                 let desc = scenario(leaf_class, &scenario_name, &mut dice, &spec);
                 let record = run_scenario(&desc, ctx.seed("scenario"), &spec);
-                record_accesses(ctx, take_sim_accesses());
                 Ok(rows_artifact(vec![(row_cells(&record), record)]))
             })
             .sampled(SamplingLevel::Standard.spec()),

@@ -7,15 +7,13 @@
 //!
 //! One leaf job per ablated variant.
 
-use super::merge_rows;
+use super::{rows_artifact, Sweep};
 use crate::builder::{apply_action, ScenarioAction};
 use crate::catalog::{build, ScenarioParams};
-use crate::harness::take_sim_accesses;
-use crate::report::{f, record_accesses, FigureReport};
+use crate::report::f;
 use crate::scenarios::{measure, PolicyKind};
 use iat::{IatConfig, IatDaemon, IatFlags};
-use iat_runner::{JobSpec, Registry};
-use serde_json::Value;
+use iat_runner::Registry;
 
 /// Reaction probe: the Fig. 10 phase change under a given daemon
 /// configuration; returns (intervals until container 4 reaches 4 ways,
@@ -103,48 +101,26 @@ fn cases() -> Vec<Case> {
 }
 
 pub(crate) fn register(reg: &mut Registry) {
-    let leaves: Vec<String> = cases()
-        .iter()
-        .map(|c| format!("ablation/{}", c.slug))
-        .collect();
-    let spec = crate::sampling::spec_for("ablation").expect("ablation declares sampling");
+    let mut fig = Sweep::new(reg, "ablation");
     for case in cases() {
-        reg.add(
-            JobSpec::new(format!("ablation/{}", case.slug), "ablation", move |ctx| {
-                let (intervals, mops) =
-                    reaction(case.flags, case.threshold_stable, ctx.seed("scenario"));
-                record_accesses(ctx, take_sim_accesses());
-                Ok(super::rows_artifact(vec![(
-                    vec![case.name.into(), intervals.to_string(), f(mops, 1)],
-                    serde_json::json!({
-                        "variant": case.name, "intervals_to_4_ways": intervals, "pc4_mops": mops,
-                    }),
-                )]))
-            })
-            .sampled(spec),
-        );
+        fig.leaf(case.slug, move |seed| {
+            let (intervals, mops) = reaction(case.flags, case.threshold_stable, seed);
+            rows_artifact(vec![(
+                vec![case.name.into(), intervals.to_string(), f(mops, 1)],
+                serde_json::json!({
+                    "variant": case.name, "intervals_to_4_ways": intervals, "pc4_mops": mops,
+                }),
+            )])
+        });
     }
-    let deps: Vec<&str> = leaves.iter().map(String::as_str).collect();
-    reg.add(
-        JobSpec::new("ablation", "ablation", {
-            let leaves = leaves.clone();
-            move |ctx| {
-                let mut fig = FigureReport::new(
-                    "ablation",
-                    "Ablation — shuffle policy, stability threshold (Fig. 10 phase-change probe)",
-                    &["variant", "intervals to 4 ways", "pc4 Mops/s"],
-                );
-                merge_rows(&mut fig, ctx, &leaves);
-                fig.note(
-                    "Reading: the BE-sorted shuffle protects container 4's throughput; an\n\
-                     insensitive threshold (30%) fails to detect the phase change at all, while\n\
-                     1–10% react within a couple of intervals — the paper's dCAT-like\n\
-                     insensitivity in the useful range.",
-                );
-                fig.finish(ctx);
-                Ok(Value::Null)
-            }
-        })
-        .deps(&deps),
+    fig.report(
+        "Ablation — shuffle policy, stability threshold (Fig. 10 phase-change probe)",
+        &["variant", "intervals to 4 ways", "pc4 Mops/s"],
+        Some(
+            "Reading: the BE-sorted shuffle protects container 4's throughput; an\n\
+             insensitive threshold (30%) fails to detect the phase change at all, while\n\
+             1–10% react within a couple of intervals — the paper's dCAT-like\n\
+             insensitivity in the useful range.",
+        ),
     );
 }

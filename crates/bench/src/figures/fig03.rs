@@ -7,14 +7,12 @@
 //! that "a shallow Rx/Tx buffer can lead to severe packet drop issues,
 //! especially with bursty traffic". One leaf job per packet size.
 
-use super::{merge_rows, rows_artifact};
-use crate::harness::take_sim_accesses;
-use crate::report::{pct, record_accesses, FigureReport};
+use super::{rows_artifact, Row, Sweep};
+use crate::report::pct;
 use crate::catalog::{build, ScenarioParams};
 use crate::scenarios::LINE_RATE_40G;
 use iat_netsim::{rfc2544_search, FlowDist, Rfc2544Config, TrafficGen, TrafficPattern};
-use iat_runner::{JobSpec, Registry};
-use serde_json::Value;
+use iat_runner::Registry;
 
 /// One RFC 2544 trial: fresh platform, warm up, then measure drops.
 fn trial(ring: usize, pkt: u32, rate_bps: u64, seed: u64) -> u64 {
@@ -40,7 +38,7 @@ fn trial(ring: usize, pkt: u32, rate_bps: u64, seed: u64) -> u64 {
 }
 
 /// The ring sweep for one packet size.
-fn sweep(pkt: u32, seed: u64) -> Vec<(Vec<String>, Value)> {
+fn sweep(pkt: u32, seed: u64) -> Vec<Row> {
     let rings = [1024usize, 512, 256, 128, 64];
     let mut rows = Vec::new();
     let mut reference = None;
@@ -76,33 +74,17 @@ fn sweep(pkt: u32, seed: u64) -> Vec<(Vec<String>, Value)> {
 }
 
 pub(crate) fn register(reg: &mut Registry) {
-    let leaves: Vec<String> = [64u32, 1500]
-        .iter()
-        .map(|p| format!("fig03/{p}B"))
-        .collect();
-    for &pkt in &[64u32, 1500] {
-        reg.add(JobSpec::new(format!("fig03/{pkt}B"), "fig03", move |ctx| {
-            let rows = sweep(pkt, ctx.seed("scenario"));
-            record_accesses(ctx, take_sim_accesses());
-            Ok(rows_artifact(rows))
-        }));
+    let mut fig = Sweep::new(reg, "fig03");
+    for pkt in [64u32, 1500] {
+        fig.leaf(format!("{pkt}B"), move |seed| rows_artifact(sweep(pkt, seed)));
     }
-    reg.add(
-        JobSpec::new("fig03", "fig03", move |ctx| {
-            let mut fig = FigureReport::new(
-                "fig03",
-                "Fig. 3 — RFC2544 zero-loss throughput vs Rx ring size (l3fwd, 1M flows)",
-                &["pkt", "ring", "zero-loss Gb/s", "% of 1024-ring", "trials"],
-            );
-            merge_rows(&mut fig, ctx, &leaves);
-            fig.note(
-                "Paper shape: 64 B traffic collapses as the ring shrinks (512 entries already\n\
-                 loses >10%, 64 entries is a small fraction of line rate), while 1.5 KB traffic\n\
-                 tolerates shrinking until the ring is ~1/8 of the default.",
-            );
-            fig.finish(ctx);
-            Ok(Value::Null)
-        })
-        .deps(&["fig03/64B", "fig03/1500B"]),
+    fig.report(
+        "Fig. 3 — RFC2544 zero-loss throughput vs Rx ring size (l3fwd, 1M flows)",
+        &["pkt", "ring", "zero-loss Gb/s", "% of 1024-ring", "trials"],
+        Some(
+            "Paper shape: 64 B traffic collapses as the ring shrinks (512 entries already\n\
+             loses >10%, 64 entries is a small fraction of line rate), while 1.5 KB traffic\n\
+             tolerates shrinking until the ring is ~1/8 of the default.",
+        ),
     );
 }

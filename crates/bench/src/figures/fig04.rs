@@ -6,10 +6,10 @@
 //! latency with DDIO overlap, even though no *core* shares those ways.
 //! One leaf job per working-set size.
 
-use crate::harness::take_sim_accesses;
-use crate::report::{f, pct, record_accesses, FigureReport};
+use super::Sweep;
+use crate::report::{f, pct, FigureReport};
 use crate::catalog::{build, ScenarioParams};
-use iat_runner::{JobSpec, Registry};
+use iat_runner::Registry;
 use serde_json::{json, Value};
 
 /// Both placements for one working-set size: `(table rows, JSON record)`.
@@ -64,56 +64,36 @@ fn contend(ws: u64, seed: u64) -> (Vec<Vec<String>>, Value) {
 }
 
 pub(crate) fn register(reg: &mut Registry) {
-    let working_sets: [u64; 4] = [4 << 20, 8 << 20, 12 << 20, 16 << 20];
-    let leaves: Vec<String> = working_sets
-        .iter()
-        .map(|ws| format!("fig04/{}MB", ws >> 20))
-        .collect();
-    let spec = crate::sampling::spec_for("fig04").expect("fig04 declares sampling");
-    for &ws in &working_sets {
-        reg.add(
-            JobSpec::new(format!("fig04/{}MB", ws >> 20), "fig04", move |ctx| {
-                let (rows, record) = contend(ws, ctx.seed("scenario"));
-                record_accesses(ctx, take_sim_accesses());
-                Ok(json!({ "rows": rows, "record": record }))
-            })
-            .sampled(spec),
-        );
+    let mut fig = Sweep::new(reg, "fig04");
+    for ws in [4u64 << 20, 8 << 20, 12 << 20, 16 << 20] {
+        fig.leaf(format!("{}MB", ws >> 20), move |seed| {
+            let (rows, record) = contend(ws, seed);
+            json!({ "rows": rows, "record": record })
+        });
     }
-    reg.add(
-        JobSpec::new("fig04", "fig04", move |ctx| {
-            let mut fig = FigureReport::new(
-                "fig04",
-                "Fig. 4 — X-Mem with dedicated vs DDIO-overlapped ways (l3fwd @40G in background)",
-                &[
-                    "ws MB",
-                    "placement",
-                    "xmem Mops/s",
-                    "avg lat ns",
-                    "thr loss",
-                    "lat gain",
-                ],
-            );
-            for leaf in &leaves {
-                let art = ctx.dep(leaf).clone();
-                for row in art["rows"].as_array().expect("rows") {
-                    let cells: Vec<String> = row
-                        .as_array()
-                        .expect("cells")
-                        .iter()
-                        .map(|c| c.as_str().expect("cell").to_owned())
-                        .collect();
-                    fig.table_row(&cells);
-                }
-                fig.json(art["record"].clone());
+    fig.merge(|ctx, group, leaves| {
+        let mut fig = FigureReport::new(
+            group,
+            "Fig. 4 — X-Mem with dedicated vs DDIO-overlapped ways (l3fwd @40G in background)",
+            &["ws MB", "placement", "xmem Mops/s", "avg lat ns", "thr loss", "lat gain"],
+        );
+        for leaf in leaves {
+            let art = ctx.dep(leaf);
+            for row in art["rows"].as_array().expect("rows") {
+                let cells: Vec<String> = row
+                    .as_array()
+                    .expect("cells")
+                    .iter()
+                    .map(|c| c.as_str().expect("cell").to_owned())
+                    .collect();
+                fig.table_row(&cells);
             }
-            fig.note(
-                "Paper shape: DDIO overlap hurts X-Mem even though no core shares those ways\n\
-                 (paper: up to 26% throughput loss, 32% latency increase).",
-            );
-            fig.finish(ctx);
-            Ok(Value::Null)
-        })
-        .deps(&["fig04/4MB", "fig04/8MB", "fig04/12MB", "fig04/16MB"]),
-    );
+            fig.json(art["record"].clone());
+        }
+        fig.note(
+            "Paper shape: DDIO overlap hurts X-Mem even though no core shares those ways\n\
+             (paper: up to 26% throughput loss, 32% latency increase).",
+        );
+        fig.finish(ctx);
+    });
 }

@@ -7,18 +7,14 @@
 //! OVS IPC / cycles-per-packet — the paper's Fig. 8a–d. One leaf job
 //! per packet size.
 
-use super::{merge_rows, rows_artifact};
-use crate::harness::take_sim_accesses;
-use crate::report::{f, record_accesses, FigureReport};
+use super::{rows_artifact, Row, Sweep};
+use crate::report::f;
 use crate::catalog::{build, ScenarioParams};
 use crate::scenarios::{measure, PolicyKind};
-use iat_runner::{JobSpec, Registry};
-use serde_json::Value;
-
-const SIZES: [u32; 6] = [64, 128, 256, 512, 1024, 1500];
+use iat_runner::Registry;
 
 /// Both policies at one packet size.
-fn sweep(size: u32, seed: u64) -> Vec<(Vec<String>, Value)> {
+fn sweep(size: u32, seed: u64) -> Vec<Row> {
     let policies = [PolicyKind::Baseline(0), PolicyKind::Iat];
     let (warm, meas) = (6, 6);
     let mut rows = Vec::new();
@@ -73,36 +69,16 @@ fn sweep(size: u32, seed: u64) -> Vec<(Vec<String>, Value)> {
 }
 
 pub(crate) fn register(reg: &mut Registry) {
-    let leaves: Vec<String> = SIZES.iter().map(|s| format!("fig08/{s}B")).collect();
-    let spec = crate::sampling::spec_for("fig08").expect("fig08 declares sampling");
-    for &size in &SIZES {
-        reg.add(
-            JobSpec::new(format!("fig08/{size}B"), "fig08", move |ctx| {
-                let rows = sweep(size, ctx.seed("scenario"));
-                record_accesses(ctx, take_sim_accesses());
-                Ok(rows_artifact(rows))
-            })
-            .sampled(spec),
-        );
+    let mut fig = Sweep::new(reg, "fig08");
+    for size in [64u32, 128, 256, 512, 1024, 1500] {
+        fig.leaf(format!("{size}B"), move |seed| rows_artifact(sweep(size, seed)));
     }
-    let deps: Vec<&str> = leaves.iter().map(String::as_str).collect();
-    reg.add(
-        JobSpec::new("fig08", "fig08", {
-            let leaves = leaves.clone();
-            move |ctx| {
-                let mut fig = FigureReport::new(
-                    "fig08",
-                    "Fig. 8 — DDIO behaviour and OVS performance vs packet size (aggregation, line rate)",
-                    &[
-                        "pkt", "policy", "ddio_hit/s", "ddio_miss/s", "mem GB/s", "ovs IPC",
-                        "ovs CPP", "fwd pkt/s", "ddio_ways",
-                    ],
-                );
-                merge_rows(&mut fig, ctx, &leaves);
-                fig.finish(ctx);
-                Ok(Value::Null)
-            }
-        })
-        .deps(&deps),
+    fig.report(
+        "Fig. 8 — DDIO behaviour and OVS performance vs packet size (aggregation, line rate)",
+        &[
+            "pkt", "policy", "ddio_hit/s", "ddio_miss/s", "mem GB/s", "ovs IPC", "ovs CPP",
+            "fwd pkt/s", "ddio_ways",
+        ],
+        None,
     );
 }

@@ -4,18 +4,14 @@
 //! LLC miss count lower and IPC higher than the static baseline. One
 //! leaf job per flow count.
 
-use super::{merge_rows, rows_artifact};
-use crate::harness::take_sim_accesses;
-use crate::report::{f, record_accesses, FigureReport};
+use super::{rows_artifact, Row, Sweep};
+use crate::report::f;
 use crate::catalog::{build, ScenarioParams};
 use crate::scenarios::{measure, PolicyKind};
-use iat_runner::{JobSpec, Registry};
-use serde_json::Value;
-
-const FLOW_COUNTS: [u32; 6] = [1, 100, 1_000, 10_000, 100_000, 1_000_000];
+use iat_runner::Registry;
 
 /// Both policies at one flow count.
-fn sweep(flows: u32, seed: u64) -> Vec<(Vec<String>, Value)> {
+fn sweep(flows: u32, seed: u64) -> Vec<Row> {
     let policies = [PolicyKind::Baseline(0), PolicyKind::Iat];
     let (warm, meas) = (6, 6);
     let mut rows = Vec::new();
@@ -66,41 +62,17 @@ fn sweep(flows: u32, seed: u64) -> Vec<(Vec<String>, Value)> {
 }
 
 pub(crate) fn register(reg: &mut Registry) {
-    let leaves: Vec<String> = FLOW_COUNTS.iter().map(|n| format!("fig09/{n}f")).collect();
-    let spec = crate::sampling::spec_for("fig09").expect("fig09 declares sampling");
-    for &flows in &FLOW_COUNTS {
-        reg.add(
-            JobSpec::new(format!("fig09/{flows}f"), "fig09", move |ctx| {
-                let rows = sweep(flows, ctx.seed("scenario"));
-                record_accesses(ctx, take_sim_accesses());
-                Ok(rows_artifact(rows))
-            })
-            .sampled(spec),
-        );
+    let mut fig = Sweep::new(reg, "fig09");
+    for flows in [1u32, 100, 1_000, 10_000, 100_000, 1_000_000] {
+        fig.leaf(format!("{flows}f"), move |seed| rows_artifact(sweep(flows, seed)));
     }
-    let deps: Vec<&str> = leaves.iter().map(String::as_str).collect();
-    reg.add(
-        JobSpec::new("fig09", "fig09", {
-            let leaves = leaves.clone();
-            move |ctx| {
-                let mut fig = FigureReport::new(
-                    "fig09",
-                    "Fig. 9 — OVS under growing flow counts (64 B line rate, aggregation)",
-                    &[
-                        "flows", "policy", "ovs miss/s", "ovs missrate", "ovs IPC", "ovs ways",
-                        "fwd pkt/s",
-                    ],
-                );
-                merge_rows(&mut fig, ctx, &leaves);
-                fig.note(
-                    "Paper shape: beyond ~1k flows the static baseline's OVS suffers higher LLC\n\
-                     miss counts and lower IPC; IAT grows the stack's ways (Core Demand) and keeps\n\
-                     IPC up (paper: up to 11.4% higher).",
-                );
-                fig.finish(ctx);
-                Ok(Value::Null)
-            }
-        })
-        .deps(&deps),
+    fig.report(
+        "Fig. 9 — OVS under growing flow counts (64 B line rate, aggregation)",
+        &["flows", "policy", "ovs miss/s", "ovs missrate", "ovs IPC", "ovs ways", "fwd pkt/s"],
+        Some(
+            "Paper shape: beyond ~1k flows the static baseline's OVS suffers higher LLC\n\
+             miss counts and lower IPC; IAT grows the stack's ways (Core Demand) and keeps\n\
+             IPC up (paper: up to 11.4% higher).",
+        ),
     );
 }

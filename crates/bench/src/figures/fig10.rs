@@ -8,12 +8,12 @@
 //! latency in the 5–15 s and 15–25 s phases for baseline, Core-only,
 //! I/O-iso and IAT, across packet sizes. One leaf job per packet size.
 
+use super::Sweep;
 use crate::builder::{apply_action, ScenarioAction};
 use crate::catalog::{build, ScenarioParams};
-use crate::harness::take_sim_accesses;
-use crate::report::{f, record_accesses, Table};
+use crate::report::{f, Table};
 use crate::scenarios::{measure, PolicyKind, Window};
-use iat_runner::{JobSpec, Registry};
+use iat_runner::Registry;
 use serde_json::{json, Value};
 
 const SIZES: [u32; 3] = [64, 1024, 1500];
@@ -78,67 +78,48 @@ fn sweep(pkt: u32, seed: u64) -> Value {
 }
 
 pub(crate) fn register(reg: &mut Registry) {
-    let leaves: Vec<String> = SIZES.iter().map(|s| format!("fig10/{s}B")).collect();
-    let spec = crate::sampling::spec_for("fig10").expect("fig10 declares sampling");
-    for &pkt in &SIZES {
-        reg.add(
-            JobSpec::new(format!("fig10/{pkt}B"), "fig10", move |ctx| {
-                let cases = sweep(pkt, ctx.seed("scenario"));
-                record_accesses(ctx, take_sim_accesses());
-                Ok(cases)
-            })
-            .sampled(spec),
-        );
+    let mut fig = Sweep::new(reg, "fig10");
+    for pkt in SIZES {
+        fig.leaf(format!("{pkt}B"), move |seed| sweep(pkt, seed));
     }
-    let deps: Vec<&str> = leaves.iter().map(String::as_str).collect();
-    reg.add(
-        JobSpec::new("fig10", "fig10", {
-            let leaves = leaves.clone();
-            move |ctx| {
-                let mut t_thr = Table::new(
-                    "Fig. 10a/c — container 4 X-Mem throughput (Mops/s): after 5s | after 15s",
-                    &["pkt", "baseline", "core-only", "io-iso", "iat"],
-                );
-                let mut t_lat = Table::new(
-                    "Fig. 10b/d — container 4 X-Mem avg latency (ns): after 5s | after 15s",
-                    &["pkt", "baseline", "core-only", "io-iso", "iat"],
-                );
-                let mut records = Vec::new();
-                for (leaf, pkt) in leaves.iter().zip(SIZES) {
-                    let cases = ctx.dep(leaf).as_array().expect("cases").clone();
-                    let mut thr_cells = vec![pkt.to_string()];
-                    let mut lat_cells = vec![pkt.to_string()];
-                    for case in cases {
-                        let g = |phase: &str, key: &str| {
-                            case[phase][key].as_f64().expect("phase value")
-                        };
-                        thr_cells.push(format!(
-                            "{} | {}",
-                            f(g("after_5s", "mops"), 1),
-                            f(g("after_15s", "mops"), 1)
-                        ));
-                        lat_cells.push(format!(
-                            "{} | {}",
-                            f(g("after_5s", "avg_lat_ns"), 0),
-                            f(g("after_15s", "avg_lat_ns"), 0)
-                        ));
-                        records.push(case);
-                    }
-                    t_thr.row(&thr_cells);
-                    t_lat.row(&lat_cells);
-                }
-                t_thr.write_to(ctx);
-                t_lat.write_to(ctx);
-                ctx.outln(
-                    "\nPaper shape: after 5s IAT beats baseline everywhere (paper: +53.6%..+111.5%)\n\
-                     and Core-only fades as packets grow; after the manual DDIO widening at 15s,\n\
-                     Core-only collapses to baseline while IAT re-shuffles and keeps container 4\n\
-                     isolated; I/O-iso protects latency but squeezes capacity.",
-                );
-                ctx.save_json("fig10", &Value::Array(records));
-                Ok(Value::Null)
+    fig.merge(|ctx, group, leaves| {
+        let mut t_thr = Table::new(
+            "Fig. 10a/c — container 4 X-Mem throughput (Mops/s): after 5s | after 15s",
+            &["pkt", "baseline", "core-only", "io-iso", "iat"],
+        );
+        let mut t_lat = Table::new(
+            "Fig. 10b/d — container 4 X-Mem avg latency (ns): after 5s | after 15s",
+            &["pkt", "baseline", "core-only", "io-iso", "iat"],
+        );
+        let mut records = Vec::new();
+        for (leaf, pkt) in leaves.iter().zip(SIZES) {
+            let mut thr_cells = vec![pkt.to_string()];
+            let mut lat_cells = vec![pkt.to_string()];
+            for case in ctx.dep(leaf).as_array().expect("cases") {
+                let g = |phase: &str, key: &str| case[phase][key].as_f64().expect("phase value");
+                thr_cells.push(format!(
+                    "{} | {}",
+                    f(g("after_5s", "mops"), 1),
+                    f(g("after_15s", "mops"), 1)
+                ));
+                lat_cells.push(format!(
+                    "{} | {}",
+                    f(g("after_5s", "avg_lat_ns"), 0),
+                    f(g("after_15s", "avg_lat_ns"), 0)
+                ));
+                records.push(case.clone());
             }
-        })
-        .deps(&deps),
-    );
+            t_thr.row(&thr_cells);
+            t_lat.row(&lat_cells);
+        }
+        t_thr.write_to(ctx);
+        t_lat.write_to(ctx);
+        ctx.outln(
+            "\nPaper shape: after 5s IAT beats baseline everywhere (paper: +53.6%..+111.5%)\n\
+             and Core-only fades as packets grow; after the manual DDIO widening at 15s,\n\
+             Core-only collapses to baseline while IAT re-shuffles and keeps container 4\n\
+             isolated; I/O-iso protects latency but squeezes capacity.",
+        );
+        ctx.save_json(group, &Value::Array(records));
+    });
 }

@@ -9,16 +9,18 @@
 //! `results/fig11.metrics.json`. A single job — the timeline is one
 //! continuous 20 s run and cannot be sliced.
 
+use super::sim_job;
 use crate::builder::{apply_action, ScenarioAction};
 use crate::catalog::{build, ScenarioParams};
-use crate::harness::take_sim_accesses;
-use crate::report::{record_accesses, save_metrics, save_trace};
+use crate::report::{save_metrics, save_trace};
 use crate::scenarios::PolicyKind;
 use iat_cachesim::WayMask;
 use iat_platform::Recorder;
-use iat_runner::{JobCtx, JobSpec, Registry};
+use iat_runner::{JobCtx, Registry};
 use iat_telemetry::{summarize, RingRecorder};
 use serde_json::Value;
+
+const GROUP: &str = "fig11";
 
 fn mask_str(m: WayMask) -> String {
     match (m.lowest(), m.highest()) {
@@ -104,21 +106,19 @@ fn timeline(ctx: &mut JobCtx) -> Result<Value, String> {
          containers are shuffled onto DDIO's ways and container 4 stays isolated.",
     );
     ctx.save_json(
-        "fig11",
+        GROUP,
         &serde_json::from_str(&recorder.to_json()).map_err(|e| format!("timeline json: {e:?}"))?,
     );
     let events = flight.drain();
-    save_trace(ctx, "fig11.trace", &events);
+    save_trace(ctx, &format!("{GROUP}.trace"), &events);
     let summary = summarize(&events).snapshot();
     // Fold the daemon's decision-trace summary into the job registry so
     // the run-level metrics (and repro's cost line) see the msr writes.
     ctx.metrics.merge(&summary);
-    save_metrics(ctx, "fig11", &summary);
-    drop(m);
-    record_accesses(ctx, take_sim_accesses());
+    save_metrics(ctx, GROUP, &summary);
     Ok(Value::Null)
 }
 
 pub(crate) fn register(reg: &mut Registry) {
-    reg.add(JobSpec::new("fig11", "fig11", timeline));
+    reg.add(sim_job(GROUP, GROUP, timeline));
 }

@@ -4,23 +4,18 @@
 //! baseline (min–max over randomly rotated initial layouts) and IAT
 //! (shuffle-enabled, tenant re-allocation disabled, per Sec. VI-C).
 //!
-//! One leaf job per *sweep point*: the PC app's solo run and each
-//! networking co-runner are separate jobs, so the sweep's long pole is
-//! one (pc, net) point — four policy simulations that must stay
-//! together because they share convergence checkpoints — instead of a
-//! whole PC application's 18-simulation sweep. A per-PC mid-merge job
-//! keeps the historical `fig12/<pc>` name (and therefore the committed
-//! captures' seed derivation) and hands the assembled rows to the
-//! figure merge unchanged.
+//! One co-run point per PC application ([`super::Sweep::corun`]): the
+//! solo run and each networking co-runner are separate jobs, so the
+//! sweep's long pole is one (pc, net) point of four policy simulations
+//! instead of a whole PC application's 18-simulation sweep, and a
+//! mid-merge keeps the historical `fig12/<pc>` name and seeds.
 
-use super::{merge_rows, rows_artifact, rows_from};
-use crate::harness::take_sim_accesses;
-use crate::report::{f, record_accesses, FigureReport};
+use super::{Row, Sweep};
+use crate::report::f;
 use crate::catalog::{build, ScenarioParams};
 use crate::scenarios::{measure, NetApp, PcApp, PolicyKind};
-use iat_runner::{JobSpec, Registry};
+use iat_runner::Registry;
 use iat_workloads::{SpecProfile, YcsbMix};
-use serde_json::Value;
 
 const WARM: usize = 3;
 const MEASURE: usize = 4;
@@ -36,14 +31,7 @@ fn pc_rate(params: &ScenarioParams, pc_name: &str, seed: u64) -> f64 {
 /// One (pc, net) sweep point: the three baseline rotations plus IAT.
 /// The four policy variants stay in one job because they share
 /// convergence checkpoints (same scenario fingerprint).
-fn net_point(
-    pc_name: &str,
-    net_name: &str,
-    net: NetApp,
-    pc: PcApp,
-    solo: f64,
-    seed: u64,
-) -> (Vec<String>, Value) {
+fn net_point(pc_name: &str, pc: PcApp, net_name: &str, net: NetApp, solo: f64, seed: u64) -> Row {
     let rotations = [0usize, 2, 4];
     let co_rate = |policy: PolicyKind| {
         let params = ScenarioParams::AppCorun { net, pc, mix: YcsbMix::b(), with_be: true, policy };
@@ -74,8 +62,6 @@ fn net_point(
     )
 }
 
-const NETS: [(&str, NetApp); 2] = [("redis", NetApp::Redis), ("fastclick", NetApp::FastClick)];
-
 fn pc_apps() -> Vec<(String, PcApp)> {
     let mut v: Vec<(String, PcApp)> = [
         SpecProfile::mcf(),
@@ -92,86 +78,22 @@ fn pc_apps() -> Vec<(String, PcApp)> {
 }
 
 pub(crate) fn register(reg: &mut Registry) {
-    let leaves: Vec<String> = pc_apps()
-        .iter()
-        .map(|(name, _)| format!("fig12/{name}"))
-        .collect();
-    let spec = crate::sampling::spec_for("fig12").expect("fig12 declares sampling");
+    let mut fig = Sweep::new(reg, "fig12");
     for (pc_name, pc) in pc_apps() {
-        // Every point job derives its seed from the historical per-PC
-        // leaf name, so the split cannot move any scenario's seed.
-        let leaf = format!("fig12/{pc_name}");
-        let solo_job = format!("{leaf}/solo");
-        reg.add(
-            JobSpec::new(&solo_job, "fig12", {
-                let (leaf, pc_name) = (leaf.clone(), pc_name.clone());
-                move |ctx| {
-                    let params = ScenarioParams::PcSolo { pc };
-                    let solo = pc_rate(&params, &pc_name, ctx.seed_of(&leaf, "scenario"));
-                    record_accesses(ctx, take_sim_accesses());
-                    Ok(serde_json::json!(solo))
-                }
-            })
-            .sampled(spec),
-        );
-        for (net_name, net) in NETS {
-            reg.add(
-                JobSpec::new(format!("{leaf}/{net_name}"), "fig12", {
-                    let (leaf, solo_job) = (leaf.clone(), solo_job.clone());
-                    let pc_name = pc_name.clone();
-                    move |ctx| {
-                        let solo = ctx.dep(&solo_job).as_f64().expect("solo rate");
-                        let seed = ctx.seed_of(&leaf, "scenario");
-                        let row = net_point(&pc_name, net_name, net, pc, solo, seed);
-                        record_accesses(ctx, take_sim_accesses());
-                        Ok(rows_artifact(vec![row]))
-                    }
-                })
-                .deps(&[&solo_job])
-                .sampled(spec),
-            );
-        }
-        // Mid-merge under the historical leaf name: concatenates the
-        // per-net rows in fixed order for the figure merge below.
-        let point_jobs: Vec<String> = NETS
-            .iter()
-            .map(|(net_name, _)| format!("{leaf}/{net_name}"))
-            .collect();
-        let point_refs: Vec<&str> = point_jobs.iter().map(String::as_str).collect();
-        reg.add(
-            JobSpec::new(&leaf, "fig12", {
-                let point_jobs = point_jobs.clone();
-                move |ctx| {
-                    let mut rows = Vec::new();
-                    for p in &point_jobs {
-                        rows.extend(rows_from(ctx.dep(p)));
-                    }
-                    Ok(rows_artifact(rows))
-                }
-            })
-            .deps(&point_refs),
+        fig.corun(
+            &pc_name,
+            pc,
+            |pc_name, pc, seed| pc_rate(&ScenarioParams::PcSolo { pc }, pc_name, seed),
+            net_point,
         );
     }
-    let deps: Vec<&str> = leaves.iter().map(String::as_str).collect();
-    reg.add(
-        JobSpec::new("fig12", "fig12", {
-            let leaves = leaves.clone();
-            move |ctx| {
-                let mut fig = FigureReport::new(
-                    "fig12",
-                    "Fig. 12 — normalized execution time vs solo (1.0 = no slowdown)",
-                    &["pc app", "net app", "baseline min", "baseline max", "iat"],
-                );
-                merge_rows(&mut fig, ctx, &leaves);
-                fig.note(
-                    "Paper shape: baseline degradations range up to ~15% (Redis) / ~25% (FastClick)\n\
-                     depending on whether the random layout overlapped DDIO; IAT holds every\n\
-                     application within a few percent of solo.",
-                );
-                fig.finish(ctx);
-                Ok(Value::Null)
-            }
-        })
-        .deps(&deps),
+    fig.report(
+        "Fig. 12 — normalized execution time vs solo (1.0 = no slowdown)",
+        &["pc app", "net app", "baseline min", "baseline max", "iat"],
+        Some(
+            "Paper shape: baseline degradations range up to ~15% (Redis) / ~25% (FastClick)\n\
+             depending on whether the random layout overlapped DDIO; IAT holds every\n\
+             application within a few percent of solo.",
+        ),
     );
 }

@@ -4,14 +4,12 @@
 //! and p99 latency, normalized to the solo run (Redis + OVS alone).
 //! One leaf job per YCSB mix.
 
-use super::{merge_rows, rows_artifact};
-use crate::harness::take_sim_accesses;
-use crate::report::{f, record_accesses, FigureReport};
+use super::{rows_artifact, Row, Sweep};
+use crate::report::f;
 use crate::catalog::{build, ScenarioParams};
 use crate::scenarios::{measure, NetApp, PcApp, PolicyKind};
-use iat_runner::{JobSpec, Registry};
+use iat_runner::Registry;
 use iat_workloads::YcsbMix;
-use serde_json::Value;
 
 const WARM: usize = 3;
 const MEASURE: usize = 4;
@@ -40,7 +38,7 @@ fn redis_perf(mix: YcsbMix, pc: PcApp, with_be: bool, policy: PolicyKind, seed: 
 }
 
 /// Worst baseline layout and IAT for one YCSB mix, vs solo.
-fn sweep(mix: YcsbMix, seed: u64) -> Vec<(Vec<String>, Value)> {
+fn sweep(mix: YcsbMix, seed: u64) -> Vec<Row> {
     let rotations = [0usize, 2, 4];
     let solo = redis_perf(mix, PcApp::None, false, PolicyKind::Baseline(0), seed);
     // Worst baseline layout (max degradation).
@@ -89,41 +87,17 @@ fn sweep(mix: YcsbMix, seed: u64) -> Vec<(Vec<String>, Value)> {
 }
 
 pub(crate) fn register(reg: &mut Registry) {
-    let leaves: Vec<String> = YcsbMix::all()
-        .iter()
-        .map(|mix| format!("fig14/{}", mix.name))
-        .collect();
-    let spec = crate::sampling::spec_for("fig14").expect("fig14 declares sampling");
+    let mut fig = Sweep::new(reg, "fig14");
     for mix in YcsbMix::all() {
-        reg.add(
-            JobSpec::new(format!("fig14/{}", mix.name), "fig14", move |ctx| {
-                let rows = sweep(mix, ctx.seed("scenario"));
-                record_accesses(ctx, take_sim_accesses());
-                Ok(rows_artifact(rows))
-            })
-            .sampled(spec),
-        );
+        fig.leaf(mix.name, move |seed| rows_artifact(sweep(mix, seed)));
     }
-    let deps: Vec<&str> = leaves.iter().map(String::as_str).collect();
-    reg.add(
-        JobSpec::new("fig14", "fig14", {
-            let leaves = leaves.clone();
-            move |ctx| {
-                let mut fig = FigureReport::new(
-                    "fig14",
-                    "Fig. 14 — Redis YCSB degradation vs solo: throughput / avg latency / p99",
-                    &["ycsb", "policy", "thr loss", "avg lat +", "p99 lat +"],
-                );
-                merge_rows(&mut fig, ctx, &leaves);
-                fig.note(
-                    "Paper shape: worst-case baseline layouts cost Redis 7.1–24.5% throughput,\n\
-                     7.9–26.5% average and 10.1–20.4% tail latency; IAT limits the damage to\n\
-                     2.8–5.6% / 2.9–8.9% / 2.8–8.7%.",
-                );
-                fig.finish(ctx);
-                Ok(Value::Null)
-            }
-        })
-        .deps(&deps),
+    fig.report(
+        "Fig. 14 — Redis YCSB degradation vs solo: throughput / avg latency / p99",
+        &["ycsb", "policy", "thr loss", "avg lat +", "p99 lat +"],
+        Some(
+            "Paper shape: worst-case baseline layouts cost Redis 7.1–24.5% throughput,\n\
+             7.9–26.5% average and 10.1–20.4% tail latency; IAT limits the damage to\n\
+             2.8–5.6% / 2.9–8.9% / 2.8–8.7%.",
+        ),
     );
 }

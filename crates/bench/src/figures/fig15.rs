@@ -61,9 +61,11 @@ fn poll(count: usize, cores_each: usize, base: u64, jitter: f64) -> Poll {
     }
 }
 
+const GROUP: &str = "fig15";
+
 fn run(ctx: &mut JobCtx) -> Result<Value, String> {
     let mut fig = FigureReport::new(
-        "fig15",
+        GROUP,
         "Fig. 15 — IAT iteration execution time (modelled, us)",
         &["tenants", "cores/tenant", "stable us", "unstable us"],
     );
@@ -135,5 +137,5 @@ fn run(ctx: &mut JobCtx) -> Result<Value, String> {
 }
 
 pub(crate) fn register(reg: &mut Registry) {
-    reg.add(JobSpec::new("fig15", "fig15", run).smoke());
+    reg.add(JobSpec::new(GROUP, GROUP, run).smoke());
 }

@@ -6,6 +6,8 @@ use iat_platform::PlatformConfig;
 use iat_runner::{JobCtx, JobSpec, Registry};
 use serde_json::Value;
 
+const GROUP: &str = "table1";
+
 fn run(ctx: &mut JobCtx) -> Result<Value, String> {
     let c = PlatformConfig::xeon_6140();
     let mut t = Table::new(
@@ -62,5 +64,5 @@ fn run(ctx: &mut JobCtx) -> Result<Value, String> {
 }
 
 pub(crate) fn register(reg: &mut Registry) {
-    reg.add(JobSpec::new("table1", "table1", run).smoke());
+    reg.add(JobSpec::new(GROUP, GROUP, run).smoke());
 }

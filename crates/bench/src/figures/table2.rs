@@ -6,6 +6,8 @@ use iat::IatConfig;
 use iat_runner::{JobCtx, JobSpec, Registry};
 use serde_json::Value;
 
+const GROUP: &str = "table2";
+
 fn run(ctx: &mut JobCtx) -> Result<Value, String> {
     let c = IatConfig::paper();
     let mut t = Table::new(
@@ -37,5 +39,5 @@ fn run(ctx: &mut JobCtx) -> Result<Value, String> {
 }
 
 pub(crate) fn register(reg: &mut Registry) {
-    reg.add(JobSpec::new("table2", "table2", run).smoke());
+    reg.add(JobSpec::new(GROUP, GROUP, run).smoke());
 }

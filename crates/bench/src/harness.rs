@@ -120,9 +120,8 @@ impl Managed {
                 });
             }
         }
-        let poll = self
-            .monitor
-            .poll_traced(self.platform.llc(), self.platform.bank(), stamp, rec);
+        let poll = self.monitor.poll(self.platform.llc(), self.platform.bank());
+        iat_platform::record_poll(&poll, stamp, rec);
         self.last_poll = Some(poll.clone());
         self.platform.sweep_nic_telemetry(stamp, rec);
         let policy_poll = if self.platform.sampled() {
@@ -217,13 +216,6 @@ impl Managed {
         self.intervals
     }
 
-    /// Total cache operations the platform has simulated (see
-    /// [`iat_cachesim::MemoryHierarchy::accesses`]) — read this at the
-    /// end of a job and report it via `report::record_accesses`.
-    pub fn accesses(&self) -> u64 {
-        self.platform.hierarchy().accesses()
-    }
-
     /// Takes a fresh cumulative poll without advancing the platform or the
     /// policy (an independent measurement process, like the paper's
     /// side-band pqos monitor in Fig. 11).
@@ -241,5 +233,83 @@ impl Managed {
     /// Modelled time in seconds.
     pub fn time_s(&self) -> f64 {
         self.platform.time_s()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::builder::{compile, NicDesc, ScenarioBuilder, TenantDesc, TrafficDesc, WorkloadDesc};
+    use crate::scenarios::PolicyKind;
+    use iat_netsim::{FlowDist, FlowId};
+    use iat_platform::PlatformConfig;
+    use iat_telemetry::RingRecorder;
+
+    /// A tiny managed platform with one testpmd tenant at 10 Gb/s, so
+    /// the poll carries DDIO traffic.
+    fn managed() -> Managed {
+        let traffic = TrafficDesc::new(0, 10_000_000_000, 64, FlowDist::Single(FlowId(0)));
+        let pmd = TenantDesc::new("pmd", WorkloadDesc::TestPmd { ports: vec![0] })
+            .cores(&[0])
+            .io()
+            .traffic(traffic);
+        let desc = ScenarioBuilder::new("poll")
+            .geometry(PlatformConfig::tiny())
+            .nic(NicDesc::ports(1))
+            .policy(PolicyKind::Baseline(0))
+            .interval_ns(10_000_000)
+            .tenant(pmd)
+            .desc();
+        compile(&desc, 1).into_managed()
+    }
+
+    #[test]
+    fn traced_interval_emits_one_poll_sample_matching_the_poll() {
+        let mut m = managed();
+        let mut rec = RingRecorder::new(1024);
+        m.step_interval_traced(&mut rec);
+        let samples: Vec<Event> =
+            rec.drain().into_iter().filter(|e| e.kind() == "poll_sample").collect();
+        assert_eq!(samples.len(), 1, "one poll sample per interval");
+        let poll = m.last_poll.as_ref().expect("the interval polled");
+        let Event::PollSample {
+            stamp,
+            tenant_count,
+            llc_refs,
+            llc_misses,
+            ddio_hits,
+            ddio_misses,
+            cost_ns,
+        } = &samples[0]
+        else {
+            unreachable!("filtered to poll samples")
+        };
+        assert_eq!(*stamp, Stamp { iter: 1, time_ns: m.platform.time_ns() });
+        assert_eq!(usize::from(*tenant_count), poll.tenants.len());
+        assert_eq!(*llc_refs, poll.tenants.iter().map(|t| t.llc_references).sum::<u64>());
+        assert_eq!(*llc_misses, poll.tenants.iter().map(|t| t.llc_misses).sum::<u64>());
+        assert_eq!((*ddio_hits, *ddio_misses), (poll.system.ddio_hits, poll.system.ddio_misses));
+        assert_eq!(*cost_ns, poll.cost_ns as u64);
+        assert!(*llc_refs > 0 && *ddio_hits + *ddio_misses > 0, "the sample saw traffic");
+    }
+
+    #[test]
+    fn disabled_recorder_interval_records_nothing() {
+        /// Counts every event it is handed, while reporting itself
+        /// disabled the way `NullRecorder` does.
+        struct Disabled(usize);
+        impl Recorder for Disabled {
+            fn record(&mut self, _: Event) {
+                self.0 += 1;
+            }
+            fn enabled(&self) -> bool {
+                false
+            }
+        }
+        let mut m = managed();
+        let mut rec = Disabled(0);
+        m.step_interval_traced(&mut rec);
+        assert!(m.last_poll.is_some(), "the interval still polled");
+        assert_eq!(rec.0, 0, "a disabled recorder is handed no events");
     }
 }

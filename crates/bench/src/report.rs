@@ -78,26 +78,6 @@ pub fn pct(v: f64) -> String {
     format!("{:.1}%", v * 100.0)
 }
 
-/// Records cache operations a job simulated under the runner's
-/// [`iat_runner::ACCESSES_COUNTER`], the numerator of the sweep
-/// summary's and `BENCH_repro.json`'s accesses-per-second throughput.
-/// Call once per platform (or accumulation of platforms) with the final
-/// [`iat_cachesim::MemoryHierarchy::accesses`] reading.
-///
-/// Also drains the thread's fast-forwarded-epoch count into
-/// [`iat_runner::SKIPPED_EPOCHS_COUNTER`]: every simulating job reports
-/// it through this one call, so a sampled sweep can detect a job whose
-/// sampling silently fell back to exact execution (the counter stays
-/// zero). Exact jobs drain zero and report nothing.
-pub fn record_accesses(ctx: &mut JobCtx, accesses: u64) {
-    ctx.metrics.counter_add(iat_runner::ACCESSES_COUNTER, accesses);
-    let skipped = crate::harness::take_skipped_epochs();
-    if skipped > 0 {
-        ctx.metrics
-            .counter_add(iat_runner::SKIPPED_EPOCHS_COUNTER, skipped);
-    }
-}
-
 /// Stages a telemetry event trace as JSON lines for
 /// `results/<name>.jsonl`, one event object per line.
 pub fn save_trace(ctx: &mut JobCtx, name: &str, events: &[Event]) {

@@ -3,7 +3,6 @@
 use crate::bank::{CoreCounters, CounterBank};
 use crate::cost::CostModel;
 use iat_cachesim::{AgentId, Llc};
-use iat_telemetry::{Event, Recorder, Stamp};
 
 /// How DDIO hit/miss counts are obtained from the CHAs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,38 +159,6 @@ impl Monitor {
             cost_ns,
         }
     }
-
-    /// [`Monitor::poll`], additionally emitting a
-    /// [`Event::PollSample`] describing the sample to `rec`.
-    ///
-    /// `stamp` carries the enclosing daemon iteration and the simulated
-    /// time of the poll. With a disabled recorder this is exactly
-    /// `poll` plus one virtual call.
-    pub fn poll_traced(
-        &self,
-        llc: &Llc,
-        bank: &CounterBank,
-        stamp: Stamp,
-        rec: &mut dyn Recorder,
-    ) -> Poll {
-        let poll = self.poll(llc, bank);
-        if rec.enabled() {
-            let (refs, misses) = poll
-                .tenants
-                .iter()
-                .fold((0u64, 0u64), |(r, m), t| (r + t.llc_references, m + t.llc_misses));
-            rec.record(Event::PollSample {
-                stamp,
-                tenant_count: poll.tenants.len() as u16,
-                llc_refs: refs,
-                llc_misses: misses,
-                ddio_hits: poll.system.ddio_hits,
-                ddio_misses: poll.system.ddio_misses,
-                cost_ns: poll.cost_ns as u64,
-            });
-        }
-        poll
-    }
 }
 
 #[cfg(test)]
@@ -248,38 +215,6 @@ mod tests {
         let one = Monitor::new(spec.clone(), DdioSampleMode::OneSlice(0)).poll(&llc, &bank);
         let all = Monitor::new(spec, DdioSampleMode::AllSlices).poll(&llc, &bank);
         assert!(all.cost_ns > one.cost_ns);
-    }
-
-    #[test]
-    fn poll_traced_emits_matching_sample() {
-        use iat_telemetry::{NullRecorder, RingRecorder};
-        let (mut llc, mut bank) = setup();
-        let agent = AgentId::new(0);
-        llc.core_access(agent, WayMask::all(4), 0x40, CoreOp::Read);
-        llc.core_access(agent, WayMask::all(4), 0x40, CoreOp::Read);
-        bank.retire(0, 500, 1000);
-        let spec = MonitorSpec { tenants: vec![TenantSpec { agent, cores: vec![0] }] };
-        let m = Monitor::new(spec, DdioSampleMode::AllSlices);
-
-        let mut rec = RingRecorder::new(8);
-        let stamp = Stamp { iter: 5, time_ns: 123 };
-        let p = m.poll_traced(&llc, &bank, stamp, &mut rec);
-        let events = rec.drain();
-        assert_eq!(events.len(), 1);
-        match &events[0] {
-            Event::PollSample { stamp: s, tenant_count, llc_refs, llc_misses, cost_ns, .. } => {
-                assert_eq!(*s, stamp);
-                assert_eq!(*tenant_count, 1);
-                assert_eq!(*llc_refs, 2);
-                assert_eq!(*llc_misses, 1);
-                assert_eq!(*cost_ns, p.cost_ns as u64);
-            }
-            other => panic!("unexpected event {other:?}"),
-        }
-
-        // Null recorder: identical poll, no events anywhere.
-        let p2 = m.poll_traced(&llc, &bank, stamp, &mut NullRecorder);
-        assert_eq!(p2.tenants[0].llc_references, p.tenants[0].llc_references);
     }
 
     #[test]

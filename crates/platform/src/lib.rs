@@ -35,6 +35,6 @@ mod sampler;
 mod tenant;
 
 pub use config::PlatformConfig;
-pub use platform::{take_sim_accesses, take_skipped_epochs, EpochReport, Platform};
+pub use platform::{record_poll, take_sim_accesses, take_skipped_epochs, EpochReport, Platform};
 pub use recorder::Recorder;
 pub use tenant::{Tenant, TenantId, TrafficBinding};

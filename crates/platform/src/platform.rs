@@ -4,7 +4,7 @@ use crate::config::PlatformConfig;
 use crate::sampler::{EpochAction, Sampler};
 use crate::tenant::{Tenant, TenantId};
 use iat_cachesim::{Llc, MemoryHierarchy};
-use iat_perf::{CounterBank, MonitorSpec, TenantSpec};
+use iat_perf::{CounterBank, MonitorSpec, Poll, TenantSpec};
 use iat_rdt::Rdt;
 use iat_telemetry::phases::{self, Phase};
 use iat_telemetry::span::{self, SpanTracer};
@@ -613,6 +613,29 @@ impl Platform {
             }
         }
     }
+}
+
+/// Records the [`Event::PollSample`] describing `poll`, taken at
+/// `stamp`, to `rec`: the LLC references and misses summed over the
+/// polled tenants, the DDIO counts and the poll's modelled cost. With a
+/// disabled recorder nothing is built.
+pub fn record_poll(poll: &Poll, stamp: Stamp, rec: &mut dyn Recorder) {
+    if !rec.enabled() {
+        return;
+    }
+    let (refs, misses) = poll
+        .tenants
+        .iter()
+        .fold((0u64, 0u64), |(r, m), t| (r + t.llc_references, m + t.llc_misses));
+    rec.record(Event::PollSample {
+        stamp,
+        tenant_count: poll.tenants.len() as u16,
+        llc_refs: refs,
+        llc_misses: misses,
+        ddio_hits: poll.system.ddio_hits,
+        ddio_misses: poll.system.ddio_misses,
+        cost_ns: poll.cost_ns as u64,
+    });
 }
 
 /// LLC references and misses summed over every agent: the totals the

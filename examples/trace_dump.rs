@@ -12,7 +12,7 @@ use iat_repro::cachesim::AgentId;
 use iat_repro::iat::{IatConfig, IatDaemon, IatFlags, LlcPolicy, Priority, TenantInfo};
 use iat_repro::netsim::{FlowDist, FlowId, Nic, TrafficGen, TrafficPattern, VfId};
 use iat_repro::perf::{DdioSampleMode, Monitor};
-use iat_repro::platform::{Platform, PlatformConfig, Tenant, TenantId, TrafficBinding};
+use iat_repro::platform::{record_poll, Platform, PlatformConfig, Tenant, TenantId, TrafficBinding};
 use iat_repro::rdt::ClosId;
 use iat_repro::telemetry::{render_timeline, summarize, RingRecorder, Stamp};
 use iat_repro::workloads::TestPmd;
@@ -63,7 +63,8 @@ fn main() {
     for iter in 1..=10u64 {
         platform.run_epochs(platform.epochs_per_second());
         let stamp = Stamp { iter, time_ns: platform.time_ns() };
-        let poll = monitor.poll_traced(platform.llc(), platform.bank(), stamp, &mut rec);
+        let poll = monitor.poll(platform.llc(), platform.bank());
+        record_poll(&poll, stamp, &mut rec);
         daemon.step_traced(platform.rdt_mut(), poll, stamp.time_ns, &mut rec);
     }
 

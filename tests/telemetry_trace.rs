@@ -8,7 +8,7 @@ use iat_repro::cachesim::AgentId;
 use iat_repro::iat::{IatConfig, IatDaemon, IatFlags, LlcPolicy, Priority, TenantInfo};
 use iat_repro::netsim::{FlowDist, FlowId, Nic, TrafficGen, TrafficPattern, VfId};
 use iat_repro::perf::{DdioSampleMode, Monitor};
-use iat_repro::platform::{Platform, PlatformConfig, Tenant, TenantId, TrafficBinding};
+use iat_repro::platform::{record_poll, Platform, PlatformConfig, Tenant, TenantId, TrafficBinding};
 use iat_repro::rdt::ClosId;
 use iat_repro::telemetry::{
     DecisionRecorder, Event, JsonlRecorder, NullRecorder, Recorder, RingRecorder, SpanTracer, Stamp,
@@ -63,7 +63,8 @@ fn traced_run(intervals: u64) -> Vec<Event> {
     for iter in 1..=intervals {
         platform.run_epochs(platform.epochs_per_second());
         let stamp = Stamp { iter, time_ns: platform.time_ns() };
-        let poll = monitor.poll_traced(platform.llc(), platform.bank(), stamp, &mut rec);
+        let poll = monitor.poll(platform.llc(), platform.bank());
+        record_poll(&poll, stamp, &mut rec);
         daemon.step_traced(platform.rdt_mut(), poll, stamp.time_ns, &mut rec);
     }
     assert_eq!(rec.dropped(), 0, "ring must be large enough for a clean trace");
@@ -168,7 +169,8 @@ fn decision_recorder_folds_daemon_run_into_step_records() {
     for iter in 1..=INTERVALS {
         platform.run_epochs(platform.epochs_per_second());
         let stamp = Stamp { iter, time_ns: platform.time_ns() };
-        let poll = monitor.poll_traced(platform.llc(), platform.bank(), stamp, &mut rec);
+        let poll = monitor.poll(platform.llc(), platform.bank());
+        record_poll(&poll, stamp, &mut rec);
         daemon.step_traced(platform.rdt_mut(), poll, stamp.time_ns, &mut rec);
     }
     assert_eq!(rec.dropped(), 0);
