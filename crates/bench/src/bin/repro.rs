@@ -16,10 +16,9 @@
 
 use iat_bench::corpus::CorpusSpec;
 use iat_runner::{
-    attach_sample_errors, bench_report, check_outputs, expected_costs, expected_job_costs,
-    history_record, load_json, parse_args, print_summary, progress, reset_staging_dirs, run,
-    trajectory_eligible, trajectory_update, unknown_filters, validate_history,
-    validate_trajectory, write_outputs, USAGE,
+    attach_sample_errors, bench_report, check_outputs, cost_summary, expected_costs,
+    expected_job_costs, load_json, parse_args, progress, reset_staging_dirs, run,
+    unknown_filters, write_outputs, USAGE,
 };
 use std::path::Path;
 
@@ -144,31 +143,26 @@ fn main() {
         exit = 1;
     }
 
-    print_summary(&out, &cli.opts.expected_costs);
+    progress(&cost_summary(&out, &cli.opts.expected_costs));
 
     // Corpus runs are graded on their summary artifact: it must exist on
     // disk, validate against the summary schema, and account for every
     // requested scenario — a corpus sweep that ran nothing is an error.
-    let mut corpus_summary: Option<serde_json::Value> = None;
     if let Some(count) = cli.corpus {
         let summary_path = dir.join("corpus_summary.json");
         match load_json(&summary_path)
             .and_then(|doc| {
                 iat_bench::corpus::validate_corpus_summary(&doc)
-                    .map(|ran| (ran, doc))
                     .map_err(|reason| iat_runner::LoadError::Schema {
                         path: summary_path.clone(),
                         reason,
                     })
             }) {
-            Ok((ran, doc)) if ran == count => {
-                progress(&format!(
-                    "corpus summary validates: {ran} scenario(s) ran ({})",
-                    summary_path.display()
-                ));
-                corpus_summary = Some(doc);
-            }
-            Ok((ran, _)) => {
+            Ok(ran) if ran == count => progress(&format!(
+                "corpus summary validates: {ran} scenario(s) ran ({})",
+                summary_path.display()
+            )),
+            Ok(ran) => {
                 progress(&format!(
                     "error: corpus summary covers {ran} scenario(s), expected {count}"
                 ));
@@ -311,15 +305,15 @@ fn main() {
         }
     }
 
-    // The wall-clock bench report. Never staged through the job files,
-    // so it is exempt from the byte-compare above (timings vary run to
-    // run; the schema is what CI validates). Check mode (`--check`, and
-    // `--smoke`, which implies it) is read-only: it builds the report for
-    // the history line below but leaves the committed file alone.
-    let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
-    let mut report = bench_report(&out, &cli.opts, profile);
-    attach_sample_errors(&mut report, &headlines);
+    // The wall-clock bench report, the run's one wall-clock record.
+    // Never staged through the job files, so it is exempt from the
+    // byte-compare above (timings vary run to run; the schema is what CI
+    // validates). Check mode (`--check`, and `--smoke`, which implies it)
+    // is read-only and leaves it alone.
     if !cli.check {
+        let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
+        let mut report = bench_report(&out, &cli.opts, profile);
+        attach_sample_errors(&mut report, &headlines);
         let json = serde_json::to_string_pretty(&report).expect("bench report serializes");
         match std::fs::create_dir_all(dir)
             .and_then(|()| std::fs::write(&bench_path, format!("{json}\n")))
@@ -328,93 +322,6 @@ fn main() {
             Err(e) => {
                 progress(&format!("error: writing {}: {e}", bench_path.display()));
                 exit = 1;
-            }
-        }
-    }
-
-    // The same run metrics in Prometheus text exposition format, for
-    // scraping or ad-hoc `grep`. Gitignored, so unlike the bench report
-    // it is written on every run, check mode included.
-    let prom_path = dir.join("BENCH_metrics.prom");
-    let prom = iat_telemetry::render_prometheus(&out.metrics.snapshot());
-    if let Err(e) = std::fs::write(&prom_path, prom) {
-        progress(&format!("error: writing {}: {e}", prom_path.display()));
-        exit = 1;
-    } else {
-        progress(&format!("wrote {}", prom_path.display()));
-    }
-
-    // Compact lines accumulate in BENCH_history.jsonl (gitignored — wall
-    // clock is machine-local) so perf work can see its own trajectory.
-    // Figure sweeps append one headline line; corpus runs append one line
-    // per scenario class (tagged `corpus_class`, scoped to that class's
-    // wall/accesses and mean metrics) so the generated corpus has a
-    // trajectory too without conflating it with the figure sweep's.
-    let history_lines: Vec<serde_json::Value> = match &corpus_summary {
-        Some(summary) => iat_runner::corpus_history_records(&report, summary),
-        None if cli.corpus.is_some() => Vec::new(), // summary invalid: exit=1 already
-        None => vec![history_record(&report)],
-    };
-    if !history_lines.is_empty() {
-        let history_path = exact_dir.join("BENCH_history.jsonl");
-        let mut text = String::new();
-        for line in &history_lines {
-            validate_history(line).expect("self-emitted history line validates");
-            text.push_str(&line.to_string());
-            text.push('\n');
-        }
-        if let Err(e) = std::fs::create_dir_all(exact_dir).and_then(|()| {
-            std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&history_path)
-                .and_then(|mut f| std::io::Write::write_all(&mut f, text.as_bytes()))
-        }) {
-            progress(&format!("error: appending {}: {e}", history_path.display()));
-            exit = 1;
-        }
-    }
-
-    // Full exact all-ok runs also refresh the committed PR-level trajectory
-    // (deduplicated on the run fingerprint, capped — see iat_runner). Check
-    // mode regenerates but does not write, so it stays read-only here too;
-    // corpus runs never touch it (different job set, different fingerprint).
-    if !cli.check && cli.corpus.is_none() && trajectory_eligible(&report, &cli.opts) {
-        let trajectory_path = exact_dir.join("BENCH_trajectory.json");
-        // The trajectory is a committed capture: silently dropping a
-        // corrupt one (the old `.ok()` fallback) would rewrite history
-        // from scratch. Absence is the normal first-run case; anything
-        // else is a hard error.
-        let prev = match load_json(&trajectory_path) {
-            Ok(doc) => Some(doc),
-            Err(e) if e.is_not_found() => Some(serde_json::Value::Null),
-            Err(e) => {
-                progress(&format!(
-                    "error: committed trajectory is unreadable (fix or remove it): {e}"
-                ));
-                exit = 1;
-                None
-            }
-        };
-        if let Some(prev) = prev {
-            // Earlier records carry over as they are, so a stale one (e.g.
-            // holding a retired option's key) fails validation here.
-            let doc = trajectory_update(&prev, &report);
-            if let Err(e) = validate_trajectory(&doc) {
-                progress(&format!("error: committed trajectory does not validate: {e}"));
-                exit = 1;
-            } else {
-                let json = serde_json::to_string_pretty(&doc).expect("trajectory serializes");
-                match std::fs::write(&trajectory_path, format!("{json}\n")) {
-                    Ok(()) => progress(&format!("wrote {}", trajectory_path.display())),
-                    Err(e) => {
-                        progress(&format!(
-                            "error: writing {}: {e}",
-                            trajectory_path.display()
-                        ));
-                        exit = 1;
-                    }
-                }
             }
         }
     }

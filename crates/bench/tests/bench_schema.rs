@@ -1,32 +1,21 @@
-//! Guards the committed wall-clock bench artifacts: `results/BENCH_repro.json`
+//! Guards the committed wall-clock record: `results/BENCH_repro.json`
 //! must parse and satisfy the current report schema, and its figure list
-//! must cover every job group the registry defines;
-//! `results/BENCH_trajectory.json` must satisfy the trajectory schema.
-//! (Timings themselves are machine-dependent and deliberately not
-//! byte-compared — see `iat_runner::bench_report`.)
+//! must cover every job group the registry defines. (Timings themselves
+//! are machine-dependent and deliberately not byte-compared — see
+//! `iat_runner::bench_report`.)
 
-use iat_runner::{validate_bench_report, validate_trajectory};
+use iat_runner::validate_bench_report;
 use std::path::Path;
 
-fn committed(name: &str) -> serde_json::Value {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results").join(name);
+fn committed_report() -> serde_json::Value {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/BENCH_repro.json");
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
             "{} missing ({e}); regenerate with `cargo run --release -p iat-bench --bin repro`",
             path.display()
         )
     });
-    serde_json::from_str(&text).unwrap_or_else(|e| panic!("{name} parses: {e}"))
-}
-
-fn committed_report() -> serde_json::Value {
-    committed("BENCH_repro.json")
-}
-
-#[test]
-fn committed_trajectory_is_schema_valid() {
-    let doc = committed("BENCH_trajectory.json");
-    validate_trajectory(&doc).expect("committed BENCH_trajectory.json validates");
+    serde_json::from_str(&text).unwrap_or_else(|e| panic!("BENCH_repro.json parses: {e}"))
 }
 
 #[test]

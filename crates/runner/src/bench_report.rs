@@ -1,128 +1,115 @@
-//! The wall-clock bench report (`BENCH_repro.json`): every sweep emits
-//! per-figure and total wall-clock, simulated cache accesses, and
-//! accesses-per-second so the repo accumulates a performance trajectory
-//! that later PRs can be held to.
+//! The wall-clock bench report (`BENCH_repro.json`), the one record of a
+//! sweep's wall clock, and the end-of-run cost summary printed from the
+//! same per-figure fold.
 //!
-//! The report is *metadata about a run*, not a determinism capture: it
-//! is written on every sweep but never byte-compared by `--check` (wall
-//! clock differs machine to machine). CI instead validates its schema
-//! with [`validate`].
+//! The report is *metadata about a run*, not a determinism capture: a
+//! writing sweep rewrites it, `--check` neither byte-compares nor writes
+//! it (wall clock differs machine to machine), and CI validates the
+//! committed one with [`validate`].
+//!
+//! The `iat-bench-repro/v8` shape:
+//!
+//! * top level: `schema`, `profile` (`"release"` or `"debug"`), `smoke`,
+//!   `sampled`, `jobs` (worker count), `root_seed`, `wall_s` (the sweep's
+//!   wall clock), `aggregate_job_cost_s` (the sum of job walls),
+//!   `accesses`, `skipped_epochs`, `accesses_per_s` (accesses over the
+//!   job cost of the figures that simulate any), `phase_ns` and
+//!   `figures`;
+//! * one `figures` entry per group, in registration order: `figure`,
+//!   `jobs`, `wall_s`, `accesses`, `accesses_per_s` (omitted for
+//!   access-free groups such as the static tables), `sampled`,
+//!   `skipped_epochs`, `phase_ns`, `job_wall_s` (each job's wall seconds,
+//!   the next run's scheduling hint) and `ok`; sampled runs add
+//!   `headline_exact`, `headline_sampled` and `sample_error_pct` (see
+//!   [`attach_sample_errors`]);
+//! * `phase_ns` holds exactly the seven nanosecond keys of
+//!   [`PhaseBreakdown`]: `setup`, `warmup`, `fast_warm`, `restore`,
+//!   `measure`, `flush` and `merge`. Flush nests inside the epoch
+//!   buckets, so the keys do not sum to the wall clock.
+//!
+//! An exact report carries no sampled figure and no skipped epoch. A
+//! document with any other schema tag is refused, never read through a
+//! compat path.
 
-use crate::exec::{Outcome, RunOptions, RunOutput};
+use crate::exec::{JobReport, Outcome, RunOptions, RunOutput};
 use iat_telemetry::PhaseBreakdown;
 use serde_json::{json, Value};
 
-/// Schema tag stamped into every report; bump when the shape changes.
-///
-/// v2: access-free figures (static tables) no longer carry a bogus
-/// `accesses_per_s: 0.0` — the key is omitted — and the top-level
-/// throughput divides by the job cost of access-reporting figures only;
-/// the `slice_workers` policy the sweep ran under is recorded.
-///
-/// v3: the report records whether the sweep ran phase-aware interval
-/// sampling (`sampled`, plus per-figure `sampled` and `skipped_epochs`),
-/// and sampled reports may carry per-figure `sample_error_pct` /
-/// `headline_exact` / `headline_sampled` once the extrapolated headline
-/// has been compared against the committed exact capture (see
-/// [`attach_sample_errors`]).
-///
-/// v4: per-figure and top-level `phase_ns` objects break the wall clock
-/// into `{setup, warmup, measure, flush, merge}` nanoseconds (see
-/// [`iat_telemetry::PhaseBreakdown`]; flush nests inside the epoch
-/// buckets and is reported separately, so the keys do not sum to the
-/// wall clock).
-///
-/// v5: `phase_ns` gains `fast_warm` (compile-time cold-start
-/// fast-forward) and `restore` (convergence-checkpoint restores) for a
-/// seven-key breakdown.
-///
-/// v6: every figure carries a `job_wall_s` object mapping each of its
-/// job names to that job's wall seconds — the per-job scheduling hint
-/// that keeps split sweeps (per-point leaves vs. cheap merge jobs)
-/// ordered longest-first.
-///
-/// v7: the `gen_workers` field v6 added is gone with the
-/// generation-worker lane (the tenant front end always runs inline).
-///
-/// v8: the `slice_workers` field v2 added is gone with the LLC
-/// slice-worker layer (every batch flush resolves inline).
+/// Schema tag stamped into every report; bump when the shape (module
+/// doc) changes.
 pub const BENCH_SCHEMA: &str = "iat-bench-repro/v8";
 
-/// Schema tag for one `BENCH_history.jsonl` line (see [`history_record`]).
-///
-/// v2: every line carries `mode` (`"exact"` or `"sampled"`) so the
-/// sampled fast path's aggregate seconds accumulate in the same file as
-/// the exact trajectory without the two being conflated, and a boolean
-/// `sampled` that must agree with it.
-pub const HISTORY_SCHEMA: &str = "iat-bench-history/v2";
+/// One figure group's jobs folded together.
+#[derive(Default)]
+struct GroupCost {
+    figure: String,
+    wall: f64,
+    jobs: usize,
+    accesses: u64,
+    sampled: bool,
+    skipped: u64,
+    ok: bool,
+    phases: PhaseBreakdown,
+    job_walls: Vec<(String, f64)>,
+}
 
-/// Schema tag for the committed `BENCH_trajectory.json` (see
-/// [`trajectory_update`]).
-pub const TRAJECTORY_SCHEMA: &str = "iat-bench-trajectory/v1";
+/// Folds job reports by figure group, in first-registration order: the
+/// one fold behind both [`bench_report`] and [`cost_summary`].
+fn fold_groups(reports: &[JobReport]) -> Vec<GroupCost> {
+    let mut groups: Vec<GroupCost> = Vec::new();
+    for r in reports {
+        let i = match groups.iter().position(|g| g.figure == r.group) {
+            Some(i) => i,
+            None => {
+                groups.push(GroupCost {
+                    figure: r.group.clone(),
+                    ok: true,
+                    ..GroupCost::default()
+                });
+                groups.len() - 1
+            }
+        };
+        let g = &mut groups[i];
+        let wall = r.wall.as_secs_f64();
+        g.wall += wall;
+        g.jobs += 1;
+        g.accesses += r.accesses;
+        g.sampled |= r.sampled;
+        g.skipped += r.skipped_epochs;
+        g.ok &= r.outcome == Outcome::Ok;
+        g.phases.add(&r.phases);
+        g.job_walls.push((r.name.clone(), wall));
+    }
+    groups
+}
 
-/// Upper bound on trajectory records; the oldest fall off so the
-/// committed file stays reviewable.
-const TRAJECTORY_CAP: usize = 50;
+/// `(aggregate job cost, job cost of the groups that simulate accesses,
+/// accesses)` over folded groups. Static-table groups stay out of the
+/// throughput denominator: they would only dilute it.
+fn totals(groups: &[GroupCost]) -> (f64, f64, u64) {
+    let busy = groups.iter().map(|g| g.wall).sum();
+    let sim_busy = groups
+        .iter()
+        .filter(|g| g.accesses > 0)
+        .map(|g| g.wall)
+        .sum();
+    (busy, sim_busy, groups.iter().map(|g| g.accesses).sum())
+}
 
 /// Builds the `BENCH_repro.json` document for one sweep execution.
 ///
 /// `profile` is the build profile the sweep ran under (`"release"` or
 /// `"debug"` — callers pass a `cfg!(debug_assertions)`-derived value so
-/// debug-profile numbers are never mistaken for the perf trajectory).
+/// debug-profile numbers are never mistaken for a release baseline).
 pub fn bench_report(out: &RunOutput, opts: &RunOptions, profile: &str) -> Value {
-    struct Group {
-        figure: String,
-        wall: f64,
-        jobs: usize,
-        accesses: u64,
-        sampled: bool,
-        skipped: u64,
-        ok: bool,
-        phases: PhaseBreakdown,
-        job_walls: Vec<(String, f64)>,
-    }
-    let mut figures: Vec<Group> = Vec::new();
-    for r in &out.reports {
-        let wall = r.wall.as_secs_f64();
-        match figures.iter_mut().find(|g| g.figure == r.group) {
-            Some(g) => {
-                g.wall += wall;
-                g.jobs += 1;
-                g.accesses += r.accesses;
-                g.sampled |= r.sampled;
-                g.skipped += r.skipped_epochs;
-                g.ok &= r.outcome == Outcome::Ok;
-                g.phases.add(&r.phases);
-                g.job_walls.push((r.name.clone(), wall));
-            }
-            None => figures.push(Group {
-                figure: r.group.clone(),
-                wall,
-                jobs: 1,
-                accesses: r.accesses,
-                sampled: r.sampled,
-                skipped: r.skipped_epochs,
-                ok: r.outcome == Outcome::Ok,
-                phases: r.phases,
-                job_walls: vec![(r.name.clone(), wall)],
-            }),
-        }
-    }
-    let busy: f64 = figures.iter().map(|g| g.wall).sum();
-    let accesses: u64 = figures.iter().map(|g| g.accesses).sum();
-    let skipped: u64 = figures.iter().map(|g| g.skipped).sum();
+    let groups = fold_groups(&out.reports);
+    let (busy, sim_busy, accesses) = totals(&groups);
+    let skipped: u64 = groups.iter().map(|g| g.skipped).sum();
     let mut phases = PhaseBreakdown::default();
-    for g in &figures {
+    for g in &groups {
         phases.add(&g.phases);
     }
-    // Aggregate throughput over the figures that actually simulate
-    // accesses; static-table groups would only dilute the number.
-    let sim_busy: f64 = figures
-        .iter()
-        .filter(|g| g.accesses > 0)
-        .map(|g| g.wall)
-        .sum();
-    let figures: Vec<Value> = figures
+    let figures: Vec<Value> = groups
         .into_iter()
         .map(|g| {
             let job_wall_s: serde_json::Map<String, Value> = g
@@ -162,6 +149,112 @@ pub fn bench_report(out: &RunOutput, opts: &RunOptions, profile: &str) -> Value 
         "phase_ns": phases.to_json(),
         "figures": figures,
     })
+}
+
+/// The wall-clock + per-figure cost summary, one line per figure group
+/// with simulated-access throughput where jobs reported it, for the
+/// caller to print.
+///
+/// `expected` is the previous run's per-figure cost (typically
+/// [`RunOptions::expected_costs`], loaded from the last committed
+/// `BENCH_repro.json`); when a group has history, the `vs prev` column
+/// shows this run's speedup (`3.1x`) or slowdown (`0.8x`) against it.
+pub fn cost_summary(out: &RunOutput, expected: &[(String, f64)]) -> String {
+    let groups = fold_groups(&out.reports);
+    let (busy, sim_busy, accesses) = totals(&groups);
+    let rule = "-".repeat(105);
+    let mut lines = vec![
+        String::new(),
+        "figure        jobs      cost   accesses   acc/s  vs prev  front/flush  setup/warm/fwarm/rest/meas/flush/merge".to_owned(),
+        rule.clone(),
+    ];
+    for g in &groups {
+        // Access-free groups (static tables) have no meaningful
+        // throughput — print a dash rather than a bogus `0 acc/s`.
+        let (acc_col, rate_col) = if g.accesses == 0 {
+            ("-".to_owned(), "-".to_owned())
+        } else {
+            (
+                human_count(g.accesses),
+                human_count((g.accesses as f64 / g.wall.max(1e-9)) as u64),
+            )
+        };
+        let delta_col = expected
+            .iter()
+            .find(|(name, _)| name == &g.figure)
+            .map_or("-".to_owned(), |(_, prev)| {
+                format!("{:.1}x", prev / g.wall.max(1e-9))
+            });
+        let s = |ns: u64| format!("{:.1}", ns as f64 / 1e9);
+        let p = &g.phases;
+        // Front end = epoch time outside the LLC flush (traffic,
+        // workload access streams, window cutting); flush nests inside
+        // the epoch buckets, so the difference is the front-end-vs-flush
+        // split.
+        let epoch_ns = p.warmup_ns + p.fast_warm_ns + p.restore_ns + p.measure_ns;
+        let front_flush = format!(
+            "{}/{} s",
+            s(epoch_ns.saturating_sub(p.flush_ns)),
+            s(p.flush_ns)
+        );
+        let split = format!(
+            "{}/{}/{}/{}/{}/{}/{} s",
+            s(p.setup_ns),
+            s(p.warmup_ns),
+            s(p.fast_warm_ns),
+            s(p.restore_ns),
+            s(p.measure_ns),
+            s(p.flush_ns),
+            s(p.merge_ns)
+        );
+        lines.push(format!(
+            "{:<12} {:>5} {:>7.2} s {:>8} {:>7} {:>7}  {:>11}  {:>37}{}{}",
+            g.figure,
+            g.jobs,
+            g.wall,
+            acc_col,
+            rate_col,
+            delta_col,
+            front_flush,
+            split,
+            if g.sampled { "  [sampled]" } else { "" },
+            if g.ok { "" } else { "  [FAILED]" }
+        ));
+    }
+    lines.push(rule);
+    let (restores, computes) = crate::checkpoint::counters();
+    if restores + computes > 0 {
+        lines.push(format!(
+            "convergence checkpoints: {computes} computed, {restores} restored"
+        ));
+    }
+    lines.push(format!(
+        "wall {:.2} s, aggregate job cost {busy:.2} s ({:.2}x concurrency), {} files, {} msr writes traced",
+        out.wall.as_secs_f64(),
+        busy / out.wall.as_secs_f64().max(1e-9),
+        out.files.len(),
+        out.metrics.counter("daemon.msr_writes"),
+    ));
+    lines.push(format!(
+        "{} cache accesses simulated, {}/s of aggregate job time",
+        human_count(accesses),
+        human_count((accesses as f64 / sim_busy.max(1e-9)) as u64),
+    ));
+    lines.join("\n")
+}
+
+/// Formats a count with a binary-free human suffix (`12.3M`, `4.5G`).
+fn human_count(n: u64) -> String {
+    let n = n as f64;
+    if n >= 1e9 {
+        format!("{:.2}G", n / 1e9)
+    } else if n >= 1e6 {
+        format!("{:.1}M", n / 1e6)
+    } else if n >= 1e3 {
+        format!("{:.1}k", n / 1e3)
+    } else {
+        format!("{n:.0}")
+    }
 }
 
 /// Folds per-figure sampled-vs-exact headline comparisons into a v3
@@ -229,222 +322,6 @@ pub fn expected_job_costs(doc: &Value) -> Vec<(String, f64)> {
         }
     }
     costs
-}
-
-/// Builds the one-line `BENCH_history.jsonl` record for a sweep: the
-/// report's headline numbers, without the per-figure breakdown, so the
-/// file accumulates one compact line per run.
-pub fn history_record(report: &Value) -> Value {
-    let ok = report["figures"]
-        .as_array()
-        .is_some_and(|figs| figs.iter().all(|f| f["ok"].as_bool() == Some(true)));
-    json!({
-        "schema": HISTORY_SCHEMA,
-        "profile": report["profile"],
-        "smoke": report["smoke"],
-        "sampled": report["sampled"],
-        "mode": if report["sampled"] == json!(true) { "sampled" } else { "exact" },
-        "jobs": report["jobs"],
-        "root_seed": report["root_seed"],
-        "wall_s": report["wall_s"],
-        "aggregate_job_cost_s": report["aggregate_job_cost_s"],
-        "accesses": report["accesses"],
-        "accesses_per_s": report["accesses_per_s"],
-        "figures": report["figures"].as_array().map_or(0, Vec::len),
-        "ok": ok,
-    })
-}
-
-/// Builds one `BENCH_history.jsonl` record per corpus class from a
-/// corpus run's bench report plus its validated `corpus_summary.json`.
-///
-/// Each line carries the standard headline fields (so
-/// [`validate_history`] accepts it) scoped to that class's figure group
-/// (`corpus-<class>` wall/accesses), plus `corpus_class`, `scenarios`,
-/// and the class's mean metrics — the trajectory of the generated
-/// corpus accumulates next to the figure sweep's without the two being
-/// conflated (filter on `corpus_class`).
-pub fn corpus_history_records(report: &Value, summary: &Value) -> Vec<Value> {
-    let Some(classes) = summary["classes"].as_array() else {
-        return Vec::new();
-    };
-    classes
-        .iter()
-        .filter_map(|c| {
-            let class = c["class"].as_str()?;
-            let mut line = history_record(report);
-            let group = format!("corpus-{class}");
-            if let Some(fig) = report["figures"]
-                .as_array()
-                .and_then(|figs| figs.iter().find(|f| f["figure"].as_str() == Some(&*group)))
-            {
-                line["wall_s"] = fig["wall_s"].clone();
-                line["aggregate_job_cost_s"] = fig["wall_s"].clone();
-                line["accesses"] = fig["accesses"].clone();
-                line["accesses_per_s"] = match fig["accesses_per_s"].as_f64() {
-                    Some(v) => json!(v),
-                    None => json!(0.0),
-                };
-                line["figures"] = json!(1);
-                line["ok"] = fig["ok"].clone();
-            }
-            line["corpus_class"] = json!(class);
-            line["scenarios"] = c["scenarios"].clone();
-            for key in ["mean_ops_per_s", "mean_ddio_hit_rate", "mean_mem_gbps", "mean_ipc"] {
-                line[key] = c[key].clone();
-            }
-            Some(line)
-        })
-        .collect()
-}
-
-/// Validates one `BENCH_history.jsonl` record.
-///
-/// # Errors
-///
-/// Returns a description of the first violated constraint.
-pub fn validate_history(line: &Value) -> Result<(), String> {
-    let schema = line["schema"].as_str().ok_or("missing history schema tag")?;
-    if schema != HISTORY_SCHEMA {
-        return Err(format!("unknown history schema {schema:?} (expected {HISTORY_SCHEMA:?})"));
-    }
-    validate_record(line)
-}
-
-/// Validates the headline fields of a [`history_record`]: shared by
-/// history lines and trajectory records, which are the same record
-/// without its schema tag.
-fn validate_record(line: &Value) -> Result<(), String> {
-    match line["profile"].as_str() {
-        Some("release" | "debug") => {}
-        other => return Err(format!("bad profile {other:?}")),
-    }
-    for key in ["smoke", "ok"] {
-        if line[key].as_bool().is_none() {
-            return Err(format!("{key} must be a boolean"));
-        }
-    }
-    let sampled = line["sampled"].as_bool().ok_or("sampled must be a boolean")?;
-    match line["mode"].as_str() {
-        Some(mode @ ("exact" | "sampled")) => {
-            if sampled != (mode == "sampled") {
-                return Err(format!("mode {mode:?} disagrees with sampled: {sampled}"));
-            }
-        }
-        other => return Err(format!("bad mode {other:?} (expected \"exact\" or \"sampled\")")),
-    }
-    // Corpus-class lines (see [`corpus_history_records`]) additionally
-    // carry the class name and scenario count.
-    if !line["corpus_class"].is_null() {
-        if line["corpus_class"].as_str().is_none() {
-            return Err("corpus_class must be a string when present".into());
-        }
-        if line["scenarios"].as_u64().is_none() {
-            return Err("corpus lines must carry a scenario count".into());
-        }
-    }
-    for key in ["jobs", "root_seed", "accesses", "figures"] {
-        if line[key].as_u64().is_none() {
-            return Err(format!("{key} must be a non-negative integer"));
-        }
-    }
-    for key in ["wall_s", "aggregate_job_cost_s", "accesses_per_s"] {
-        match line[key].as_f64() {
-            Some(v) if v.is_finite() && v >= 0.0 => {}
-            _ => return Err(format!("{key} must be a finite non-negative number")),
-        }
-    }
-    Ok(())
-}
-
-/// Returns whether a report came from a run that should extend the
-/// committed trajectory: a full (unfiltered, non-smoke), exact
-/// (non-sampled), all-ok sweep — the only runs whose wall clock is the
-/// PR-level number the trajectory tracks.
-pub fn trajectory_eligible(report: &Value, opts: &RunOptions) -> bool {
-    let all_ok = report["figures"]
-        .as_array()
-        .is_some_and(|figs| !figs.is_empty() && figs.iter().all(|f| f["ok"] == json!(true)));
-    all_ok
-        && !opts.smoke
-        && opts.only.is_empty()
-        && report["smoke"] == json!(false)
-        && report["sampled"] == json!(false)
-}
-
-/// Folds one sweep's report into the committed `BENCH_trajectory.json`
-/// document, returning the updated document.
-///
-/// `prev` is the current file contents (pass `Value::Null` when the file
-/// does not exist or does not parse — the trajectory restarts). Records
-/// are deduplicated by their workload fingerprint (profile, jobs, seed,
-/// total accesses): re-running `repro` on
-/// unchanged code replaces the last record instead of appending, so the
-/// committed file accumulates roughly one record per PR-level change
-/// while repeated local runs never bloat it. At most [`TRAJECTORY_CAP`]
-/// records are kept.
-pub fn trajectory_update(prev: &Value, report: &Value) -> Value {
-    let record = {
-        let mut r = history_record(report);
-        // The record is self-describing inside the trajectory document;
-        // the line-level schema tag would only mislead.
-        r.as_object_mut().expect("history record is an object").remove("schema");
-        r
-    };
-    let key = |r: &Value| -> Value {
-        json!([
-            r["profile"].clone(),
-            r["jobs"].clone(),
-            r["root_seed"].clone(),
-            r["accesses"].clone(),
-        ])
-    };
-    let mut runs: Vec<Value> = prev["runs"]
-        .as_array()
-        .cloned()
-        .unwrap_or_default();
-    match runs.last() {
-        Some(last) if key(last) == key(&record) => {
-            *runs.last_mut().expect("non-empty") = record;
-        }
-        _ => runs.push(record),
-    }
-    if runs.len() > TRAJECTORY_CAP {
-        runs.drain(..runs.len() - TRAJECTORY_CAP);
-    }
-    json!({ "schema": TRAJECTORY_SCHEMA, "runs": runs })
-}
-
-/// Validates a `BENCH_trajectory.json` document.
-///
-/// # Errors
-///
-/// Returns a description of the first violated constraint.
-pub fn validate_trajectory(doc: &Value) -> Result<(), String> {
-    let schema = doc["schema"].as_str().ok_or("missing trajectory schema tag")?;
-    if schema != TRAJECTORY_SCHEMA {
-        return Err(format!(
-            "unknown trajectory schema {schema:?} (expected {TRAJECTORY_SCHEMA:?})"
-        ));
-    }
-    let runs = doc["runs"].as_array().ok_or("runs must be an array")?;
-    if runs.is_empty() {
-        return Err("runs must not be empty".into());
-    }
-    if runs.len() > TRAJECTORY_CAP {
-        return Err(format!("runs must hold at most {TRAJECTORY_CAP} records"));
-    }
-    // A record holds exactly the history record's fields, less the schema
-    // tag: keys of retired options must not linger.
-    let fields = history_record(&Value::Null);
-    for r in runs {
-        let obj = r.as_object().ok_or("trajectory record must be an object")?;
-        if let Some(key) = obj.keys().find(|k| *k == "schema" || fields.get(k.as_str()).is_none()) {
-            return Err(format!("trajectory record: unexpected key {key:?}"));
-        }
-        validate_record(r).map_err(|e| format!("trajectory record: {e}"))?;
-    }
-    Ok(())
 }
 
 /// Validates one v5 `phase_ns` object: all seven phase keys present as
@@ -690,6 +567,33 @@ mod tests {
         assert_eq!(doc["phase_ns"]["merge"], 50_000_000u64);
     }
 
+    /// The printed summary comes from the same fold as the report: one
+    /// row per group with its job count, wall, `vs prev` ratio and
+    /// failure mark.
+    #[test]
+    fn cost_summary_prints_the_report_fold() {
+        let out = fake_output();
+        let doc = bench_report(&out, &RunOptions::default(), "release");
+        let text = cost_summary(&out, &[("figX".to_owned(), 0.6)]);
+        // figure, jobs, cost, "s", accesses, acc/s, vs prev, front/flush, …
+        let cols = |figure: &str| -> Vec<String> {
+            text.lines()
+                .find(|l| l.split_whitespace().next() == Some(figure))
+                .unwrap_or_else(|| panic!("no {figure} row in\n{text}"))
+                .split_whitespace()
+                .map(str::to_owned)
+                .collect()
+        };
+        for f in doc["figures"].as_array().unwrap() {
+            let row = cols(f["figure"].as_str().unwrap());
+            assert_eq!(row[1], f["jobs"].to_string());
+            assert_eq!(row[2], format!("{:.2}", f["wall_s"].as_f64().unwrap()));
+        }
+        assert_eq!(cols("figX")[4..7], ["1.0k", "3.3k", "2.0x"]);
+        assert_eq!(cols("figY").last().map(String::as_str), Some("[FAILED]"));
+        assert_eq!(cols("tableZ")[4..7], ["-", "-", "-"], "access-free, no history");
+    }
+
     #[test]
     fn validate_rejects_malformed_phase_ns() {
         let out = fake_output();
@@ -757,96 +661,12 @@ mod tests {
         validate(&doc).expect("self-emitted report must validate");
         assert_eq!(doc["schema"], "iat-bench-repro/v8");
         assert!(doc.get("slice_workers").is_none(), "v8 records no flush policy");
-        assert!(history_record(&doc).get("slice_workers").is_none());
         // A v7 document (tag plus the `slice_workers` field) is refused
         // outright rather than read through a compat path.
         let mut v7 = with_field(&doc, "schema", serde_json::json!("iat-bench-repro/v7"));
         v7["slice_workers"] = serde_json::json!(1);
         let err = validate(&v7).unwrap_err();
         assert!(err.contains("unknown schema"), "{err}");
-    }
-
-    #[test]
-    fn history_record_round_trips() {
-        let out = fake_output();
-        let doc = bench_report(&out, &RunOptions::default(), "release");
-        let line = history_record(&doc);
-        validate_history(&line).expect("self-emitted history line must validate");
-        assert_eq!(line["schema"], HISTORY_SCHEMA);
-        assert_eq!(line["mode"], "exact");
-        assert_eq!(line["figures"], 3);
-        assert_eq!(line["ok"], false, "figY failed");
-        assert!(line["figures"].as_u64().is_some());
-        assert!(validate_history(&serde_json::json!({})).is_err());
-        assert!(validate_history(&serde_json::json!({"schema": "nope"})).is_err());
-        assert!(validate_history(&with_field(&line, "wall_s", serde_json::json!("fast"))).is_err());
-        assert!(validate_history(&with_field(&line, "mode", serde_json::json!("turbo"))).is_err());
-        assert!(validate_history(&with_field(&line, "mode", Value::Null)).is_err());
-        // `sampled` is required and must agree with `mode`.
-        let err = validate_history(&with_field(&line, "sampled", Value::Null)).unwrap_err();
-        assert!(err.contains("sampled must be a boolean"), "{err}");
-        let disagreeing = with_field(&line, "sampled", serde_json::json!(true));
-        let err = validate_history(&disagreeing).unwrap_err();
-        assert!(err.contains("disagrees"), "{err}");
-    }
-
-    #[test]
-    fn corpus_history_records_scope_to_class_figures() {
-        let out = RunOutput {
-            reports: vec![
-                fake_report("corpus/churn-0000", "corpus-churn", Outcome::Ok, 200, 500),
-                fake_report("corpus/churn", "corpus-churn", Outcome::Ok, 20, 0),
-                fake_report("corpus/burst-0001", "corpus-burst", Outcome::Ok, 100, 300),
-                fake_report("corpus/burst", "corpus-burst", Outcome::Ok, 10, 0),
-            ],
-            stdout: String::new(),
-            files: Vec::new(),
-            metrics: iat_telemetry::Metrics::new(),
-            wall: Duration::from_millis(330),
-        };
-        let report = bench_report(&out, &RunOptions::default(), "release");
-        let summary = serde_json::json!({
-            "classes": [
-                {"class": "churn", "scenarios": 1, "mean_ops_per_s": 1.5e6,
-                 "mean_ddio_hit_rate": 0.9, "mean_mem_gbps": 2.0, "mean_ipc": 1.1},
-                {"class": "burst", "scenarios": 1, "mean_ops_per_s": 2.5e6,
-                 "mean_ddio_hit_rate": 0.8, "mean_mem_gbps": 3.0, "mean_ipc": 0.9},
-            ],
-        });
-        let lines = corpus_history_records(&report, &summary);
-        assert_eq!(lines.len(), 2);
-        for line in &lines {
-            validate_history(line).expect("corpus class line must validate");
-        }
-        assert_eq!(lines[0]["corpus_class"], "churn");
-        assert_eq!(lines[0]["scenarios"], 1);
-        assert_eq!(lines[0]["mean_ops_per_s"], 1.5e6);
-        // Wall and accesses are the class figure group's, not the run's.
-        assert!((lines[0]["wall_s"].as_f64().unwrap() - 0.22).abs() < 1e-9);
-        assert_eq!(lines[0]["accesses"], 500);
-        assert_eq!(lines[1]["corpus_class"], "burst");
-        assert_eq!(lines[1]["accesses"], 300);
-        // Malformed corpus lines are rejected.
-        let mut bad = lines[0].clone();
-        bad["scenarios"] = Value::Null;
-        assert!(validate_history(&bad).is_err());
-        bad["corpus_class"] = serde_json::json!(7);
-        assert!(validate_history(&bad).is_err());
-        assert!(corpus_history_records(&report, &serde_json::json!({})).is_empty());
-    }
-
-    #[test]
-    fn sampled_history_line_is_tagged_with_mode() {
-        let out = fake_sampled_output();
-        let opts = RunOptions { sampled: true, ..RunOptions::default() };
-        let doc = bench_report(&out, &opts, "release");
-        let line = history_record(&doc);
-        validate_history(&line).expect("sampled history line must validate");
-        assert_eq!(line["mode"], "sampled");
-        assert!(
-            line["aggregate_job_cost_s"].as_f64().unwrap() > 0.0,
-            "sampled lines record the aggregate seconds the fast path took"
-        );
     }
 
     /// Rebuilds a valid report with one top-level field replaced.
@@ -892,79 +712,6 @@ mod tests {
         // The run claims exact but a figure fast-forwarded: reject.
         let doc = bench_report(&out, &RunOptions::default(), "release");
         assert!(validate(&doc).is_err());
-    }
-
-    #[test]
-    fn trajectory_dedups_on_fingerprint_and_caps() {
-        let out = fake_sampled_output();
-        let opts = RunOptions::default();
-        let mut out_exact = out;
-        for r in &mut out_exact.reports {
-            r.sampled = false;
-            r.skipped_epochs = 0;
-        }
-        let doc = bench_report(&out_exact, &opts, "release");
-        assert!(trajectory_eligible(&doc, &opts));
-        let sampled_doc = bench_report(
-            &fake_sampled_output(),
-            &RunOptions { sampled: true, ..RunOptions::default() },
-            "release",
-        );
-        assert!(
-            !trajectory_eligible(&sampled_doc, &RunOptions { sampled: true, ..RunOptions::default() }),
-            "sampled runs never extend the trajectory"
-        );
-
-        let t1 = trajectory_update(&Value::Null, &doc);
-        validate_trajectory(&t1).expect("self-emitted trajectory validates");
-        assert_eq!(t1["runs"].as_array().unwrap().len(), 1);
-        // Same fingerprint: re-running replaces instead of appending.
-        let t2 = trajectory_update(&t1, &doc);
-        assert_eq!(t2["runs"].as_array().unwrap().len(), 1);
-        // A changed workload fingerprint appends.
-        let mut out2 = fake_output();
-        out2.reports[2].outcome = Outcome::Ok;
-        out2.reports[2].accesses = 78;
-        let doc2 = bench_report(&out2, &opts, "release");
-        let t3 = trajectory_update(&t2, &doc2);
-        assert_eq!(t3["runs"].as_array().unwrap().len(), 2);
-        validate_trajectory(&t3).expect("two-record trajectory validates");
-        assert!(t3["runs"][0].get("schema").is_none(), "record drops the line schema tag");
-
-        // Records are checked field by field like history lines.
-        let record = t3["runs"][0].clone();
-        let with_record = |r: Value| serde_json::json!({ "schema": TRAJECTORY_SCHEMA, "runs": [r] });
-        for (key, value) in [
-            ("profile", serde_json::json!("bench")),
-            ("sampled", serde_json::json!(true)),
-            ("mode", Value::Null),
-            ("wall_s", serde_json::json!(-1.0)),
-            ("slice_workers", Value::Null),
-            ("schema", serde_json::json!(HISTORY_SCHEMA)),
-        ] {
-            let mut bad = record.clone();
-            bad[key] = value;
-            let err = validate_trajectory(&with_record(bad)).unwrap_err();
-            assert!(err.starts_with("trajectory record: "), "{key}: {err}");
-        }
-        assert!(validate_trajectory(&serde_json::json!({})).is_err());
-        assert!(validate_trajectory(&serde_json::json!({
-            "schema": TRAJECTORY_SCHEMA, "runs": [],
-        }))
-        .is_err());
-    }
-
-    #[test]
-    fn smoke_and_filtered_runs_stay_out_of_the_trajectory() {
-        let mut out = fake_output();
-        out.reports[2].outcome = Outcome::Ok;
-        let doc = bench_report(&out, &RunOptions::default(), "release");
-        let smoke = RunOptions { smoke: true, ..RunOptions::default() };
-        let only = RunOptions { only: vec!["figX".into()], ..RunOptions::default() };
-        assert!(!trajectory_eligible(&doc, &smoke));
-        assert!(!trajectory_eligible(&doc, &only));
-        let failed = bench_report(&fake_output(), &RunOptions::default(), "release");
-        assert!(!trajectory_eligible(&failed, &RunOptions::default()), "figY failed");
     }
 
     #[test]

@@ -95,6 +95,16 @@ pub fn fingerprint64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Serialises the unit tests that touch the run-level totals: [`run`]
+/// resets them, and tests run on parallel threads.
+///
+/// [`run`]: crate::run
+#[cfg(test)]
+pub(crate) fn counters_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,6 +118,7 @@ mod tests {
 
     #[test]
     fn store_lookup_clear_roundtrip() {
+        let _counters = counters_lock();
         clear();
         reset_counters();
         assert!(lookup(42).is_none());
@@ -127,6 +138,7 @@ mod tests {
 
     #[test]
     fn store_is_thread_local() {
+        let _counters = counters_lock();
         clear();
         store(7, Checkpoint { hierarchy: tiny_hierarchy(), way_counts: vec![1] });
         std::thread::spawn(|| assert!(lookup(7).is_none())).join().unwrap();

@@ -1,6 +1,5 @@
 //! The sweep engine: deterministic scheduling of the job graph across a
-//! small `std::thread` worker pool, plus output writing / checking and
-//! the cost summary.
+//! small `std::thread` worker pool, plus output writing and checking.
 
 use crate::job::{JobCtx, JobFn, Registry};
 use iat_telemetry::{decision, phases, span, Event, Metrics, PhaseBreakdown};
@@ -583,143 +582,6 @@ pub fn check_outputs(out: &RunOutput, dir: &Path) -> Vec<String> {
     diverged
 }
 
-/// Prints the wall-clock + per-figure cost summary to stderr, with
-/// simulated-access throughput where jobs reported it.
-///
-/// `expected` is the previous run's per-figure cost (typically
-/// [`RunOptions::expected_costs`], loaded from the last committed
-/// `BENCH_repro.json`); when a group has history, the `vs prev` column
-/// shows this run's speedup (`3.1x`) or slowdown (`0.8x`) against it.
-pub fn print_summary(out: &RunOutput, expected: &[(String, f64)]) {
-    #[allow(clippy::type_complexity)]
-    let mut groups: Vec<(String, Duration, usize, u64, bool, bool, PhaseBreakdown)> = Vec::new();
-    for r in &out.reports {
-        match groups.iter_mut().find(|(g, ..)| g == &r.group) {
-            Some((_, wall, jobs, acc, sampled, ok, phases)) => {
-                *wall += r.wall;
-                *jobs += 1;
-                *acc += r.accesses;
-                *sampled |= r.sampled;
-                *ok &= r.outcome == Outcome::Ok;
-                phases.add(&r.phases);
-            }
-            None => groups.push((
-                r.group.clone(),
-                r.wall,
-                1,
-                r.accesses,
-                r.sampled,
-                r.outcome == Outcome::Ok,
-                r.phases,
-            )),
-        }
-    }
-    progress("");
-    progress(
-        "figure        jobs      cost   accesses   acc/s  vs prev  front/flush  setup/warm/fwarm/rest/meas/flush/merge",
-    );
-    progress(
-        "---------------------------------------------------------------------------------------------------------",
-    );
-    let mut busy = Duration::ZERO;
-    let mut total_accesses = 0u64;
-    let mut sim_busy = Duration::ZERO;
-    for (group, wall, jobs, accesses, sampled, ok, phases) in &groups {
-        busy += *wall;
-        total_accesses += *accesses;
-        // Access-free groups (static tables) have no meaningful
-        // throughput — print a dash rather than a bogus `0 acc/s`, and
-        // keep them out of the aggregate throughput denominator below.
-        let (acc_col, rate_col) = if *accesses == 0 {
-            ("-".to_owned(), "-".to_owned())
-        } else {
-            sim_busy += *wall;
-            (
-                human_count(*accesses),
-                human_count((*accesses as f64 / wall.as_secs_f64().max(1e-9)) as u64),
-            )
-        };
-        let delta_col = expected
-            .iter()
-            .find(|(g, _)| g == group)
-            .map_or("-".to_owned(), |(_, prev)| {
-                format!("{:.1}x", prev / wall.as_secs_f64().max(1e-9))
-            });
-        let s = |ns: u64| format!("{:.1}", ns as f64 / 1e9);
-        // Front end = epoch time outside the LLC flush (traffic,
-        // workload access streams, window cutting); flush nests inside
-        // the epoch buckets, so the difference is the front-end-vs-flush
-        // split.
-        let epoch_ns = phases.warmup_ns
-            + phases.fast_warm_ns
-            + phases.restore_ns
-            + phases.measure_ns;
-        let front_flush = format!(
-            "{}/{} s",
-            s(epoch_ns.saturating_sub(phases.flush_ns)),
-            s(phases.flush_ns)
-        );
-        progress(&format!(
-            "{:<12} {:>5} {:>7.2} s {:>8} {:>7} {:>7}  {:>11}  {:>37}{}{}",
-            group,
-            jobs,
-            wall.as_secs_f64(),
-            acc_col,
-            rate_col,
-            delta_col,
-            front_flush,
-            format!(
-                "{}/{}/{}/{}/{}/{}/{} s",
-                s(phases.setup_ns),
-                s(phases.warmup_ns),
-                s(phases.fast_warm_ns),
-                s(phases.restore_ns),
-                s(phases.measure_ns),
-                s(phases.flush_ns),
-                s(phases.merge_ns)
-            ),
-            if *sampled { "  [sampled]" } else { "" },
-            if *ok { "" } else { "  [FAILED]" }
-        ));
-    }
-    progress(
-        "---------------------------------------------------------------------------------------------------------",
-    );
-    let (restores, computes) = crate::checkpoint::counters();
-    if restores + computes > 0 {
-        progress(&format!(
-            "convergence checkpoints: {computes} computed, {restores} restored",
-        ));
-    }
-    progress(&format!(
-        "wall {:.2} s, aggregate job cost {:.2} s ({:.2}x concurrency), {} files, {} msr writes traced",
-        out.wall.as_secs_f64(),
-        busy.as_secs_f64(),
-        busy.as_secs_f64() / out.wall.as_secs_f64().max(1e-9),
-        out.metrics.counter("runner.files_staged"),
-        out.metrics.counter("daemon.msr_writes"),
-    ));
-    progress(&format!(
-        "{} cache accesses simulated, {}/s of aggregate job time",
-        human_count(total_accesses),
-        human_count((total_accesses as f64 / sim_busy.as_secs_f64().max(1e-9)) as u64),
-    ));
-}
-
-/// Formats a count with a binary-free human suffix (`12.3M`, `4.5G`).
-fn human_count(n: u64) -> String {
-    let n = n as f64;
-    if n >= 1e9 {
-        format!("{:.2}G", n / 1e9)
-    } else if n >= 1e6 {
-        format!("{:.1}M", n / 1e6)
-    } else if n >= 1e3 {
-        format!("{:.1}k", n / 1e3)
-    } else {
-        format!("{n:.0}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -732,6 +594,7 @@ mod tests {
     /// dependent job that runs no epoch still reports merge.
     #[test]
     fn dependent_point_job_books_its_residual_as_setup() {
+        let _counters = crate::checkpoint::counters_lock();
         let mut reg = Registry::new();
         reg.add(JobSpec::new("g/solo", "g", |_| Ok(Value::Null)));
         reg.add(

@@ -181,7 +181,6 @@ impl JobCtx {
     /// Stages `bytes` for `results/<file>`; the runner writes (or, in
     /// check mode, byte-compares) staged files after the run.
     pub fn save_bytes(&mut self, file: &str, bytes: Vec<u8>) {
-        self.metrics.counter_add("runner.files_staged", 1);
         self.files.push((file.to_owned(), bytes));
     }
 

@@ -37,17 +37,14 @@ mod job;
 pub mod seed;
 
 pub use bench_report::{
-    attach_sample_errors, bench_report, corpus_history_records, expected_costs,
-    expected_job_costs, history_record, trajectory_eligible,
-    trajectory_update, validate as validate_bench_report, validate_history, validate_trajectory,
-    BENCH_SCHEMA, HISTORY_SCHEMA, TRAJECTORY_SCHEMA,
+    attach_sample_errors, bench_report, cost_summary, expected_costs, expected_job_costs,
+    validate as validate_bench_report, BENCH_SCHEMA,
 };
 pub use cli::{default_jobs, parse_args, Cli, USAGE};
 pub use errors::{load_json, LoadError};
 pub use exec::{
-    check_outputs, print_summary, progress, reset_staging_dirs, run, unknown_filters,
-    write_outputs, JobReport, Outcome, RunOptions, RunOutput, ACCESSES_COUNTER,
-    SKIPPED_EPOCHS_COUNTER,
+    check_outputs, progress, reset_staging_dirs, run, unknown_filters, write_outputs, JobReport,
+    Outcome, RunOptions, RunOutput, ACCESSES_COUNTER, SKIPPED_EPOCHS_COUNTER,
 };
 pub use job::{JobCtx, JobFn, JobSpec, Registry};
 pub use seed::derive_seed;

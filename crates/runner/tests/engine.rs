@@ -2,7 +2,7 @@
 //! cascades, and selection filters — all with synthetic jobs, no
 //! simulator involved.
 
-use iat_runner::{run, JobSpec, Outcome, Registry, RunOptions};
+use iat_runner::{cost_summary, run, JobSpec, Outcome, Registry, RunOptions};
 use serde_json::{json, Value};
 
 fn opts(jobs: usize) -> RunOptions {
@@ -54,7 +54,8 @@ fn one_worker_and_many_are_byte_identical() {
     assert!(!a.failed() && !b.failed());
     assert_eq!(a.stdout, b.stdout);
     assert_eq!(a.files, b.files);
-    assert_eq!(a.metrics.counter("runner.files_staged"), 3);
+    let names: Vec<&str> = a.files.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(names, vec!["d_left.bin", "d_right.bin", "d.json", "d.txt"]);
     assert_eq!(a.metrics.snapshot(), b.metrics.snapshot());
 }
 
@@ -68,6 +69,21 @@ fn merge_runs_after_its_leaves_and_sees_artifacts() {
     // Group console capture lands as d.txt after the jobs' own files.
     let names: Vec<&str> = out.files.iter().map(|(n, _)| n.as_str()).collect();
     assert_eq!(names, vec!["d_left.bin", "d_right.bin", "d.json", "d.txt"]);
+}
+
+#[test]
+fn summary_counts_console_captures_as_files() {
+    let mut reg = Registry::new();
+    reg.add(JobSpec::new("s", "s", |ctx| {
+        ctx.outln("one line");
+        ctx.save_bytes("s.bin", vec![1]);
+        Ok(Value::Null)
+    }));
+    let out = run(reg, &opts(1));
+    let names: Vec<&str> = out.files.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(names, vec!["s.bin", "s.txt"]);
+    let summary = cost_summary(&out, &[]);
+    assert!(summary.contains(", 2 files, "), "{summary}");
 }
 
 #[test]

@@ -12,8 +12,7 @@
 //!   any `io::Write` for offline analysis.
 //! * [`Metrics`] — a registry of named counters, gauges, and
 //!   fixed-bucket histograms that can be snapshotted, merged across
-//!   runs, rendered to JSON, or exposed in the Prometheus text format
-//!   ([`render_prometheus`]).
+//!   runs, and rendered to JSON.
 //!
 //! On top of those sit the run-wide observability layers:
 //!
@@ -52,7 +51,6 @@ pub mod decision;
 mod event;
 mod metrics;
 pub mod phases;
-mod prom;
 mod recorder;
 pub mod span;
 
@@ -62,6 +60,5 @@ pub use metrics::{
     summarize, Histogram, Metrics, MetricsSnapshot, COST_NS_BOUNDS, OCCUPANCY_BOUNDS,
 };
 pub use phases::{Phase, PhaseBreakdown};
-pub use prom::render_prometheus;
 pub use recorder::{JsonlRecorder, NullRecorder, Recorder, RingRecorder};
 pub use span::{SpanScope, SpanTracer};
