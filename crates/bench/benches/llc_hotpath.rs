@@ -25,12 +25,17 @@
 //!   resolves against the warmup sink, which drops every statistic event
 //!   and keeps only the valid-line count. The gap against
 //!   `batched_window/1w` is what frozen statistics save every warm epoch.
+//! * `ddio_write_invalidate/4of18cores` — a 64-line DMA burst through
+//!   the whole hierarchy (`MemoryHierarchy::batch_io_write` plus one
+//!   flush) on the 18-core Xeon with four cores' L2s full: every write
+//!   first invalidates stale private copies, then write-allocates in the
+//!   DDIO ways. Divide by 64 for the per-line cost.
 //!
 //! Run with `cargo bench -p iat-bench --bench llc_hotpath`; CI runs
 //! `cargo bench -p iat-bench --bench llc_hotpath -- --test` as a smoke.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use iat_cachesim::{AgentId, CacheGeometry, CoreOp, Llc, WayMask};
+use iat_cachesim::{AgentId, CacheGeometry, CoreOp, Llc, MemoryHierarchy, WayMask};
 use std::hint::black_box;
 
 const LINE: u64 = 64;
@@ -166,6 +171,37 @@ fn bench_hotpath(c: &mut Criterion) {
             });
         });
     }
+    group.finish();
+
+    // Line-rate DMA through the full hierarchy: each write invalidates
+    // private copies before it reaches the LLC. Four of the eighteen
+    // cores have full L2s (their own 1 MB working sets); the rest idle.
+    const BURST: u64 = 64;
+    let mut group = c.benchmark_group("ddio_write_invalidate");
+    group.throughput(Throughput::Elements(BURST));
+    group.bench_function("4of18cores", |b| {
+        let mut h = MemoryHierarchy::xeon_6140(18);
+        let mask = WayMask::contiguous(0, 9).expect("mask");
+        let l2_lines = CacheGeometry::xeon_6140_l2().total_lines();
+        for core in 0..4u64 {
+            let agent = AgentId::new(core as u16);
+            for i in 0..l2_lines {
+                let addr = ((core + 1) << 30) + i * LINE;
+                h.core_access(core as usize, agent, mask, addr, CoreOp::Read);
+            }
+        }
+        let ddio = WayMask::contiguous(9, 2).expect("mask");
+        let ring_lines = 8192u64;
+        let mut slot = 0u64;
+        b.iter(|| {
+            for _ in 0..BURST {
+                slot = (slot + 1) % ring_lines;
+                h.batch_io_write(ddio, (64 << 30) + slot * LINE);
+            }
+            h.batch_flush();
+            black_box(h.accesses())
+        });
+    });
     group.finish();
 }
 

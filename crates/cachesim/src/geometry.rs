@@ -98,6 +98,34 @@ impl CacheGeometry {
         self.sets_per_slice as u64 * self.slices as u64 * LINE_BYTES
     }
 
+    /// `log2(sets_per_slice)`: the line-number bits the set index holds.
+    #[inline]
+    pub(crate) fn set_bits(&self) -> u32 {
+        self.sets_per_slice.trailing_zeros()
+    }
+
+    /// The set (within its slice) of `addr`: the low line-number bits.
+    #[inline]
+    pub(crate) fn set_of(&self, addr: u64) -> u32 {
+        ((addr / LINE_BYTES) as u32) & (self.sets_per_slice - 1)
+    }
+
+    /// The largest address this geometry's 32-bit cache tags cover:
+    /// `2^(32 + log2(sets_per_slice) + 6) - 1`, capped at `u64::MAX`.
+    /// That is 2^48 - 1 for the Xeon 6140's L2 and 2^49 - 1 for its LLC;
+    /// accessing a cache beyond it panics ("address beyond the cache's
+    /// 32-bit tag range").
+    ///
+    /// ```
+    /// use iat_cachesim::CacheGeometry;
+    /// assert_eq!(CacheGeometry::xeon_6140_l2().max_tagged_addr(), (1 << 48) - 1);
+    /// assert_eq!(CacheGeometry::xeon_6140_llc().max_tagged_addr(), (1 << 49) - 1);
+    /// ```
+    pub fn max_tagged_addr(&self) -> u64 {
+        let bits = 32 + self.set_bits() + LINE_BYTES.trailing_zeros();
+        u64::MAX >> 64u32.saturating_sub(bits)
+    }
+
     /// Maps a line address to `(slice, set)`.
     ///
     /// The slice hash XOR-folds the upper address bits, modelling Intel's
@@ -107,7 +135,7 @@ impl CacheGeometry {
     #[inline]
     pub fn index(&self, addr: u64) -> (u16, u32) {
         let line = addr / LINE_BYTES;
-        let set = (line as u32) & (self.sets_per_slice - 1);
+        let set = self.set_of(addr);
         // Hash the full line number for slice selection (Intel's complex
         // addressing also draws on low address bits, which is what makes
         // sequential streams spread evenly over slices).

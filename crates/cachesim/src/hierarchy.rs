@@ -31,7 +31,9 @@ impl CoreCache {
 /// All core traffic flows L2 → LLC → memory; DDIO traffic flows directly
 /// into the LLC (devices bypass private caches). On a DDIO write the
 /// hierarchy invalidates any stale private copy, as the coherence protocol
-/// would.
+/// would. An exact per-L2-set presence summary (one core bitmask per set)
+/// limits that invalidation to the L2s that hold any line of the written
+/// line's set, so a DMA write does not probe every core.
 ///
 /// # Example
 ///
@@ -50,6 +52,14 @@ impl CoreCache {
 pub struct MemoryHierarchy {
     llc: Llc,
     cores: Vec<CoreCache>,
+    /// The geometry every core's L2 shares.
+    l2_geom: CacheGeometry,
+    /// Per-L2-set presence summary: bit `c` of `present[set]` is set iff
+    /// core `c`'s L2 holds at least one valid line in `set`. Set on every
+    /// L2 fill, cleared when an invalidation empties the set; L2 sets
+    /// only fill on a miss and only empty by invalidation, so the bits
+    /// stay exact.
+    present: Vec<u64>,
     latency: LatencyModel,
     /// Scratch for [`Self::core_access_cycles_batch`]: positions of ops
     /// that missed L2, paired with their LLC batch handles.
@@ -58,14 +68,30 @@ pub struct MemoryHierarchy {
 
 impl MemoryHierarchy {
     /// Builds a hierarchy with explicit geometries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core_count` exceeds 64 (the width of the per-set
+    /// presence summary) or if [`L2Cache::new`] rejects `l2_geom`.
     pub fn new(
         llc_geom: CacheGeometry,
         l2_geom: CacheGeometry,
         core_count: usize,
         latency: LatencyModel,
     ) -> Self {
+        assert!(
+            core_count <= u64::BITS as usize,
+            "the L2 presence summary supports at most 64 cores, got {core_count}"
+        );
         let cores = (0..core_count).map(|_| CoreCache { l2: L2Cache::new(l2_geom) }).collect();
-        MemoryHierarchy { llc: Llc::new(llc_geom), cores, latency, pending: Vec::new() }
+        MemoryHierarchy {
+            llc: Llc::new(llc_geom),
+            cores,
+            l2_geom,
+            present: vec![0; l2_geom.sets_per_slice() as usize],
+            latency,
+            pending: Vec::new(),
+        }
     }
 
     /// The paper's Xeon Gold 6140 hierarchy (Table I) with `core_count`
@@ -147,6 +173,7 @@ impl MemoryHierarchy {
         if out.hit {
             return AccessLevel::L2;
         }
+        self.present[self.l2_geom.set_of(addr) as usize] |= 1 << core;
         if let Some(victim) = out.dirty_victim {
             self.llc.core_writeback(agent, alloc_mask, victim);
         }
@@ -195,6 +222,7 @@ impl MemoryHierarchy {
                 costs.push(self.latency.l2_cycles);
                 continue;
             }
+            self.present[self.l2_geom.set_of(addr) as usize] |= 1 << core;
             if let Some(victim) = out.dirty_victim {
                 self.llc.batch_core_writeback(agent, alloc_mask, victim);
             }
@@ -214,14 +242,30 @@ impl MemoryHierarchy {
         self.pending = pending;
     }
 
+    /// Invalidates every private copy of `addr` ahead of a DDIO write,
+    /// probing only the L2s whose presence bit for the line's set is set
+    /// (a core without it holds nothing in that set, so no copy).
+    #[inline]
+    fn invalidate_private(&mut self, addr: u64) {
+        let set = self.l2_geom.set_of(addr) as usize;
+        let mut holders = self.present[set];
+        while holders != 0 {
+            let core = holders.trailing_zeros() as usize;
+            holders &= holders - 1;
+            let l2 = &mut self.cores[core].l2;
+            l2.invalidate(addr);
+            if l2.set_is_empty(set) {
+                self.present[set] &= !(1 << core);
+            }
+        }
+    }
+
     /// Enqueues an inbound DDIO write into the batched LLC pipeline; stale
     /// private copies are invalidated immediately (invalidation does not
     /// depend on, or alter, LLC state). Resolve with [`Self::batch_flush`].
     #[inline]
     pub fn batch_io_write(&mut self, ddio_mask: WayMask, addr: u64) {
-        for c in &mut self.cores {
-            c.l2.invalidate(addr);
-        }
+        self.invalidate_private(addr);
         self.llc.batch_io_write(ddio_mask, addr);
     }
 
@@ -240,9 +284,7 @@ impl MemoryHierarchy {
     /// Inbound DDIO write of one line; stale private copies are invalidated.
     #[inline]
     pub fn io_write(&mut self, ddio_mask: WayMask, addr: u64) -> IoOutcome {
-        for c in &mut self.cores {
-            c.l2.invalidate(addr);
-        }
+        self.invalidate_private(addr);
         self.llc.io_write(ddio_mask, addr)
     }
 

@@ -1,13 +1,15 @@
 //! Private per-core L2 cache.
 //!
 //! Storage uses the same struct-of-arrays layout as the LLC (see
-//! `llc.rs`): contiguous per-line tags, per-set valid/dirty bitmasks,
-//! and a nibble-packed per-set LRU recency list (see [`crate::order`])
-//! instead of a global `u64` tick plus full-set scan.
+//! `llc.rs`): contiguous per-line compact `u32` tags (`line >> log2(sets)`,
+//! see the `tag` module), per-set valid/dirty bitmasks, and a
+//! nibble-packed per-set LRU recency list (see [`crate::order`]) instead
+//! of a global `u64` tick plus full-set scan. A lookup compares every way
+//! of the set at once and ANDs the match mask with the valid bits.
 
 use crate::geometry::CacheGeometry;
-use crate::line_of;
 use crate::order;
+use crate::tag;
 
 /// Result of an L2 access-and-fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,8 +40,10 @@ pub struct L2Cache {
     geom: CacheGeometry,
     /// Associativity, cached as `usize` for indexing.
     ways: usize,
-    /// Per-line tags, set-major.
-    tags: Vec<u64>,
+    /// `log2(sets)`: the line-number bits the set index supplies.
+    set_bits: u32,
+    /// Per-line compact tags (`line >> set_bits`), set-major.
+    tags: Vec<u32>,
     /// Per-set packed LRU recency lists (see [`crate::order`]).
     order: Vec<u64>,
     /// Per-set valid bitmasks.
@@ -57,6 +61,8 @@ impl L2Cache {
     ///
     /// Panics if the geometry has more than one slice (L2s are private and
     /// unsliced) or more ways than the packed LRU list supports (16).
+    /// Accessing an address above [`CacheGeometry::max_tagged_addr`]
+    /// panics ("address beyond the cache's 32-bit tag range").
     pub fn new(geom: CacheGeometry) -> Self {
         assert_eq!(geom.slices(), 1, "L2 caches are unsliced");
         let ways = geom.ways() as usize;
@@ -65,6 +71,7 @@ impl L2Cache {
         L2Cache {
             geom,
             ways,
+            set_bits: geom.set_bits(),
             tags: vec![0; n],
             order: vec![order::IDENTITY; n / ways],
             valid: vec![0; n / ways],
@@ -94,10 +101,23 @@ impl L2Cache {
         self.hits + self.misses
     }
 
+    /// The set `addr` maps to.
     #[inline]
     fn set_of(&self, addr: u64) -> usize {
-        let (_, set) = self.geom.index(addr);
-        set as usize
+        self.geom.set_of(addr) as usize
+    }
+
+    /// Whether `set` holds no valid line.
+    #[inline]
+    pub(crate) fn set_is_empty(&self, set: usize) -> bool {
+        self.valid[set] == 0
+    }
+
+    /// Bitmask of the valid ways of `set` that hold `tag` (at most one).
+    #[inline]
+    fn lookup(&self, set: usize, tag: u32) -> u32 {
+        let base = set * self.ways;
+        tag::match_ways(&self.tags[base..base + self.ways], tag) & self.valid[set]
     }
 
     /// Makes `way` the most recently used line of its set (same packed
@@ -112,23 +132,19 @@ impl L2Cache {
     /// and a dirty victim, if any, is reported for write-back to the LLC.
     #[inline]
     pub fn access(&mut self, addr: u64, write: bool) -> L2Outcome {
-        let tag = line_of(addr);
+        let tag = tag::tag_of(addr, self.set_bits);
         let set = self.set_of(addr);
-        let base = set * self.ways;
-        let mut m = self.valid[set];
-        while m != 0 {
-            let w = m.trailing_zeros() as usize;
-            if self.tags[base + w] == tag {
-                self.touch(set, w);
-                if write {
-                    self.dirty[set] |= 1 << w;
-                }
-                self.hits += 1;
-                return L2Outcome { hit: true, dirty_victim: None };
+        let hit = self.lookup(set, tag);
+        if hit != 0 {
+            self.touch(set, hit.trailing_zeros() as usize);
+            if write {
+                self.dirty[set] |= hit;
             }
-            m &= m - 1;
+            self.hits += 1;
+            return L2Outcome { hit: true, dirty_victim: None };
         }
         self.misses += 1;
+        let base = set * self.ways;
         // Victim: lowest invalid way, else LRU (the oldest recency slot).
         let full = (1u32 << self.ways) - 1;
         let invalid = full & !self.valid[set];
@@ -139,8 +155,8 @@ impl L2Cache {
         };
         let bit = 1u32 << victim;
         let was_valid = self.valid[set] & bit != 0;
-        let dirty_victim =
-            (was_valid && self.dirty[set] & bit != 0).then(|| self.tags[base + victim]);
+        let dirty_victim = (was_valid && self.dirty[set] & bit != 0)
+            .then(|| tag::line_addr(self.tags[base + victim], set, self.set_bits));
         self.valid[set] |= bit;
         if write {
             self.dirty[set] |= bit;
@@ -155,22 +171,39 @@ impl L2Cache {
     /// Invalidates the line containing `addr` if resident, returning `true`
     /// if it was dirty (used when DDIO-written data supersedes stale copies).
     pub fn invalidate(&mut self, addr: u64) -> bool {
-        let tag = line_of(addr);
+        let tag = tag::tag_of(addr, self.set_bits);
         let set = self.set_of(addr);
-        let base = set * self.ways;
-        let mut m = self.valid[set];
-        while m != 0 {
-            let w = m.trailing_zeros() as usize;
-            if self.tags[base + w] == tag {
-                let bit = 1u32 << w;
-                let dirty = self.dirty[set] & bit != 0;
-                self.valid[set] &= !bit;
-                self.dirty[set] &= !bit;
-                return dirty;
-            }
-            m &= m - 1;
+        // An empty set cannot hold the line: skip reading its tag row.
+        if self.valid[set] == 0 {
+            return false;
         }
-        false
+        let bit = self.lookup(set, tag);
+        let dirty = self.dirty[set] & bit != 0;
+        self.valid[set] &= !bit;
+        self.dirty[set] &= !bit;
+        dirty
+    }
+
+    /// FNV-1a digest over the complete cache body: every valid line's
+    /// address (as a `u64` line address), the valid and dirty bits and
+    /// the LRU order of every set. Two L2s with equal digests hold the
+    /// same lines in the same ways, equally dirty and equally aged.
+    pub fn state_digest(&self) -> u64 {
+        const PRIME: u64 = 0x0000_0100_0000_01b3;
+        let eat = |h: u64, v: u64| (h ^ v).wrapping_mul(PRIME);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for set in 0..self.valid.len() {
+            h = eat(h, self.valid[set] as u64);
+            h = eat(h, self.dirty[set] as u64);
+            h = eat(h, self.order[set]);
+            let base = set * self.ways;
+            for w in 0..self.ways {
+                if self.valid[set] & (1 << w) != 0 {
+                    h = eat(h, tag::line_addr(self.tags[base + w], set, self.set_bits));
+                }
+            }
+        }
+        h
     }
 
     /// Drops all contents and statistics.

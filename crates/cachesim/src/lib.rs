@@ -65,6 +65,7 @@ mod memory;
 mod order;
 mod shard;
 mod stats;
+mod tag;
 
 pub use agent::AgentId;
 pub use error::{Error, Result};

@@ -5,7 +5,10 @@
 //! The cache body is split into one [`SliceShard`] per slice (`shard`
 //! module), each holding its slice's struct-of-arrays state:
 //!
-//! * `tags` — one contiguous `u64` per line, probed per set;
+//! * `tags` — one contiguous compact `u32` per line (`line >> log2(sets)`;
+//!   the set index supplies the dropped bits, see the `tag` module),
+//!   probed by comparing every way of the set at once and masking the
+//!   result with the valid bits;
 //! * `valid` / `dirty` — one bitmask **per set** (bit `w` = way `w`),
 //!   so probe candidates and victim candidates are computed bitwise
 //!   against the [`WayMask`] instead of branching per way;
@@ -28,7 +31,6 @@ use crate::mask::WayMask;
 use crate::memory::MemCounters;
 use crate::shard::{BatchEntry, BatchKind, DirectSink, FrozenSink, SliceShard};
 use crate::stats::{AccessOutcome, IoOutcome, LlcStats};
-use crate::line_of;
 use iat_telemetry::phases::{self, Phase};
 use iat_telemetry::span;
 use serde_json::Value;
@@ -92,6 +94,10 @@ const FLUSH_TIMING_MIN_OPS: u32 = 64;
 /// Dirty victims and memory fills are charged to an internal
 /// [`MemCounters`], and all events are tallied in [`LlcStats`] — per agent
 /// and, for DDIO, per slice (the CHA view).
+///
+/// Tags are 32 bits wide: every operation and query on an address above
+/// [`CacheGeometry::max_tagged_addr`] (2^49 - 1 for the Xeon 6140 LLC)
+/// panics with "address beyond the cache's 32-bit tag range".
 #[derive(Debug, Clone)]
 pub struct Llc {
     geom: CacheGeometry,
@@ -238,13 +244,15 @@ impl Llc {
     /// Returns `true` if the line containing `addr` is resident.
     pub fn contains(&self, addr: u64) -> bool {
         let (slice, set) = self.locate(addr);
-        self.shards[slice].store.contains(set, line_of(addr))
+        let store = &self.shards[slice].store;
+        store.contains(set, store.tag_of(addr))
     }
 
     /// Returns the allocating agent of the resident line containing `addr`.
     pub fn owner_of(&self, addr: u64) -> Option<AgentId> {
         let (slice, set) = self.locate(addr);
-        self.shards[slice].store.owner_of(set, line_of(addr)).map(AgentId::from_bits)
+        let store = &self.shards[slice].store;
+        store.owner_of(set, store.tag_of(addr)).map(AgentId::from_bits)
     }
 
     /// Resolves one operation at once through the sink the freeze mode
@@ -255,7 +263,7 @@ impl Llc {
         self.accesses += 1;
         let (slice, set) = self.locate(addr);
         let store = &mut self.shards[slice].store;
-        let tag = line_of(addr);
+        let tag = store.tag_of(addr);
         if self.stats_frozen {
             let mut sink = FrozenSink { valid_count: &mut self.valid_count };
             store.apply(set, kind, agent, mask_bits, tag, &mut sink)
@@ -361,9 +369,9 @@ impl Llc {
         self.batch_reset_if_flushed();
         self.accesses += 1;
         self.pending_ops += 1;
-        let tag = line_of(addr);
         let (slice, set) = self.locate(addr);
         let shard = &mut self.shards[slice];
+        let tag = shard.store.tag_of(addr);
         // Warm the set's metadata lines now; the bucket resolves later.
         shard.store.prefetch_set(set);
         let idx = shard.queue.len() as u32;

@@ -23,6 +23,7 @@
 use crate::agent::AgentId;
 use crate::hint::prefetch;
 use crate::order;
+use crate::tag;
 
 /// Kind of an LLC operation, serial or batched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,11 +40,11 @@ pub(crate) enum BatchKind {
     IoRead,
 }
 
-/// One enqueued LLC operation, bucketed by slice.
+/// One enqueued LLC operation, bucketed by slice (16 bytes).
 #[derive(Debug, Clone)]
 pub(crate) struct BatchEntry {
-    /// Line-aligned address (the tag).
-    pub tag: u64,
+    /// Compact tag of the line (see the `tag` module).
+    pub tag: u32,
     /// Set index within the slice.
     pub set: u32,
     /// Allocation mask bits (CAT mask for core ops, DDIO mask for I/O).
@@ -55,6 +56,8 @@ pub(crate) struct BatchEntry {
     /// Filled in by resolution: the operation hit in the LLC.
     pub hit: bool,
 }
+
+const _: () = assert!(std::mem::size_of::<BatchEntry>() == 16);
 
 /// Where an operation's statistic events land.
 ///
@@ -179,8 +182,11 @@ impl StatsSink for FrozenSink<'_> {
 #[derive(Debug, Clone)]
 pub(crate) struct SetStore {
     ways: usize,
-    /// Per-line tags, set-major within the slice.
-    tags: Vec<u64>,
+    /// `log2(sets)`: the line-number bits the set index supplies.
+    set_bits: u32,
+    /// Per-line compact tags (`line >> set_bits`), set-major within the
+    /// slice.
+    tags: Vec<u32>,
     /// Per-line owner ids (raw [`AgentId`] bits).
     owners: Vec<u16>,
     /// Per-set packed LRU recency lists (see [`crate::order`]).
@@ -194,9 +200,11 @@ pub(crate) struct SetStore {
 impl SetStore {
     pub fn new(ways: usize, sets: usize) -> Self {
         assert!(ways <= order::MAX_WAYS, "packed LRU list supports at most 16 ways");
+        debug_assert!(sets.is_power_of_two());
         let n = ways * sets;
         SetStore {
             ways,
+            set_bits: sets.trailing_zeros(),
             tags: vec![0; n],
             owners: vec![0; n],
             order: vec![order::IDENTITY; sets],
@@ -240,8 +248,15 @@ impl SetStore {
         prefetch(&self.owners, base);
     }
 
-    /// Folds the complete slice state — tags, owners, LRU recency, valid
-    /// and dirty bits — into an FNV-1a style running digest.
+    /// The compact tag of `addr` in this store.
+    #[inline]
+    pub fn tag_of(&self, addr: u64) -> u32 {
+        tag::tag_of(addr, self.set_bits)
+    }
+
+    /// Folds the complete slice state — tags (as `u64` line addresses),
+    /// owners, LRU recency, valid and dirty bits — into an FNV-1a style
+    /// running digest.
     pub fn digest(&self, mut h: u64) -> u64 {
         const PRIME: u64 = 0x0000_0100_0000_01b3;
         let eat = |h: u64, v: u64| (h ^ v).wrapping_mul(PRIME);
@@ -252,7 +267,7 @@ impl SetStore {
             let base = set * self.ways;
             for w in 0..self.ways {
                 if self.valid[set] & (1 << w) != 0 {
-                    h = eat(h, self.tags[base + w]);
+                    h = eat(h, tag::line_addr(self.tags[base + w], set, self.set_bits));
                     h = eat(h, self.owners[base + w] as u64);
                 }
             }
@@ -260,29 +275,23 @@ impl SetStore {
         h
     }
 
-    /// Looks up `tag` among the set's valid ways. Returns the way index.
+    /// Looks up `tag` among the set's valid ways: every way is compared
+    /// at once, then masked by the valid bits. Returns the way index.
     #[inline]
-    fn probe(&self, set: usize, base: usize, tag: u64) -> Option<usize> {
-        let mut m = self.valid[set];
-        while m != 0 {
-            let w = m.trailing_zeros() as usize;
-            if self.tags[base + w] == tag {
-                return Some(w);
-            }
-            m &= m - 1;
-        }
-        None
+    fn probe(&self, set: usize, base: usize, tag: u32) -> Option<usize> {
+        let m = tag::match_ways(&self.tags[base..base + self.ways], tag) & self.valid[set];
+        (m != 0).then(|| m.trailing_zeros() as usize)
     }
 
     /// Returns `true` if a line with `tag` is resident in `set`.
     #[inline]
-    pub fn contains(&self, set: usize, tag: u64) -> bool {
+    pub fn contains(&self, set: usize, tag: u32) -> bool {
         self.probe(set, set * self.ways, tag).is_some()
     }
 
     /// Returns the owner bits of the resident line with `tag`, if any.
     #[inline]
-    pub fn owner_of(&self, set: usize, tag: u64) -> Option<u16> {
+    pub fn owner_of(&self, set: usize, tag: u32) -> Option<u16> {
         let base = set * self.ways;
         self.probe(set, base, tag).map(|w| self.owners[base + w])
     }
@@ -325,7 +334,7 @@ impl SetStore {
         &mut self,
         set: usize,
         way: usize,
-        tag: u64,
+        tag: u32,
         owner: u16,
         dirty: bool,
         sink: &mut S,
@@ -365,7 +374,7 @@ impl SetStore {
         kind: BatchKind,
         agent: u16,
         mask_bits: u32,
-        tag: u64,
+        tag: u32,
         sink: &mut S,
     ) -> (bool, bool) {
         match kind {
@@ -388,7 +397,7 @@ impl SetStore {
         set: usize,
         agent: u16,
         mask_bits: u32,
-        tag: u64,
+        tag: u32,
         write: bool,
         sink: &mut S,
     ) -> (bool, bool) {
@@ -417,7 +426,7 @@ impl SetStore {
         set: usize,
         agent: u16,
         mask_bits: u32,
-        tag: u64,
+        tag: u32,
         sink: &mut S,
     ) {
         let base = set * self.ways;
@@ -437,7 +446,7 @@ impl SetStore {
         &mut self,
         set: usize,
         mask_bits: u32,
-        tag: u64,
+        tag: u32,
         sink: &mut S,
     ) -> (bool, bool) {
         let base = set * self.ways;
@@ -460,7 +469,7 @@ impl SetStore {
 
     /// Device DMA read (see [`crate::Llc::io_read`]). Returns `hit`.
     #[inline]
-    fn io_read<S: StatsSink>(&mut self, set: usize, tag: u64, sink: &mut S) -> bool {
+    fn io_read<S: StatsSink>(&mut self, set: usize, tag: u32, sink: &mut S) -> bool {
         let base = set * self.ways;
         if let Some(w) = self.probe(set, base, tag) {
             self.touch(set, w);

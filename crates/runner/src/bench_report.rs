@@ -39,6 +39,10 @@ use serde_json::{json, Value};
 /// doc) changes.
 pub const BENCH_SCHEMA: &str = "iat-bench-repro/v8";
 
+/// Shortest wall, this run's or the previous one, that the `vs prev`
+/// column compares: sub-10 ms groups only time their own bookkeeping.
+const MIN_COMPARED_WALL_S: f64 = 0.010;
+
 /// One figure group's jobs folded together.
 #[derive(Default)]
 struct GroupCost {
@@ -159,6 +163,8 @@ pub fn bench_report(out: &RunOutput, opts: &RunOptions, profile: &str) -> Value 
 /// [`RunOptions::expected_costs`], loaded from the last committed
 /// `BENCH_repro.json`); when a group has history, the `vs prev` column
 /// shows this run's speedup (`3.1x`) or slowdown (`0.8x`) against it.
+/// A ratio involving a timing below 10 ms is timer noise, so such a
+/// group prints `-` instead.
 pub fn cost_summary(out: &RunOutput, expected: &[(String, f64)]) -> String {
     let groups = fold_groups(&out.reports);
     let (busy, sim_busy, accesses) = totals(&groups);
@@ -182,9 +188,8 @@ pub fn cost_summary(out: &RunOutput, expected: &[(String, f64)]) -> String {
         let delta_col = expected
             .iter()
             .find(|(name, _)| name == &g.figure)
-            .map_or("-".to_owned(), |(_, prev)| {
-                format!("{:.1}x", prev / g.wall.max(1e-9))
-            });
+            .filter(|(_, prev)| g.wall.min(*prev) >= MIN_COMPARED_WALL_S)
+            .map_or("-".to_owned(), |(_, prev)| format!("{:.1}x", prev / g.wall));
         let s = |ns: u64| format!("{:.1}", ns as f64 / 1e9);
         let p = &g.phases;
         // Front end = epoch time outside the LLC flush (traffic,
@@ -592,6 +597,30 @@ mod tests {
         assert_eq!(cols("figX")[4..7], ["1.0k", "3.3k", "2.0x"]);
         assert_eq!(cols("figY").last().map(String::as_str), Some("[FAILED]"));
         assert_eq!(cols("tableZ")[4..7], ["-", "-", "-"], "access-free, no history");
+    }
+
+    /// `vs prev` compares only timings of at least 10 ms: a group that
+    /// ran (or last ran) in microseconds prints `-`, not a noise ratio.
+    #[test]
+    fn cost_summary_skips_ratios_of_sub_10ms_timings() {
+        let mut out = fake_output();
+        out.reports.push(fake_report("figQ", "figQ", Outcome::Ok, 2, 50));
+        let prev = [
+            ("figX".to_owned(), 0.004),
+            ("figQ".to_owned(), 0.3),
+            ("tableZ".to_owned(), 0.02),
+        ];
+        let text = cost_summary(&out, &prev);
+        let delta = |figure: &str| -> String {
+            let row = text
+                .lines()
+                .find(|l| l.split_whitespace().next() == Some(figure))
+                .unwrap_or_else(|| panic!("no {figure} row in\n{text}"));
+            row.split_whitespace().nth(6).unwrap().to_owned()
+        };
+        assert_eq!(delta("figX"), "-", "previous cost 4 ms");
+        assert_eq!(delta("figQ"), "-", "this run 2 ms");
+        assert_eq!(delta("tableZ"), "2.0x", "10 ms is comparable");
     }
 
     #[test]
