@@ -15,10 +15,10 @@ use crate::catalog::{build, ScenarioParams};
 use crate::report::{save_metrics, save_trace};
 use crate::scenarios::PolicyKind;
 use iat_cachesim::WayMask;
-use iat_platform::Recorder;
 use iat_runner::{JobCtx, Registry};
 use iat_telemetry::{summarize, RingRecorder};
 use serde_json::Value;
+use std::collections::BTreeMap;
 
 const GROUP: &str = "fig11";
 
@@ -34,7 +34,8 @@ fn timeline(ctx: &mut JobCtx) -> Result<Value, String> {
         ScenarioParams::SlicingPmdXmem { packet_bytes: 1500, policy: PolicyKind::IatNoDdioResize };
     let mut m = build(&params, ctx.seed("scenario")).into_managed();
     let pc = m.platform.tenant_id("xmem-pc4").expect("container 4");
-    let mut recorder = Recorder::new();
+    let mut series: BTreeMap<String, Vec<(f64, f64)>> = BTreeMap::new();
+    let mut record = |name: String, t: f64, v: f64| series.entry(name).or_default().push((t, v));
     let mut flight = RingRecorder::new(4096);
     let epochs_per_sample = 10; // 0.1 s at the 10 ms epoch
     let samples_per_interval = m.epochs_per_interval() / epochs_per_sample;
@@ -63,7 +64,7 @@ fn timeline(ctx: &mut JobCtx) -> Result<Value, String> {
             miss_acc += pc_miss;
             let t = second as f64 + (s as f64 + 1.0) * 0.1;
             let scale = m.platform.config().time_scale as f64;
-            recorder.record("pc4_miss_per_s", t, pc_miss as f64 * 10.0 * scale);
+            record("pc4_miss_per_s".into(), t, pc_miss as f64 * 10.0 * scale);
             last = now;
         }
         // Policy iteration once per second, as the daemon would.
@@ -82,13 +83,13 @@ fn timeline(ctx: &mut JobCtx) -> Result<Value, String> {
         let scale = m.platform.config().time_scale as f64;
         let miss_rate = miss_acc as f64 * scale; // per modelled second
         for t in m.platform.tenants() {
-            recorder.record(
-                &format!("ways_{}", t.name),
+            record(
+                format!("ways_{}", t.name),
                 second as f64 + 1.0,
                 rdt.clos_mask(t.clos).count() as f64,
             );
         }
-        recorder.record("ddio_ways", second as f64 + 1.0, rdt.ddio_ways() as f64);
+        record("ddio_ways".into(), second as f64 + 1.0, rdt.ddio_ways() as f64);
         ctx.outln(&format!(
             "{:>5}  {:>8} {:>8} {:>8} {:>8} {:>6}  {:>12.3e}",
             second + 1,
@@ -105,10 +106,7 @@ fn timeline(ctx: &mut JobCtx) -> Result<Value, String> {
          spike subsides within ~1s); after the manual DDIO widening at t=15s the BE\n\
          containers are shuffled onto DDIO's ways and container 4 stays isolated.",
     );
-    ctx.save_json(
-        GROUP,
-        &serde_json::from_str(&recorder.to_json()).map_err(|e| format!("timeline json: {e:?}"))?,
-    );
+    ctx.save_json(GROUP, &serde_json::to_value(&series));
     let events = flight.drain();
     save_trace(ctx, &format!("{GROUP}.trace"), &events);
     let summary = summarize(&events).snapshot();

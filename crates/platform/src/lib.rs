@@ -30,11 +30,9 @@
 mod config;
 mod gen;
 mod platform;
-mod recorder;
 mod sampler;
 mod tenant;
 
 pub use config::PlatformConfig;
 pub use platform::{record_poll, take_sim_accesses, take_skipped_epochs, EpochReport, Platform};
-pub use recorder::Recorder;
 pub use tenant::{Tenant, TenantId, TrafficBinding};

@@ -377,11 +377,10 @@ pub fn run(mut reg: Registry, opts: &RunOptions) -> RunOutput {
                             }
                             break (pos, body, deps);
                         }
-                        if s.running == 0 && s.done >= s.total {
-                            return;
-                        }
-                        // Jobs may be running whose completion unlocks
-                        // more work (or ends the run) — wait it out.
+                        // Nothing is ready. With nothing running, nothing
+                        // ever will be and the run is over; otherwise a
+                        // running job's completion may unlock more work
+                        // (or end the run) — wait it out.
                         if s.running == 0 {
                             return;
                         }

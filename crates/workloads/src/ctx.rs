@@ -101,27 +101,6 @@ pub struct ExecCtx<'a> {
 }
 
 impl ExecCtx<'_> {
-    /// Performs one core read and returns its cycle cost: the
-    /// access-at-a-time route the workloads' reference loops use to check
-    /// their windowed loops against.
-    #[cfg(test)]
-    pub fn read(&mut self, addr: u64) -> u32 {
-        if let Some(sketch) = self.sketch.as_deref_mut() {
-            sketch.observe(addr);
-        }
-        self.cache.core_access_cycles(self.core, self.agent, self.mask, addr, CoreOp::Read)
-    }
-
-    /// Performs one core write and returns its cycle cost (test-only, as
-    /// [`ExecCtx::read`]).
-    #[cfg(test)]
-    pub fn write(&mut self, addr: u64) -> u32 {
-        if let Some(sketch) = self.sketch.as_deref_mut() {
-            sketch.observe(addr);
-        }
-        self.cache.core_access_cycles(self.core, self.agent, self.mask, addr, CoreOp::Write)
-    }
-
     /// Whether application-level metrics (op counts, latency samples, drop
     /// counters) should accrue for work done now.
     ///
@@ -262,9 +241,9 @@ mod tests {
             mask: WayMask::all(4),
             cycle_budget: 10_000,
         };
-        let miss_cost = ctx.read(0x40);
-        let hit_cost = ctx.read(0x40);
-        assert!(miss_cost > hit_cost, "memory fetch must cost more than an L2 hit");
+        let mut costs = Vec::new();
+        ctx.access_batch(&[(0x40, CoreOp::Read), (0x40, CoreOp::Read)], &mut costs);
+        assert!(costs[0] > costs[1], "memory fetch must cost more than an L2 hit");
     }
 
     #[test]
@@ -285,10 +264,6 @@ mod tests {
                 mask: WayMask::all(4),
                 cycle_budget: 10_000,
             };
-            for i in 0..4096u64 {
-                ctx.read((i % 128) * 64);
-                ctx.write((i % 128) * 64);
-            }
             ctx.access_batch(&ops, &mut costs);
             if !lent {
                 assert_eq!(sketch.samples(), 0, "None must record nothing");

@@ -98,59 +98,23 @@ impl Workload for ChannelEcho {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::ctx::Channels;
-    use iat_cachesim::{AgentId, LatencyModel, MemoryHierarchy, WayMask};
+    use crate::{Trace, Tracer};
+    use iat_cachesim::{LatencyModel, MemoryHierarchy, WayMask};
     use iat_netsim::{FlowId, RxRing};
     use proptest::prelude::*;
 
-    /// Access-at-a-time reference loop of [`ChannelEcho::run`].
-    fn reference(echo: &mut ChannelEcho, ctx: &mut ExecCtx<'_>) -> ExecResult {
-        let mut used = 0u64;
-        let mut instructions = 0u64;
-        let accrue = ctx.accrue();
-        while used < ctx.cycle_budget {
-            let rx = &mut ctx.channels.get_mut(echo.rx).ring;
-            let Some((idx, slot)) = rx.pop() else {
-                let iters = (ctx.cycle_budget - used) / POLL_CYCLES;
-                instructions += iters * POLL_INSTR;
-                used += iters * POLL_CYCLES;
-                break;
-            };
-            let buf = slot.ext_buf.unwrap_or_else(|| rx.buf_addr(idx));
-            let cost = PKT_CYCLES + ctx.read(buf) as u64;
-            let tx = &mut ctx.channels.get_mut(echo.tx).ring;
-            let pushed = tx.push(PacketSlot::with_ext_buf(slot.flow, slot.size, buf)).is_some();
-            if accrue {
-                if pushed {
-                    echo.forwarded += 1;
-                } else {
-                    echo.drops += 1;
-                }
-                echo.win.latency_mut().record(cost);
-            }
-            used += cost;
-            instructions += PKT_INSTR;
-        }
-        ExecResult { instructions, cycles_used: used.min(ctx.cycle_budget) }
-    }
-
-    type Trace = (Vec<ExecResult>, WorkloadMetrics, String, String, u64, u64);
-
-    /// Runs an echo tenant through `rounds` of (packets, budget) with a
-    /// 6-slot outbound channel and statistics frozen every fifth round.
-    fn trace(
-        step: fn(&mut ChannelEcho, &mut ExecCtx<'_>) -> ExecResult,
-        latency: LatencyModel,
-        rounds: &[(u8, u64)],
-    ) -> Trace {
-        let mut h = crate::tiny_hierarchy(latency);
-        let mut ch = Channels::new();
-        let rx = ch.add(RxRing::new(0x8000_0000, 32, 2048));
-        let tx = ch.add(RxRing::new(0x9000_0000, 6, 2048));
+    /// Runs an echo tenant, resolving its accesses serially if `serial`,
+    /// through `rounds` of (packets, budget) with a 6-slot outbound
+    /// channel and statistics frozen every fifth round.
+    fn trace(serial: bool, latency: LatencyModel, rounds: &[(u8, u64)]) -> Trace {
+        let mut t = Tracer::new(crate::tiny_hierarchy(latency));
+        let rx = t.ch.add(RxRing::new(0x8000_0000, 32, 2048));
+        let tx = t.ch.add(RxRing::new(0x9000_0000, 6, 2048));
         let mut echo = ChannelEcho::new(rx, tx);
-        let mut results = Vec::new();
+        echo.win.serial = serial;
         for (r, &(n, budget)) in rounds.iter().enumerate() {
             let r = r as u64;
             for i in 0..n as u64 {
@@ -160,34 +124,30 @@ mod tests {
                 } else {
                     PacketSlot::new(flow, 64)
                 };
-                let _ = ch.get_mut(rx).ring.push(slot);
+                let _ = t.ch.get_mut(rx).ring.push(slot);
             }
-            h.set_stats_frozen(r % 5 == 4);
-            results.push(crate::run_slice(&mut h, &mut ch, &mut echo, budget, step));
-            h.set_stats_frozen(false);
+            t.slice(&mut echo, WayMask::all(4), budget, r % 5 == 4);
             for _ in 0..r % 4 {
-                ch.get_mut(tx).ring.pop();
+                t.ch.get_mut(tx).ring.pop();
             }
         }
-        (
-            results,
-            echo.metrics(),
-            format!("{:?}", echo.win.latency_mut()),
-            format!("{ch:?}"),
-            h.accesses(),
-            h.llc().state_digest(),
-        )
+        let state = vec![format!("{:?}", echo.win.latency()), format!("{:?}", t.ch)];
+        t.finish(echo.metrics(), state)
     }
 
-    /// The windowed loop must match the access-at-a-time reference
-    /// bit-for-bit, including drops at a full outbound channel.
+    /// The fixed schedule, including drops at a full outbound channel.
+    pub(crate) fn fixed_traces(serial: bool) -> Vec<(String, Trace)> {
+        let rounds: Vec<(u8, u64)> = (0..16u64).map(|r| ((r * 5 % 17) as u8, 150 + r * 197)).collect();
+        let trace = trace(serial, LatencyModel::default(), &rounds);
+        assert!(trace.metrics.drops > 0 && trace.metrics.ops > 0);
+        vec![("echo".into(), trace)]
+    }
+
+    /// Serial and windowed resolution of the echo must agree bit-for-bit
+    /// on the fixed schedule.
     #[test]
     fn batched_matches_serial() {
-        let rounds: Vec<(u8, u64)> = (0..16u64).map(|r| ((r * 5 % 17) as u8, 150 + r * 197)).collect();
-        let lat = LatencyModel::default();
-        let batched = trace(ChannelEcho::run, lat, &rounds);
-        assert!(batched.1.drops > 0 && batched.1.ops > 0);
-        assert_eq!(batched, trace(reference, lat, &rounds));
+        crate::assert_resolutions_agree(fixed_traces);
     }
 
     proptest! {
@@ -199,8 +159,12 @@ mod tests {
             default_costs in any::<bool>(),
         ) {
             let lat = if default_costs { LatencyModel::default() } else { LatencyModel::new(1, 2, 3) };
-            prop_assert_eq!(trace(ChannelEcho::run, lat, &rounds), trace(reference, lat, &rounds));
+            prop_assert_eq!(trace(false, lat, &rounds), trace(true, lat, &rounds));
         }
+    }
+
+    fn run(h: &mut MemoryHierarchy, ch: &mut Channels, echo: &mut ChannelEcho) {
+        crate::run_slice(h, ch, None, echo, WayMask::all(4), 100_000);
     }
 
     #[test]
@@ -214,16 +178,7 @@ mod tests {
             .ring
             .push(PacketSlot::new(FlowId(1), 256))
             .unwrap();
-        let mut ctx = ExecCtx {
-            cache: &mut h,
-            sketch: None,
-            channels: &mut ch,
-            core: 0,
-            agent: AgentId::new(0),
-            mask: WayMask::all(4),
-            cycle_budget: 100_000,
-        };
-        echo.run(&mut ctx);
+        run(&mut h, &mut ch, &mut echo);
         assert_eq!(echo.forwarded(), 1);
         let (_, out) = ch.get_mut(tx).ring.pop().unwrap();
         assert!(out.ext_buf.is_some(), "bounce must be zero-copy");
@@ -243,16 +198,7 @@ mod tests {
                 .push(PacketSlot::new(FlowId(0), 64))
                 .unwrap();
         }
-        let mut ctx = ExecCtx {
-            cache: &mut h,
-            sketch: None,
-            channels: &mut ch,
-            core: 0,
-            agent: AgentId::new(0),
-            mask: WayMask::all(4),
-            cycle_budget: 100_000,
-        };
-        echo.run(&mut ctx);
+        run(&mut h, &mut ch, &mut echo);
         assert_eq!(echo.forwarded(), 1);
         assert_eq!(echo.metrics().drops, 2);
     }

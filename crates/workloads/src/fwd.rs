@@ -195,9 +195,10 @@ impl Workload for L3Fwd {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::ctx::Channels;
+    use crate::{Trace, Tracer};
     use iat_cachesim::{MemoryHierarchy, WayMask};
     use iat_netsim::{FlowId, Nic, VfId};
 
@@ -207,91 +208,12 @@ mod tests {
     }
 
     fn run<W: Workload>(h: &mut MemoryHierarchy, w: &mut W, budget: u64) -> ExecResult {
-        crate::run_slice(h, &mut Channels::new(), w, budget, W::run)
+        crate::run_slice(h, &mut Channels::new(), None, w, WayMask::all(4), budget)
     }
 
     fn deliver(h: &mut MemoryHierarchy, w: &mut dyn Workload, n: usize, size: u32) {
         let ddio = WayMask::contiguous(2, 2).unwrap();
         crate::deliver(h, ddio, &mut w.ports_mut()[0], (0..n as u32).map(FlowId), size);
-    }
-
-    /// Access-at-a-time reference loop of [`TestPmd::run`]: every access
-    /// resolves as it is issued, so each budget decision sees exact costs.
-    fn testpmd_reference(pmd: &mut TestPmd, ctx: &mut ExecCtx<'_>) -> ExecResult {
-        let mut used = 0u64;
-        let mut instructions = 0u64;
-        let accrue = ctx.accrue();
-        while used < ctx.cycle_budget {
-            let mut progress = false;
-            for p in 0..pmd.ports.len() {
-                if used >= ctx.cycle_budget {
-                    break;
-                }
-                let port = &mut pmd.ports[p];
-                let Some((idx, slot)) = port.rx.pop() else { continue };
-                progress = true;
-                let mut cost = TESTPMD_PKT_CYCLES;
-                // Read the Rx descriptor and the packet header line.
-                cost += ctx.read(port.rx.desc_addr(idx)) as u64;
-                let buf = port.rx.buf_addr(idx);
-                cost += ctx.read(buf) as u64;
-                // Re-post zero-copy for Tx: write the Tx descriptor.
-                let tx_slot = PacketSlot::with_ext_buf(slot.flow, slot.size, buf);
-                if let Some(tx_idx) = port.tx.push(tx_slot) {
-                    cost += ctx.write(port.tx.desc_addr(tx_idx)) as u64;
-                    if accrue {
-                        pmd.forwarded += 1;
-                    }
-                }
-                used += cost;
-                instructions += TESTPMD_PKT_INSTR;
-                if accrue {
-                    pmd.win.latency_mut().record(cost);
-                }
-            }
-            if !progress {
-                let iters = (ctx.cycle_budget - used) / POLL_CYCLES;
-                instructions += iters * POLL_INSTR;
-                used += iters * POLL_CYCLES;
-                break;
-            }
-        }
-        ExecResult { instructions, cycles_used: used.min(ctx.cycle_budget) }
-    }
-
-    /// Access-at-a-time reference loop of [`L3Fwd::run`].
-    fn l3fwd_reference(fwd: &mut L3Fwd, ctx: &mut ExecCtx<'_>) -> ExecResult {
-        let mut used = 0u64;
-        let mut instructions = 0u64;
-        let accrue = ctx.accrue();
-        while used < ctx.cycle_budget {
-            let Some((idx, slot)) = fwd.vf.rx.pop() else {
-                let iters = (ctx.cycle_budget - used) / POLL_CYCLES;
-                instructions += iters * POLL_INSTR;
-                used += iters * POLL_CYCLES;
-                break;
-            };
-            let mut cost = L3FWD_PKT_CYCLES;
-            cost += ctx.read(fwd.vf.rx.desc_addr(idx)) as u64;
-            let buf = fwd.vf.rx.buf_addr(idx);
-            // Parse the header, look the flow up, rewrite the header.
-            cost += ctx.read(buf) as u64;
-            cost += ctx.read(fwd.table.entry_line(slot.flow.0 as u64, 0)) as u64;
-            cost += ctx.write(buf) as u64;
-            let tx_slot = PacketSlot::with_ext_buf(slot.flow, slot.size, buf);
-            if let Some(tx_idx) = fwd.vf.tx.push(tx_slot) {
-                cost += ctx.write(fwd.vf.tx.desc_addr(tx_idx)) as u64;
-                if accrue {
-                    fwd.forwarded += 1;
-                }
-            }
-            used += cost;
-            instructions += L3FWD_PKT_INSTR;
-            if accrue {
-                fwd.win.latency_mut().record(cost);
-            }
-        }
-        ExecResult { instructions, cycles_used: used.min(ctx.cycle_budget) }
     }
 
     #[test]
@@ -342,57 +264,59 @@ mod tests {
         assert!(h.llc().contains(table.entry_line(0, 0)) || h.core(0).l2().hits() > 0);
     }
 
-    /// The windowed batched loops must match the access-at-a-time
-    /// reference loops bit-for-bit: forwarded counts, instructions,
-    /// cycles, the order-sensitive latency reservoir, and the full cache
-    /// state digest.
+    /// Runs a two-port TestPmd, resolving its accesses serially if
+    /// `serial`, through uneven deliveries and tight budgets, so slices
+    /// end in every way: mid-scan budget stop, straggler flush plus busy
+    /// poll, and backlog carried over between slices.
+    fn testpmd_trace(serial: bool) -> Trace {
+        let mut nic = Nic::new(0x4000_0000, 2, 32, 2048);
+        let ports = vec![nic.vf_mut(VfId(0)).clone(), nic.vf_mut(VfId(1)).clone()];
+        let mut t = Tracer::new(MemoryHierarchy::tiny(1));
+        let mut pmd = TestPmd::with_ports(ports);
+        pmd.win.serial = serial;
+        for round in 0..12u64 {
+            let ddio = WayMask::contiguous(2, 2).unwrap();
+            for p in 0..2usize {
+                let n = (round as usize * 7 + p * 3) % 11;
+                let flows = (0..n as u64).map(|i| FlowId((round * 31 + i) as u32 % 5));
+                crate::deliver(&mut t.h, ddio, &mut pmd.ports_mut()[p], flows, 64);
+            }
+            t.slice(&mut pmd, WayMask::all(4), 900 + round * 517, false);
+        }
+        let state = vec![format!("{:?}", pmd.win.latency()), format!("{:?}", pmd.ports)];
+        t.finish(pmd.metrics(), state)
+    }
+
+    /// Runs an L3Fwd, resolving serially if `serial`, through uneven
+    /// deliveries and tight budgets.
+    fn l3fwd_trace(serial: bool) -> Trace {
+        let mut t = Tracer::new(MemoryHierarchy::tiny(1));
+        let table = HashRegion::new(0x9000_0000, 4096, 1);
+        let mut fwd = L3Fwd::new(vf(), table);
+        fwd.win.serial = serial;
+        for round in 0..12u64 {
+            let ddio = WayMask::contiguous(2, 2).unwrap();
+            let n = (round as usize * 5) % 9;
+            let flows = (0..n as u64).map(|i| FlowId((round * 17 + i) as u32 % 7));
+            crate::deliver(&mut t.h, ddio, &mut fwd.ports_mut()[0], flows, 64);
+            t.slice(&mut fwd, WayMask::all(4), 1_100 + round * 431, false);
+        }
+        let state = vec![format!("{:?}", fwd.win.latency()), format!("{:?}", fwd.vf)];
+        t.finish(fwd.metrics(), state)
+    }
+
+    /// The fixed schedules of both forwarders.
+    pub(crate) fn fixed_traces(serial: bool) -> Vec<(String, Trace)> {
+        vec![("testpmd".into(), testpmd_trace(serial)), ("l3fwd".into(), l3fwd_trace(serial))]
+    }
+
+    /// Serial and windowed resolution of both forwarders must agree
+    /// bit-for-bit: forwarded counts, instructions, cycles, the
+    /// order-sensitive latency reservoir, the sketch feed and the full
+    /// cache state digest.
     #[test]
     fn batched_matches_serial() {
-        type Trace = (u64, WorkloadMetrics, Vec<ExecResult>, u64, u64);
-
-        fn testpmd_trace(step: fn(&mut TestPmd, &mut ExecCtx<'_>) -> ExecResult) -> Trace {
-            let mut nic = Nic::new(0x4000_0000, 2, 32, 2048);
-            let ports = vec![nic.vf_mut(VfId(0)).clone(), nic.vf_mut(VfId(1)).clone()];
-            let mut h = MemoryHierarchy::tiny(1);
-            let mut pmd = TestPmd::with_ports(ports);
-            let mut results = Vec::new();
-            // Alternate uneven deliveries and tight budgets so runs end in
-            // every way: mid-scan budget stop, straggler flush + busy poll,
-            // and carry-over backlog between slices.
-            for round in 0..12u64 {
-                let ddio = WayMask::contiguous(2, 2).unwrap();
-                for p in 0..2usize {
-                    let n = (round as usize * 7 + p * 3) % 11;
-                    let flows = (0..n as u64).map(|i| FlowId((round * 31 + i) as u32 % 5));
-                    crate::deliver(&mut h, ddio, &mut pmd.ports_mut()[p], flows, 64);
-                }
-                let budget = 900 + round * 517;
-                results.push(crate::run_slice(&mut h, &mut Channels::new(), &mut pmd, budget, step));
-            }
-            (pmd.forwarded(), pmd.metrics(), results, h.accesses(), h.llc().state_digest())
-        }
-
-        fn l3fwd_trace(step: fn(&mut L3Fwd, &mut ExecCtx<'_>) -> ExecResult) -> Trace {
-            let mut h = MemoryHierarchy::tiny(1);
-            let table = HashRegion::new(0x9000_0000, 4096, 1);
-            let mut fwd = L3Fwd::new(vf(), table);
-            let mut results = Vec::new();
-            for round in 0..12u64 {
-                let ddio = WayMask::contiguous(2, 2).unwrap();
-                let n = (round as usize * 5) % 9;
-                let flows = (0..n as u64).map(|i| FlowId((round * 17 + i) as u32 % 7));
-                crate::deliver(&mut h, ddio, &mut fwd.ports_mut()[0], flows, 64);
-                let budget = 1_100 + round * 431;
-                results.push(crate::run_slice(&mut h, &mut Channels::new(), &mut fwd, budget, step));
-            }
-            (fwd.forwarded, fwd.metrics(), results, h.accesses(), h.llc().state_digest())
-        }
-
-        assert_eq!(
-            testpmd_trace(TestPmd::run),
-            testpmd_trace(testpmd_reference)
-        );
-        assert_eq!(l3fwd_trace(L3Fwd::run), l3fwd_trace(l3fwd_reference));
+        crate::assert_resolutions_agree(fixed_traces);
     }
 
     #[test]

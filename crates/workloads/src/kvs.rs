@@ -92,11 +92,6 @@ impl KvStore {
         }
     }
 
-    /// Replaces the operation mix (to sweep YCSB A–F on one instance).
-    pub fn set_mix(&mut self, mix: YcsbMix) {
-        self.mix = mix;
-    }
-
     /// Total value-heap footprint in bytes.
     pub fn heap_bytes(&self) -> u64 {
         self.records_pow2 * self.config.value_bytes as u64
@@ -206,128 +201,59 @@ impl Workload for KvStore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::ctx::Channels;
-    use iat_cachesim::{AgentId, LatencyModel, MemoryHierarchy, WayMask};
+    use crate::{Trace, Tracer};
+    use iat_cachesim::{LatencyModel, MemoryHierarchy, WayMask};
     use iat_netsim::{FlowId, RxRing};
     use proptest::prelude::*;
 
-    /// Access-at-a-time reference loop of [`KvStore::run`]: every access
-    /// resolves as it is issued, so each budget decision sees exact costs.
-    fn reference(kv: &mut KvStore, ctx: &mut ExecCtx<'_>) -> ExecResult {
-        let mut used = 0u64;
-        let mut instructions = 0u64;
-        let accrue = ctx.accrue();
-        while used < ctx.cycle_budget {
-            let rx = &mut ctx.channels.get_mut(kv.rx).ring;
-            let Some((ridx, req)) = rx.pop() else {
-                let iters = (ctx.cycle_budget - used) / POLL_CYCLES;
-                instructions += iters * POLL_INSTR;
-                used += iters * POLL_CYCLES;
-                break;
-            };
-            let req_line = rx.buf_addr(ridx);
-            let key = req.flow.0 as u64 % kv.config.records;
-            let mut cost = REQ_CYCLES;
-            cost += ctx.read(req_line) as u64;
-            cost += ctx.read(kv.buckets.entry_line(key, 0)) as u64;
-            let u = kv.next_uniform();
-            let op = kv.mix.pick(u);
-            let vlines = kv.value_lines();
-            let (touched, writes) = match op {
-                OpKind::Read => (1, false),
-                OpKind::Update | OpKind::Insert | OpKind::ReadModifyWrite => (1, true),
-                OpKind::Scan => (kv.config.scan_len as u64, false),
-            };
-            let mut resp_bytes = 16u32;
-            for i in 0..touched {
-                let vaddr = kv.value_addr((key + i) % kv.config.records);
-                for l in 0..vlines {
-                    cost += ctx.read(vaddr + l * LINE_BYTES) as u64;
-                }
-                if writes {
-                    for l in 0..vlines {
-                        cost += ctx.write(vaddr + l * LINE_BYTES) as u64;
-                    }
-                } else {
-                    resp_bytes += kv.config.value_bytes;
-                }
-            }
-            if op == OpKind::ReadModifyWrite {
-                cost += ctx.read(kv.value_addr(key)) as u64;
-            }
-            let txc = &mut ctx.channels.get_mut(kv.tx).ring;
-            let dst = txc.push(PacketSlot::new(req.flow, resp_bytes.min(1500))).map(|t| txc.buf_addr(t));
-            if let Some(dst) = dst {
-                for l in 0..iat_cachesim::lines_for(resp_bytes.min(1500) as u64) {
-                    cost += ctx.write(dst + l * LINE_BYTES) as u64;
-                }
-            }
-            used += cost;
-            instructions += REQ_INSTR * touched.max(1);
-            if accrue {
-                kv.ops += 1;
-                kv.win.latency_mut().record(cost);
-            }
-        }
-        ExecResult { instructions, cycles_used: used.min(ctx.cycle_budget) }
-    }
-
-    /// Per-slice results, metrics, the latency reservoir, channel state,
-    /// accesses and the LLC state digest.
-    type Trace = (Vec<ExecResult>, WorkloadMetrics, String, String, u64, u64);
-
-    /// Runs a store through `rounds` of (requests, budget) with a 4-slot
-    /// response channel (so responses drop when the client lags) and
-    /// statistics frozen every fifth round.
-    fn trace(
-        step: fn(&mut KvStore, &mut ExecCtx<'_>) -> ExecResult,
-        latency: LatencyModel,
-        mix: YcsbMix,
-        rounds: &[(u8, u64)],
-    ) -> Trace {
-        let mut h = crate::tiny_hierarchy(latency);
-        let mut ch = Channels::new();
-        let rx = ch.add(RxRing::new(0x8000_0000, 32, 2048));
-        let tx = ch.add(RxRing::new(0x9000_0000, 4, 2048));
+    /// Runs a store, resolving its accesses serially if `serial`, through
+    /// `rounds` of (requests, budget) with a 4-slot response channel (so
+    /// responses drop when the client lags) and statistics frozen every
+    /// fifth round.
+    fn trace(serial: bool, latency: LatencyModel, mix: YcsbMix, rounds: &[(u8, u64)]) -> Trace {
+        let mut t = Tracer::new(crate::tiny_hierarchy(latency));
+        let rx = t.ch.add(RxRing::new(0x8000_0000, 32, 2048));
+        let tx = t.ch.add(RxRing::new(0x9000_0000, 4, 2048));
         let config = KvConfig { records: 300, value_bytes: 192, scan_len: 3 };
         let mut kv = KvStore::new(rx, tx, 0xA000_0000, config, mix, 7);
-        let mut results = Vec::new();
+        kv.win.serial = serial;
         for (r, &(n, budget)) in rounds.iter().enumerate() {
             let r = r as u32;
             for i in 0..n as u32 {
-                let _ = ch.get_mut(rx).ring.push(PacketSlot::new(FlowId((r * 37 + i * i) % 500), 64));
+                let _ = t.ch.get_mut(rx).ring.push(PacketSlot::new(FlowId((r * 37 + i * i) % 500), 64));
             }
-            h.set_stats_frozen(r % 5 == 4);
-            results.push(crate::run_slice(&mut h, &mut ch, &mut kv, budget, step));
-            h.set_stats_frozen(false);
+            t.slice(&mut kv, WayMask::all(4), budget, r % 5 == 4);
             for _ in 0..r % 3 {
-                ch.get_mut(tx).ring.pop();
+                t.ch.get_mut(tx).ring.pop();
             }
         }
-        (
-            results,
-            kv.metrics(),
-            format!("{:?}", kv.win.latency_mut()),
-            format!("{ch:?}"),
-            h.accesses(),
-            h.llc().state_digest(),
-        )
+        let state = vec![format!("{:?}", kv.win.latency()), format!("{:?}", t.ch)];
+        t.finish(kv.metrics(), state)
     }
 
-    /// The windowed loop must match the access-at-a-time reference
-    /// bit-for-bit for every YCSB mix (scans and read-modify-writes
-    /// included), with responses dropped at a full channel.
+    /// The fixed schedule under every YCSB mix (scans and
+    /// read-modify-writes included), with responses dropped at a full
+    /// channel.
+    pub(crate) fn fixed_traces(serial: bool) -> Vec<(String, Trace)> {
+        let rounds: Vec<(u8, u64)> = (0..14u64).map(|r| ((r * 7 % 13) as u8, 900 + r * 2_311)).collect();
+        YcsbMix::all()
+            .into_iter()
+            .map(|mix| {
+                let trace = trace(serial, LatencyModel::default(), mix, &rounds);
+                assert!(trace.metrics.ops > 0);
+                (format!("kvs {}", mix.name), trace)
+            })
+            .collect()
+    }
+
+    /// Serial and windowed resolution of the store must agree
+    /// bit-for-bit on the fixed schedule.
     #[test]
     fn batched_matches_serial() {
-        let rounds: Vec<(u8, u64)> = (0..14u64).map(|r| ((r * 7 % 13) as u8, 900 + r * 2_311)).collect();
-        for mix in YcsbMix::all() {
-            let lat = LatencyModel::default();
-            let batched = trace(KvStore::run, lat, mix, &rounds);
-            assert!(batched.1.ops > 0);
-            assert_eq!(batched, trace(reference, lat, mix, &rounds), "{mix:?}");
-        }
+        crate::assert_resolutions_agree(fixed_traces);
     }
 
     proptest! {
@@ -341,10 +267,7 @@ mod tests {
         ) {
             let lat = if default_costs { LatencyModel::default() } else { LatencyModel::new(1, 2, 3) };
             let mix = YcsbMix::all()[mix];
-            prop_assert_eq!(
-                trace(KvStore::run, lat, mix, &rounds),
-                trace(reference, lat, mix, &rounds)
-            );
+            prop_assert_eq!(trace(false, lat, mix, &rounds), trace(true, lat, mix, &rounds));
         }
     }
 
@@ -376,16 +299,7 @@ mod tests {
     }
 
     fn run(h: &mut MemoryHierarchy, ch: &mut Channels, kv: &mut KvStore, budget: u64) {
-        let mut ctx = ExecCtx {
-            cache: h,
-            sketch: None,
-            channels: ch,
-            core: 0,
-            agent: AgentId::new(0),
-            mask: WayMask::all(4),
-            cycle_budget: budget,
-        };
-        kv.run(&mut ctx);
+        crate::run_slice(h, ch, None, kv, WayMask::all(4), budget);
     }
 
     #[test]

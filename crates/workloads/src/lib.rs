@@ -38,6 +38,8 @@ pub mod phase;
 mod region;
 mod rocks;
 mod spec;
+#[cfg(test)]
+mod testkit;
 mod window;
 mod xmem;
 mod ycsb;
@@ -56,50 +58,5 @@ pub use spec::{SpecProfile, SpecWorkload};
 pub use xmem::XMem;
 pub use ycsb::{OpKind, YcsbMix};
 
-/// Test support: DMA-delivers one `size`-byte packet per flow into `vf`'s
-/// Rx ring, applying the DDIO line writes one access at a time.
 #[cfg(test)]
-pub(crate) fn deliver(
-    h: &mut iat_cachesim::MemoryHierarchy,
-    ddio: iat_cachesim::WayMask,
-    vf: &mut iat_netsim::VirtualFunction,
-    flows: impl IntoIterator<Item = iat_netsim::FlowId>,
-    size: u32,
-) {
-    let batch = iat_netsim::PacketBatch { flows: flows.into_iter().collect(), size };
-    vf.dma.rx_batch(&mut vf.rx, &batch, |a| {
-        h.io_write(ddio, a);
-    });
-}
-
-/// Test support: a two-core tiny hierarchy with the given access costs.
-#[cfg(test)]
-pub(crate) fn tiny_hierarchy(latency: iat_cachesim::LatencyModel) -> iat_cachesim::MemoryHierarchy {
-    iat_cachesim::MemoryHierarchy::new(
-        iat_cachesim::CacheGeometry::tiny(),
-        iat_cachesim::CacheGeometry::new(2, 8, 1).expect("valid geometry"),
-        2,
-        latency,
-    )
-}
-
-/// Test support: runs one slice of `step` on core 0 with a full mask.
-#[cfg(test)]
-pub(crate) fn run_slice<W>(
-    h: &mut iat_cachesim::MemoryHierarchy,
-    channels: &mut Channels,
-    w: &mut W,
-    budget: u64,
-    step: fn(&mut W, &mut ExecCtx<'_>) -> ExecResult,
-) -> ExecResult {
-    let mut ctx = ExecCtx {
-        cache: h,
-        sketch: None,
-        channels,
-        core: 0,
-        agent: iat_cachesim::AgentId::new(0),
-        mask: iat_cachesim::WayMask::all(4),
-        cycle_budget: budget,
-    };
-    step(w, &mut ctx)
-}
+pub(crate) use testkit::{assert_resolutions_agree, deliver, run_slice, tiny_hierarchy, Trace, Tracer};

@@ -151,112 +151,55 @@ impl Workload for NfChain {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::ctx::Channels;
-    use iat_cachesim::{AgentId, LatencyModel, MemoryHierarchy, WayMask};
+    use crate::{Trace, Tracer};
+    use iat_cachesim::{LatencyModel, MemoryHierarchy, WayMask};
     use iat_netsim::{FlowId, Nic, VfId};
     use proptest::prelude::*;
 
-    /// Access-at-a-time reference loop of [`NfChain::run`].
-    fn reference(nf: &mut NfChain, ctx: &mut ExecCtx<'_>) -> ExecResult {
-        let mut used = 0u64;
-        let mut instructions = 0u64;
-        let accrue = ctx.accrue();
-        while used < ctx.cycle_budget {
-            let mut progress = false;
-            for p in 0..nf.ports.len() {
-                if used >= ctx.cycle_budget {
-                    break;
-                }
-                let Some((idx, slot)) = nf.ports[p].rx.pop() else { continue };
-                progress = true;
-                let key = slot.flow.0 as u64;
-                let mut cost = CHAIN_CYCLES;
-                cost += ctx.read(nf.ports[p].rx.desc_addr(idx)) as u64;
-                let buf = nf.ports[p].rx.buf_addr(idx);
-                cost += ctx.read(buf) as u64;
-                cost += ctx.read(nf.firewall.entry_line(key, 0)) as u64;
-                cost += ctx.read(nf.firewall.entry_line(key.rotate_left(11), 0)) as u64;
-                cost += ctx.read(nf.stats.entry_line(key, 0)) as u64;
-                cost += ctx.write(nf.stats.entry_line(key, 0)) as u64;
-                cost += ctx.read(nf.napt.entry_line(key, 0)) as u64;
-                cost += ctx.write(buf) as u64;
-                let tx_slot = PacketSlot::with_ext_buf(slot.flow, slot.size, buf);
-                if let Some(tidx) = nf.ports[p].tx.push(tx_slot) {
-                    cost += ctx.write(nf.ports[p].tx.desc_addr(tidx)) as u64;
-                    if accrue {
-                        nf.processed += 1;
-                    }
-                }
-                used += cost;
-                instructions += CHAIN_INSTR;
-                if accrue {
-                    nf.win.latency_mut().record(cost);
-                }
-            }
-            if !progress {
-                let iters = (ctx.cycle_budget - used) / POLL_CYCLES;
-                instructions += iters * POLL_INSTR;
-                used += iters * POLL_CYCLES;
-                break;
-            }
-        }
-        ExecResult { instructions, cycles_used: used.min(ctx.cycle_budget) }
-    }
-
-    type Trace = (Vec<ExecResult>, WorkloadMetrics, String, String, u64, u64);
-
-    /// Runs a two-port chain through `rounds` of (port 0 packets, port 1
-    /// packets, budget) with 16-slot rings, so Tx fills when the wire
-    /// lags, and statistics frozen every fifth round.
-    fn trace(
-        step: fn(&mut NfChain, &mut ExecCtx<'_>) -> ExecResult,
-        latency: LatencyModel,
-        rounds: &[(u8, u8, u64)],
-    ) -> Trace {
-        let mut h = crate::tiny_hierarchy(latency);
+    /// Runs a two-port chain, resolving its accesses serially if
+    /// `serial`, through `rounds` of (port 0 packets, port 1 packets,
+    /// budget) with 16-slot rings, so Tx fills when the wire lags, and
+    /// statistics frozen every fifth round.
+    fn trace(serial: bool, latency: LatencyModel, rounds: &[(u8, u8, u64)]) -> Trace {
+        let mut t = Tracer::new(crate::tiny_hierarchy(latency));
         let mut nic = Nic::new(0x4000_0000, 2, 16, 2048);
         let ports = vec![nic.vf_mut(VfId(0)).clone(), nic.vf_mut(VfId(1)).clone()];
         let config = NfChainConfig { firewall_rules: 64, stat_entries: 256, napt_entries: 256 };
         let mut nf = NfChain::with_ports(ports, 0xC000_0000, config);
-        let mut ch = Channels::new();
+        nf.win.serial = serial;
         let ddio = WayMask::contiguous(2, 2).unwrap();
-        let mut results = Vec::new();
         for (r, &(n0, n1, budget)) in rounds.iter().enumerate() {
             let r = r as u32;
             for (p, n) in [n0, n1].into_iter().enumerate() {
                 let fl = (0..n as u32).map(|i| FlowId((r * 29 + i * 3 + p as u32) % 50));
-                crate::deliver(&mut h, ddio, &mut nf.ports_mut()[p], fl, 64);
+                crate::deliver(&mut t.h, ddio, &mut nf.ports_mut()[p], fl, 64);
             }
-            h.set_stats_frozen(r % 5 == 4);
-            results.push(crate::run_slice(&mut h, &mut ch, &mut nf, budget, step));
-            h.set_stats_frozen(false);
+            t.slice(&mut nf, WayMask::all(4), budget, r % 5 == 4);
             for _ in 0..r % 4 {
                 nf.ports_mut()[0].tx.pop();
             }
         }
-        (
-            results,
-            nf.metrics(),
-            format!("{:?}", nf.win.latency_mut()),
-            format!("{:?}", nf.ports),
-            h.accesses(),
-            h.llc().state_digest(),
-        )
+        let state = vec![format!("{:?}", nf.win.latency()), format!("{:?}", nf.ports)];
+        t.finish(nf.metrics(), state)
     }
 
-    /// The windowed loop must match the access-at-a-time reference
-    /// bit-for-bit: mid-scan budget stops, straggler flush plus busy
-    /// poll, and backlog carried between slices.
-    #[test]
-    fn batched_matches_serial() {
+    /// The fixed schedule: mid-scan budget stops, straggler flush plus
+    /// busy poll, and backlog carried between slices.
+    pub(crate) fn fixed_traces(serial: bool) -> Vec<(String, Trace)> {
         let rounds: Vec<(u8, u8, u64)> =
             (0..16u64).map(|r| ((r * 7 % 13) as u8, (r * 5 % 9) as u8, 700 + r * 521)).collect();
-        let lat = LatencyModel::default();
-        let batched = trace(NfChain::run, lat, &rounds);
-        assert!(batched.1.ops > 0);
-        assert_eq!(batched, trace(reference, lat, &rounds));
+        let trace = trace(serial, LatencyModel::default(), &rounds);
+        assert!(trace.metrics.ops > 0);
+        vec![("nfchain".into(), trace)]
+    }
+
+    /// Serial and windowed resolution of the chain must agree
+    /// bit-for-bit on the fixed schedule.
+    #[test]
+    fn batched_matches_serial() {
+        crate::assert_resolutions_agree(fixed_traces);
     }
 
     proptest! {
@@ -268,7 +211,7 @@ mod tests {
             default_costs in any::<bool>(),
         ) {
             let lat = if default_costs { LatencyModel::default() } else { LatencyModel::new(1, 2, 3) };
-            prop_assert_eq!(trace(NfChain::run, lat, &rounds), trace(reference, lat, &rounds));
+            prop_assert_eq!(trace(false, lat, &rounds), trace(true, lat, &rounds));
         }
     }
 
@@ -282,17 +225,7 @@ mod tests {
     }
 
     fn run(h: &mut MemoryHierarchy, nf: &mut NfChain, budget: u64) -> ExecResult {
-        let mut ch = Channels::new();
-        let mut ctx = ExecCtx {
-            cache: h,
-            sketch: None,
-            channels: &mut ch,
-            core: 0,
-            agent: AgentId::new(0),
-            mask: WayMask::all(4),
-            cycle_budget: budget,
-        };
-        nf.run(&mut ctx)
+        crate::run_slice(h, &mut crate::Channels::new(), None, nf, WayMask::all(4), budget)
     }
 
     #[test]

@@ -272,164 +272,45 @@ impl Workload for OvsSwitch {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::ctx::Channels;
-    use iat_cachesim::{AgentId, LatencyModel, MemoryHierarchy, WayMask};
+    use crate::{Trace, Tracer};
+    use iat_cachesim::{LatencyModel, MemoryHierarchy, WayMask};
     use iat_netsim::{FlowId, Nic, RxRing, VfId};
     use proptest::prelude::*;
 
-    /// Access-at-a-time reference of [`OvsSwitch::lookup`]: returns
-    /// `(cycle_cost, instructions)`.
-    fn lookup_reference(
-        ovs: &mut OvsSwitch,
-        ctx: &mut ExecCtx<'_>,
-        flow: u32,
-        accrue: bool,
-    ) -> (u64, u64) {
-        let key = flow as u64;
-        let slot = ovs.emc.slot_of_key(key) as usize;
-        let mut cost = EMC_HIT_CYCLES + ctx.read(ovs.emc.entry_line(key, 0)) as u64;
-        let mut instr = PKT_INSTR;
-        if ovs.emc_tags[slot] == flow {
-            if accrue {
-                ovs.emc_hits += 1;
-            }
-        } else {
-            if accrue {
-                ovs.emc_misses += 1;
-            }
-            cost += MEGAFLOW_CYCLES;
-            instr += MEGAFLOW_INSTR;
-            cost += ctx.read(ovs.megaflow.entry_line(key, 0)) as u64;
-            cost += ctx.read(ovs.megaflow.entry_line(key.rotate_left(17), 0)) as u64;
-            cost += ctx.write(ovs.emc.entry_line(key, 0)) as u64;
-            ovs.emc_tags[slot] = flow;
-        }
-        (cost, instr)
-    }
-
-    fn copy_reference(ctx: &mut ExecCtx<'_>, src: u64, dst: u64, lines: u64) -> u64 {
-        let mut cost = 0u64;
-        for l in 0..lines {
-            cost += ctx.read(src + l * LINE_BYTES) as u64;
-            cost += ctx.write(dst + l * LINE_BYTES) as u64;
-        }
-        cost
-    }
-
-    /// Access-at-a-time reference loop of [`OvsSwitch::run`]: every access
-    /// resolves as it is issued, so each budget decision sees exact costs.
-    fn reference(ovs: &mut OvsSwitch, ctx: &mut ExecCtx<'_>) -> ExecResult {
-        let mut used = 0u64;
-        let mut instructions = 0u64;
-        let accrue = ctx.accrue();
-        while used < ctx.cycle_budget {
-            let mut progress = false;
-            for p in 0..ovs.ports.len() {
-                if used >= ctx.cycle_budget {
-                    break;
-                }
-                let Some((idx, slot)) = ovs.ports[p].rx.pop() else {
-                    continue;
-                };
-                progress = true;
-                let mut cost = ctx.read(ovs.ports[p].rx.desc_addr(idx)) as u64;
-                let (lk_cost, lk_instr) = lookup_reference(ovs, ctx, slot.flow.0, accrue);
-                cost += lk_cost;
-                let att = ovs.attachments[p % ovs.attachments.len()];
-                let chan = &mut ctx.channels.get_mut(att.to_tenant).ring;
-                let dst = chan.push(PacketSlot::new(slot.flow, slot.size)).map(|c| chan.buf_addr(c));
-                if let Some(dst) = dst {
-                    let src = ovs.ports[p].rx.buf_addr(idx);
-                    cost += copy_reference(ctx, src, dst, slot.payload_lines());
-                    if accrue {
-                        ovs.forwarded += 1;
-                    }
-                } else if accrue {
-                    ovs.chan_drops += 1;
-                }
-                used += cost;
-                instructions += lk_instr;
-                if accrue {
-                    ovs.win.latency_mut().record(cost);
-                }
-            }
-            for i in 0..ovs.attachments.len() {
-                if used >= ctx.cycle_budget {
-                    break;
-                }
-                let att = ovs.attachments[i];
-                let chan = &mut ctx.channels.get_mut(att.from_tenant).ring;
-                let Some((cidx, slot)) = chan.pop() else {
-                    continue;
-                };
-                progress = true;
-                let src = slot.ext_buf.unwrap_or_else(|| chan.buf_addr(cidx));
-                let (lk_cost, lk_instr) = lookup_reference(ovs, ctx, slot.flow.0, accrue);
-                let mut cost = lk_cost;
-                let port_idx = i % ovs.ports.len();
-                let port = &mut ovs.ports[port_idx];
-                if let Some(tidx) = port.tx.push(PacketSlot::new(slot.flow, slot.size)) {
-                    let (dst, desc) = (port.tx.buf_addr(tidx), port.tx.desc_addr(tidx));
-                    cost += copy_reference(ctx, src, dst, slot.payload_lines());
-                    cost += ctx.write(desc) as u64;
-                    if accrue {
-                        ovs.forwarded += 1;
-                    }
-                } else if accrue {
-                    ovs.chan_drops += 1;
-                }
-                used += cost;
-                instructions += lk_instr;
-                if accrue {
-                    ovs.win.latency_mut().record(cost);
-                }
-            }
-            if !progress {
-                let iters = (ctx.cycle_budget - used) / POLL_CYCLES;
-                instructions += iters * POLL_INSTR;
-                used += iters * POLL_CYCLES;
-                break;
-            }
-        }
-        ExecResult { instructions, cycles_used: used.min(ctx.cycle_budget) }
-    }
-
-    /// Per-slice results, metrics, EMC counters, the latency reservoir,
-    /// channel and port ring state, accesses and the LLC state digest.
-    type Trace = (Vec<ExecResult>, WorkloadMetrics, (u64, u64), String, String, String, u64, u64);
-
-    /// Runs a two-port, two-attachment switch through `rounds` of
-    /// (port 0 packets, port 1 packets, outbound packets, budget), with
-    /// small tenant channels and Tx rings so both fill up, a 16-slot EMC
-    /// over `flows` flows, and statistics frozen every fifth round.
+    /// Runs a two-port, two-attachment switch, resolving its accesses
+    /// serially if `serial`, through `rounds` of (port 0 packets, port 1
+    /// packets, outbound packets, budget), with small tenant channels and
+    /// Tx rings so both fill up, a 16-slot EMC over `flows` flows, and
+    /// statistics frozen every fifth round.
+    /// Returns the trace and the EMC (hits, misses).
     fn trace(
-        step: fn(&mut OvsSwitch, &mut ExecCtx<'_>) -> ExecResult,
+        serial: bool,
         latency: LatencyModel,
         rounds: &[(u8, u8, u8, u64)],
         flows: u32,
-    ) -> Trace {
-        let mut h = crate::tiny_hierarchy(latency);
+    ) -> (Trace, (u64, u64)) {
+        let mut t = Tracer::new(crate::tiny_hierarchy(latency));
         let mut nic = Nic::new(0x4000_0000, 2, 16, 2048);
         let ports = vec![nic.vf_mut(VfId(0)).clone(), nic.vf_mut(VfId(1)).clone()];
-        let mut ch = Channels::new();
         let mut atts = Vec::new();
         for a in 0..2u64 {
-            let to_tenant = ch.add(RxRing::new(0x8000_0000 + a * 0x10_0000, 8, 2048));
-            let from_tenant = ch.add(RxRing::new(0x8800_0000 + a * 0x10_0000, 8, 2048));
+            let to_tenant = t.ch.add(RxRing::new(0x8000_0000 + a * 0x10_0000, 8, 2048));
+            let from_tenant = t.ch.add(RxRing::new(0x8800_0000 + a * 0x10_0000, 8, 2048));
             atts.push(Attachment { to_tenant, from_tenant });
         }
         let config = OvsConfig { emc_entries: 16, megaflow_entries: 256 };
         let mut ovs = OvsSwitch::new(ports, atts.clone(), 0xA000_0000, 0xB000_0000, config);
+        ovs.win.serial = serial;
         let ddio = WayMask::contiguous(2, 2).unwrap();
-        let mut results = Vec::new();
         for (r, &(n0, n1, out, budget)) in rounds.iter().enumerate() {
             let r = r as u32;
             for (p, n) in [n0, n1].into_iter().enumerate() {
                 let fl = (0..n as u32).map(|i| FlowId((r * 31 + i * 7 + p as u32) % flows));
                 let size = if (r + p as u32).is_multiple_of(3) { 256 } else { 64 };
-                crate::deliver(&mut h, ddio, &mut ovs.ports_mut()[p], fl, size);
+                crate::deliver(&mut t.h, ddio, &mut ovs.ports_mut()[p], fl, size);
             }
             for i in 0..out as u32 {
                 let att = atts[(i % 2) as usize];
@@ -439,52 +320,52 @@ mod tests {
                 } else {
                     PacketSlot::with_ext_buf(flow, 64, 0xC000_0000 + i as u64 * 2048)
                 };
-                let _ = ch.get_mut(att.from_tenant).ring.push(slot);
+                let _ = t.ch.get_mut(att.from_tenant).ring.push(slot);
             }
-            h.set_stats_frozen(r % 5 == 4);
-            results.push(crate::run_slice(&mut h, &mut ch, &mut ovs, budget, step));
-            h.set_stats_frozen(false);
+            t.slice(&mut ovs, WayMask::all(4), budget, r % 5 == 4);
             // The tenant and the wire consume part of what was forwarded.
             for _ in 0..r % 3 {
-                ch.get_mut(atts[0].to_tenant).ring.pop();
+                t.ch.get_mut(atts[0].to_tenant).ring.pop();
                 ovs.ports_mut()[1].tx.pop();
             }
         }
-        (
-            results,
-            ovs.metrics(),
-            (ovs.emc_hits, ovs.emc_misses),
-            format!("{:?}", ovs.win.latency_mut()),
-            format!("{ch:?}"),
+        let state = vec![
+            format!("{:?}", ovs.win.latency()),
+            format!("{:?}", t.ch),
             format!("{:?}", ovs.ports),
-            h.accesses(),
-            h.llc().state_digest(),
-        )
+        ];
+        (t.finish(ovs.metrics(), state), (ovs.emc_hits, ovs.emc_misses))
     }
 
-    /// The windowed loop must match the access-at-a-time reference
-    /// bit-for-bit across EMC hits and misses, full tenant channels and
-    /// Tx rings, the outbound path and mid-scan budget stops.
-    #[test]
-    fn batched_matches_serial() {
+    /// The fixed schedule, over 1, 5 and 40 flows: EMC hits and misses,
+    /// full tenant channels and Tx rings, the outbound path and mid-scan
+    /// budget stops.
+    pub(crate) fn fixed_traces(serial: bool) -> Vec<(String, Trace)> {
         let rounds: Vec<(u8, u8, u8, u64)> = (0..16u64)
             .map(|r| ((r * 5 % 11) as u8, (r * 3 % 7) as u8, (r % 4) as u8, 400 + r * 613))
             .collect();
-        for flows in [1, 5, 40] {
-            let lat = LatencyModel::default();
-            let batched = trace(OvsSwitch::run, lat, &rounds, flows);
-            assert_eq!(batched, trace(reference, lat, &rounds, flows));
-            let (hits, misses) = batched.2;
-            assert!(misses > 0 && (flows > 16 || hits > 0), "flows {flows}: {hits}/{misses}");
-            assert!(batched.1.drops > 0, "a tenant channel or Tx ring must fill");
-        }
+        [1, 5, 40]
+            .map(|flows| {
+                let (trace, (hits, misses)) = trace(serial, LatencyModel::default(), &rounds, flows);
+                assert!(misses > 0 && (flows > 16 || hits > 0), "flows {flows}: {hits}/{misses}");
+                assert!(trace.metrics.drops > 0, "a tenant channel or Tx ring must fill");
+                (format!("ovs flows={flows}"), trace)
+            })
+            .into()
+    }
+
+    /// Serial and windowed resolution of the switch must agree
+    /// bit-for-bit on the fixed schedule.
+    #[test]
+    fn batched_matches_serial() {
+        crate::assert_resolutions_agree(fixed_traces);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
         /// Random deliveries and budgets under two cost models: moving
-        /// every access cost moves every stopping point, and the windowed
-        /// loop must still equal its reference.
+        /// every access cost moves every stopping point, and windowed
+        /// resolution must still equal serial resolution.
         #[test]
         fn batched_matches_serial_under_random_schedules(
             rounds in proptest::collection::vec((0u8..12, 0u8..12, 0u8..6, 100u64..12_000), 1..12),
@@ -492,10 +373,7 @@ mod tests {
             default_costs in any::<bool>(),
         ) {
             let lat = if default_costs { LatencyModel::default() } else { LatencyModel::new(1, 2, 3) };
-            prop_assert_eq!(
-                trace(OvsSwitch::run, lat, &rounds, flows),
-                trace(reference, lat, &rounds, flows)
-            );
+            prop_assert_eq!(trace(false, lat, &rounds, flows), trace(true, lat, &rounds, flows));
         }
     }
 
@@ -529,16 +407,7 @@ mod tests {
     }
 
     fn run(h: &mut MemoryHierarchy, ovs: &mut OvsSwitch, ch: &mut Channels, budget: u64) {
-        let mut ctx = ExecCtx {
-            cache: h,
-            sketch: None,
-            channels: ch,
-            core: 0,
-            agent: AgentId::new(0),
-            mask: WayMask::all(4),
-            cycle_budget: budget,
-        };
-        ovs.run(&mut ctx);
+        crate::run_slice(h, ch, None, ovs, WayMask::all(4), budget);
     }
 
     #[test]

@@ -84,11 +84,6 @@ impl RocksLike {
         }
     }
 
-    /// Replaces the operation mix.
-    pub fn set_mix(&mut self, mix: YcsbMix) {
-        self.mix = mix;
-    }
-
     /// Memtable footprint in bytes (nodes + values).
     pub fn footprint_bytes(&self) -> u64 {
         self.nodes.footprint_bytes() + self.records_pow2 * self.config.value_bytes as u64
@@ -198,110 +193,39 @@ impl Workload for RocksLike {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::ctx::Channels;
-    use iat_cachesim::{AgentId, LatencyModel, MemoryHierarchy, WayMask};
+    use crate::{Trace, Tracer};
+    use iat_cachesim::{LatencyModel, MemoryHierarchy, WayMask};
     use proptest::prelude::*;
 
-    /// Access-at-a-time reference of [`RocksLike::enqueue`]: executes one
-    /// op and returns its cycle cost.
-    fn execute_reference(r: &RocksLike, ctx: &mut ExecCtx<'_>, op: OpKind, key: u64) -> u64 {
-        let mut cost = OP_CYCLES;
-        for l in 0..r.levels {
-            let addr = if l < HOT_LEVELS {
-                r.hot.entry_line(l, 0)
-            } else {
-                r.nodes.entry_line(key.wrapping_mul(31).wrapping_add(l), 0)
-            };
-            cost += ctx.read(addr) as u64;
-        }
-        let vaddr = r.value_addr(key);
-        let vlines = iat_cachesim::lines_for(r.config.value_bytes as u64);
-        match op {
-            OpKind::Read => {
-                for l in 0..vlines {
-                    cost += ctx.read(vaddr + l * LINE_BYTES) as u64;
-                }
-            }
-            OpKind::Update | OpKind::Insert => {
-                for l in 0..vlines {
-                    cost += ctx.write(vaddr + l * LINE_BYTES) as u64;
-                }
-            }
-            OpKind::ReadModifyWrite => {
-                for l in 0..vlines {
-                    cost += ctx.read(vaddr + l * LINE_BYTES) as u64;
-                    cost += ctx.write(vaddr + l * LINE_BYTES) as u64;
-                }
-            }
-            OpKind::Scan => {
-                for i in 0..8u64 {
-                    let a = r.value_addr((key + i) % r.config.records);
-                    for l in 0..vlines {
-                        cost += ctx.read(a + l * LINE_BYTES) as u64;
-                    }
-                }
-            }
-        }
-        cost
-    }
-
-    /// Access-at-a-time reference loop of [`RocksLike::run`].
-    fn reference(r: &mut RocksLike, ctx: &mut ExecCtx<'_>) -> ExecResult {
-        let mut used = 0u64;
-        let mut instructions = 0u64;
-        let accrue = ctx.accrue();
-        while used < ctx.cycle_budget {
-            let u = (r.next_rand() >> 11) as f64 / (1u64 << 53) as f64;
-            let op = r.mix.pick(u);
-            let key = r.sample_key();
-            let cost = execute_reference(r, ctx, op, key);
-            used += cost;
-            instructions += OP_INSTR;
-            if accrue {
-                r.ops += 1;
-                r.win.latency_mut().record(cost);
-            }
-        }
-        ExecResult { instructions, cycles_used: used.min(ctx.cycle_budget) }
-    }
-
-    type Trace = (Vec<ExecResult>, WorkloadMetrics, String, u64, u64);
-
-    /// Runs a small store through `budgets`, alternating two masks and
-    /// freezing statistics every fifth slice.
-    fn trace(
-        step: fn(&mut RocksLike, &mut ExecCtx<'_>) -> ExecResult,
-        latency: LatencyModel,
-        mix: YcsbMix,
-        budgets: &[u64],
-    ) -> Trace {
-        let mut h = crate::tiny_hierarchy(latency);
+    /// Runs a small store, resolving its accesses serially if `serial`,
+    /// through `budgets`, freezing statistics every fifth slice.
+    fn trace(serial: bool, latency: LatencyModel, mix: YcsbMix, budgets: &[u64]) -> Trace {
+        let mut t = Tracer::new(crate::tiny_hierarchy(latency));
         let mut r = RocksLike::new(0xA000_0000, small(), mix, 3);
-        let mut ch = Channels::new();
-        let mut results = Vec::new();
+        r.win.serial = serial;
         for (i, &budget) in budgets.iter().enumerate() {
-            h.set_stats_frozen(i % 5 == 4);
-            results.push(crate::run_slice(&mut h, &mut ch, &mut r, budget, step));
-            h.set_stats_frozen(false);
+            t.slice(&mut r, WayMask::all(4), budget, i % 5 == 4);
         }
-        (results, r.metrics(), format!("{:?}", r.win.latency_mut()), h.accesses(), h.llc().state_digest())
+        let state = vec![format!("{:?}", r.win.latency()), format!("{:?}", r.state)];
+        t.finish(r.metrics(), state)
     }
 
-    /// The windowed loop must match the access-at-a-time reference
-    /// bit-for-bit for every YCSB mix.
+    /// The fixed schedule under every YCSB mix.
+    pub(crate) fn fixed_traces(serial: bool) -> Vec<(String, Trace)> {
+        let budgets: Vec<u64> = (0..10u64).map(|i| 2_000 + i * 9_973).collect();
+        YcsbMix::all()
+            .into_iter()
+            .map(|mix| (format!("rocks {}", mix.name), trace(serial, LatencyModel::default(), mix, &budgets)))
+            .collect()
+    }
+
+    /// Serial and windowed resolution of the store must agree
+    /// bit-for-bit on the fixed schedule.
     #[test]
     fn batched_matches_serial() {
-        let budgets: Vec<u64> = (0..10u64).map(|i| 2_000 + i * 9_973).collect();
-        for mix in YcsbMix::all() {
-            let lat = LatencyModel::default();
-            assert_eq!(
-                trace(RocksLike::run, lat, mix, &budgets),
-                trace(reference, lat, mix, &budgets),
-                "{mix:?}"
-            );
-        }
+        crate::assert_resolutions_agree(fixed_traces);
     }
 
     proptest! {
@@ -315,25 +239,12 @@ mod tests {
         ) {
             let lat = if default_costs { LatencyModel::default() } else { LatencyModel::new(1, 2, 3) };
             let mix = YcsbMix::all()[mix];
-            prop_assert_eq!(
-                trace(RocksLike::run, lat, mix, &budgets),
-                trace(reference, lat, mix, &budgets)
-            );
+            prop_assert_eq!(trace(false, lat, mix, &budgets), trace(true, lat, mix, &budgets));
         }
     }
 
     fn run(h: &mut MemoryHierarchy, r: &mut RocksLike, mask: WayMask, budget: u64) {
-        let mut ch = Channels::new();
-        let mut ctx = ExecCtx {
-            cache: h,
-            sketch: None,
-            channels: &mut ch,
-            core: 0,
-            agent: AgentId::new(0),
-            mask,
-            cycle_budget: budget,
-        };
-        r.run(&mut ctx);
+        crate::run_slice(h, &mut crate::Channels::new(), None, r, mask, budget);
     }
 
     #[test]

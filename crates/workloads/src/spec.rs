@@ -215,87 +215,39 @@ impl Workload for SpecWorkload {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::ctx::Channels;
-    use iat_cachesim::{AgentId, LatencyModel, MemoryHierarchy, WayMask};
+    use crate::{Trace, Tracer};
+    use iat_cachesim::{LatencyModel, MemoryHierarchy, WayMask};
     use proptest::prelude::*;
 
-    /// Access-at-a-time reference loop of [`SpecWorkload::run`].
-    fn reference(w: &mut SpecWorkload, ctx: &mut ExecCtx<'_>) -> ExecResult {
-        let lines = w.profile.footprint / LINE_BYTES;
-        let hot_lines = (w.profile.hot_bytes / LINE_BYTES).clamp(1, lines);
-        let compute = (BLOCK_INSTR as f64 / w.profile.base_ipc) as u64;
-        let mut used = 0u64;
-        let mut instructions = 0u64;
-        let accrue = ctx.accrue();
-        while used < ctx.cycle_budget {
-            let mut cost = compute;
-            let exact = w.profile.apki as f64 + w.access_residue;
-            let accesses = exact as u64;
-            w.access_residue = exact - accesses as f64;
-            for _ in 0..accesses {
-                let r = w.next_rand();
-                let u = (r >> 32) as f64 / u32::MAX as f64;
-                let line = if u < w.profile.random_frac {
-                    let v = (r & 0xFFFF_FFFF) as f64 / u32::MAX as f64;
-                    if v < w.profile.hot_frac {
-                        w.next_rand() % hot_lines
-                    } else {
-                        w.next_rand() % lines
-                    }
-                } else {
-                    w.cursor = (w.cursor + 1) % lines;
-                    w.cursor
-                };
-                cost += ctx.read(w.base + line * LINE_BYTES) as u64;
-            }
-            used += cost;
-            instructions += BLOCK_INSTR;
-            if accrue {
-                w.blocks += 1;
-            }
-        }
-        ExecResult { instructions, cycles_used: used.min(ctx.cycle_budget) }
-    }
-
-    type Trace = (Vec<ExecResult>, WorkloadMetrics, u64, u64, u64);
-
-    /// Runs `profile` through `budgets`, freezing statistics every fifth
-    /// slice.
-    fn trace(
-        step: fn(&mut SpecWorkload, &mut ExecCtx<'_>) -> ExecResult,
-        latency: LatencyModel,
-        profile: SpecProfile,
-        budgets: &[u64],
-    ) -> Trace {
-        let mut h = crate::tiny_hierarchy(latency);
+    /// Runs `profile`, resolving its accesses serially if `serial`,
+    /// through `budgets`, freezing statistics every fifth slice.
+    fn trace(serial: bool, latency: LatencyModel, profile: SpecProfile, budgets: &[u64]) -> Trace {
+        let mut t = Tracer::new(crate::tiny_hierarchy(latency));
         let mut w = SpecWorkload::new(0xD000_0000, profile, 9);
-        let mut ch = Channels::new();
-        let mut results = Vec::new();
+        w.win.serial = serial;
         for (i, &budget) in budgets.iter().enumerate() {
-            h.set_stats_frozen(i % 5 == 4);
-            results.push(crate::run_slice(&mut h, &mut ch, &mut w, budget, step));
-            h.set_stats_frozen(false);
+            t.slice(&mut w, WayMask::all(4), budget, i % 5 == 4);
         }
-        (results, w.metrics(), w.cursor, h.accesses(), h.llc().state_digest())
+        let state = vec![format!("{:?}", (w.cursor, w.state, w.access_residue))];
+        t.finish(w.metrics(), state)
     }
 
-    /// The windowed loop must match the access-at-a-time reference
-    /// bit-for-bit on a pointer-chasing (mcf), a streaming (lbm) and a
-    /// mostly L2-resident (bzip2) profile.
+    /// The fixed schedule on a pointer-chasing (mcf), a streaming (lbm)
+    /// and a mostly L2-resident (bzip2) profile.
+    pub(crate) fn fixed_traces(serial: bool) -> Vec<(String, Trace)> {
+        let budgets: Vec<u64> = (0..10u64).map(|i| 3_000 + i * 17_389).collect();
+        [SpecProfile::mcf(), SpecProfile::lbm(), SpecProfile::bzip2()]
+            .map(|p| (format!("spec {}", p.name), trace(serial, LatencyModel::default(), p, &budgets)))
+            .into()
+    }
+
+    /// Serial and windowed resolution of SPEC must agree bit-for-bit on
+    /// the fixed schedule.
     #[test]
     fn batched_matches_serial() {
-        let budgets: Vec<u64> = (0..10u64).map(|i| 3_000 + i * 17_389).collect();
-        for profile in [SpecProfile::mcf(), SpecProfile::lbm(), SpecProfile::bzip2()] {
-            let lat = LatencyModel::default();
-            assert_eq!(
-                trace(SpecWorkload::run, lat, profile, &budgets),
-                trace(reference, lat, profile, &budgets),
-                "{}",
-                profile.name
-            );
-        }
+        crate::assert_resolutions_agree(fixed_traces);
     }
 
     proptest! {
@@ -309,25 +261,12 @@ mod tests {
         ) {
             let lat = if default_costs { LatencyModel::default() } else { LatencyModel::new(1, 2, 3) };
             let profile = SpecProfile::memory_sensitive()[profile];
-            prop_assert_eq!(
-                trace(SpecWorkload::run, lat, profile, &budgets),
-                trace(reference, lat, profile, &budgets)
-            );
+            prop_assert_eq!(trace(false, lat, profile, &budgets), trace(true, lat, profile, &budgets));
         }
     }
 
     fn run(h: &mut MemoryHierarchy, w: &mut SpecWorkload, mask: WayMask, budget: u64) -> ExecResult {
-        let mut ch = Channels::new();
-        let mut ctx = ExecCtx {
-            cache: h,
-            sketch: None,
-            channels: &mut ch,
-            core: 0,
-            agent: AgentId::new(0),
-            mask,
-            cycle_budget: budget,
-        };
-        w.run(&mut ctx)
+        crate::run_slice(h, &mut crate::Channels::new(), None, w, mask, budget)
     }
 
     #[test]

@@ -24,8 +24,9 @@
 //! identical — and the budget advances exactly as the serial loop would
 //! have. For X-Mem, whose items are single reads, the bound cuts windows
 //! of `ceil(left / max_cost)` items. Results are therefore bit-identical
-//! to access-at-a-time execution; each workload keeps its access-at-a-time
-//! loop as a test-only reference and checks this.
+//! to access-at-a-time execution. Test builds check this against a serial
+//! resolution of the same bodies (`AccessWindow::serial`), and pin the
+//! bodies themselves with a committed trace snapshot.
 
 use crate::ctx::{ExecCtx, ExecResult, WorkloadMetrics};
 use crate::latency::LatencySampler;
@@ -48,6 +49,10 @@ pub(crate) struct AccessWindow {
     /// Records each resolved item's cost while metrics accrue; `None` for
     /// workloads that report no latency (SPEC).
     latency: Option<LatencySampler>,
+    /// Resolves every access on its own as its item is served (the
+    /// access-at-a-time oracle) instead of through certain-bound windows.
+    #[cfg(test)]
+    pub serial: bool,
 }
 
 impl AccessWindow {
@@ -74,6 +79,10 @@ impl AccessWindow {
         idle: Option<(u64, u64)>,
         mut serve: impl FnMut(&mut W, &mut AccessWindow, &mut ExecCtx<'_>, usize) -> Option<u64>,
     ) -> ExecResult {
+        #[cfg(test)]
+        if window(w).serial {
+            return Self::drive_serial(w, window, ctx, sources, idle, serve);
+        }
         let mut win = std::mem::take(window(w));
         let budget = ctx.cycle_budget;
         let max_access = ctx.max_access_cycles() as u64;
@@ -99,6 +108,66 @@ impl AccessWindow {
             if !progress {
                 // Stragglers must resolve before sizing the spin.
                 win.flush(ctx, &mut used);
+                if let Some((cycles, instr)) = idle {
+                    let iters = (budget - used) / cycles;
+                    instructions += iters * instr;
+                    used += iters * cycles;
+                }
+                break;
+            }
+        }
+        *window(w) = win;
+        ExecResult { instructions, cycles_used: used.min(budget) }
+    }
+
+    /// The access-at-a-time resolution of [`AccessWindow::drive`], for a
+    /// window whose `serial` flag a test set: the exact budget is checked
+    /// before each source, and each served item's accesses resolve one by
+    /// one through the hierarchy, feeding a lent sketch, before the next
+    /// check. It shares no budget check, flush or latency code with the
+    /// certain-bound path, so a fault in that protocol shows as a mismatch.
+    #[cfg(test)]
+    fn drive_serial<W>(
+        w: &mut W,
+        window: fn(&mut W) -> &mut AccessWindow,
+        ctx: &mut ExecCtx<'_>,
+        sources: usize,
+        idle: Option<(u64, u64)>,
+        mut serve: impl FnMut(&mut W, &mut AccessWindow, &mut ExecCtx<'_>, usize) -> Option<u64>,
+    ) -> ExecResult {
+        let mut win = std::mem::take(window(w));
+        let budget = ctx.cycle_budget;
+        let mut used = 0u64;
+        let mut instructions = 0u64;
+        'slice: loop {
+            let mut progress = false;
+            for source in 0..sources {
+                if used >= budget {
+                    break 'slice;
+                }
+                let Some(instr) = serve(w, &mut win, ctx, source) else { continue };
+                instructions += instr;
+                progress = true;
+                let mut ops = win.ops.drain(..);
+                for &(fixed, n) in &win.items {
+                    let mut cost = fixed;
+                    for (addr, op) in ops.by_ref().take(n as usize) {
+                        if let Some(sketch) = ctx.sketch.as_deref_mut() {
+                            sketch.observe(addr);
+                        }
+                        cost += ctx.cache.core_access_cycles(ctx.core, ctx.agent, ctx.mask, addr, op) as u64;
+                    }
+                    used += cost;
+                    if ctx.accrue() {
+                        if let Some(l) = win.latency.as_mut() {
+                            l.record(cost);
+                        }
+                    }
+                }
+                win.items.clear();
+                win.fixed_sum = 0;
+            }
+            if !progress {
                 if let Some((cycles, instr)) = idle {
                     let iters = (budget - used) / cycles;
                     instructions += iters * instr;
@@ -168,10 +237,10 @@ impl AccessWindow {
         }
     }
 
-    /// The latency sampler, for the reference loops.
+    /// The latency sampler, for trace digests.
     #[cfg(test)]
-    pub fn latency_mut(&mut self) -> &mut LatencySampler {
-        self.latency.as_mut().expect("window records latency")
+    pub fn latency(&self) -> &LatencySampler {
+        self.latency.as_ref().expect("window records latency")
     }
 
     /// Upper bound on the budget consumed once everything pending

@@ -113,105 +113,52 @@ impl Workload for XMem {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::ctx::Channels;
-    use iat_cachesim::{AgentId, LatencyModel, MemoryHierarchy, WayMask};
+    use crate::{Trace, Tracer};
+    use iat_cachesim::{LatencyModel, MemoryHierarchy, WayMask};
     use proptest::prelude::*;
 
-    fn run_with(
-        h: &mut MemoryHierarchy,
-        xmem: &mut XMem,
-        mask: WayMask,
-        budget: u64,
-        step: fn(&mut XMem, &mut ExecCtx<'_>) -> ExecResult,
-    ) -> ExecResult {
-        let mut ch = Channels::new();
-        let mut ctx = ExecCtx {
-            cache: h,
-            sketch: None,
-            channels: &mut ch,
-            core: 0,
-            agent: AgentId::new(0),
-            mask,
-            cycle_budget: budget,
-        };
-        step(xmem, &mut ctx)
-    }
-
     fn run_once(h: &mut MemoryHierarchy, xmem: &mut XMem, mask: WayMask, budget: u64) -> ExecResult {
-        run_with(h, xmem, mask, budget, XMem::run)
+        crate::run_slice(h, &mut crate::Channels::new(), None, xmem, mask, budget)
     }
 
-    /// Access-at-a-time reference loop of [`XMem::run`]: one dependent
-    /// read per iteration, each resolved as it is issued.
-    fn reference(x: &mut XMem, ctx: &mut ExecCtx<'_>) -> ExecResult {
-        let lines = x.working_set / LINE_BYTES;
-        let mut used = 0u64;
-        let mut instructions = 0u64;
-        let accrue = ctx.accrue();
-        while used < ctx.cycle_budget {
-            let line = x.next_rand() % lines;
-            let cost = ctx.read(x.base + line * LINE_BYTES) as u64 + COMPUTE_CYCLES;
-            used += cost;
-            instructions += INSTR_PER_OP;
-            if accrue {
-                x.ops += 1;
-                x.win.latency_mut().record(cost);
-            }
-        }
-        ExecResult { instructions, cycles_used: used.min(ctx.cycle_budget) }
-    }
-
-    /// The batched windows must match the reference loop bit-for-bit:
-    /// per-slice results, the order-sensitive latency reservoir, and the
-    /// cache state digest, across mask changes and uneven budgets.
-    #[test]
-    fn batched_matches_serial() {
-        let trace = |step: fn(&mut XMem, &mut ExecCtx<'_>) -> ExecResult| {
-            let mut h = MemoryHierarchy::tiny(1);
-            let mut x = XMem::new(0x100000, 16 * 1024, 5);
-            let mut results = Vec::new();
-            for round in 0..8u64 {
-                let mask = if round % 2 == 0 { WayMask::all(4) } else { WayMask::single(1) };
-                results.push(run_with(&mut h, &mut x, mask, 3_000 + round * 1_777, step));
-            }
-            (results, x.metrics(), h.accesses(), h.llc().state_digest())
-        };
-        assert_eq!(trace(XMem::run), trace(reference));
-    }
-
-    /// Per-slice results, metrics, the latency reservoir, accesses and the
-    /// LLC state digest.
-    type Trace = (Vec<ExecResult>, WorkloadMetrics, String, u64, u64);
-
-    /// Runs a `lines`-line working set through `budgets`, alternating two
-    /// masks and freezing statistics every fifth slice.
-    fn trace(
-        step: fn(&mut XMem, &mut ExecCtx<'_>) -> ExecResult,
-        latency: LatencyModel,
-        lines: u64,
-        budgets: &[u64],
-    ) -> Trace {
-        let mut h = crate::tiny_hierarchy(latency);
+    /// Runs a `lines`-line working set on `h`, resolving its accesses
+    /// serially if `serial`, through `budgets`, alternating two masks and,
+    /// if `freeze`, freezing statistics every fifth slice.
+    fn trace(serial: bool, h: MemoryHierarchy, lines: u64, budgets: &[u64], freeze: bool) -> Trace {
+        let mut t = Tracer::new(h);
         let mut x = XMem::new(0x100000, lines * LINE_BYTES, 5);
-        let mut results = Vec::new();
+        x.win.serial = serial;
         for (i, &budget) in budgets.iter().enumerate() {
             let mask = if i % 2 == 0 { WayMask::all(4) } else { WayMask::single(1) };
-            h.set_stats_frozen(i % 5 == 4);
-            results.push(run_with(&mut h, &mut x, mask, budget, step));
-            h.set_stats_frozen(false);
+            t.slice(&mut x, mask, budget, freeze && i % 5 == 4);
         }
-        let reservoir = format!("{:?}", x.win.latency_mut());
-        (results, x.metrics(), reservoir, h.accesses(), h.llc().state_digest())
+        let state = vec![format!("{:?}", x.win.latency()), format!("{:?}", x.state)];
+        t.finish(x.metrics(), state)
+    }
+
+    /// The fixed schedule: a 16 KB working set across mask changes and
+    /// uneven budgets.
+    pub(crate) fn fixed_traces(serial: bool) -> Vec<(String, Trace)> {
+        let budgets: Vec<u64> = (0..8u64).map(|round| 3_000 + round * 1_777).collect();
+        vec![("xmem".into(), trace(serial, MemoryHierarchy::tiny(1), 256, &budgets, false))]
+    }
+
+    /// Serial and windowed resolution of X-Mem must agree bit-for-bit on
+    /// the fixed schedule: per-slice results, the order-sensitive latency
+    /// reservoir, the sketch feed and the cache state digest.
+    #[test]
+    fn batched_matches_serial() {
+        crate::assert_resolutions_agree(fixed_traces);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
         /// Random budgets and working sets (L2-resident to several times
         /// the LLC) under two cost models: moving every access cost moves
-        /// every window cut, and the windowed loop must still equal its
-        /// reference.
+        /// every window cut, and windowed resolution must still equal
+        /// serial resolution.
         #[test]
         fn batched_matches_serial_under_random_schedules(
             budgets in proptest::collection::vec(1u64..60_000, 1..8),
@@ -220,8 +167,8 @@ mod tests {
         ) {
             let lat = if default_costs { LatencyModel::default() } else { LatencyModel::new(1, 2, 3) };
             prop_assert_eq!(
-                trace(XMem::run, lat, lines, &budgets),
-                trace(reference, lat, lines, &budgets)
+                trace(false, crate::tiny_hierarchy(lat), lines, &budgets, true),
+                trace(true, crate::tiny_hierarchy(lat), lines, &budgets, true)
             );
         }
     }
